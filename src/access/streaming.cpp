@@ -43,13 +43,26 @@ std::uint64_t StreamingSubstrate::align_fault(
   return fail_at / be * be;
 }
 
-RetainedEdge StreamingSubstrate::stored_attr(std::uint32_t idx) const {
-  if (!table_.empty()) return table_[idx];
-  const auto it = std::lower_bound(cache_idx_.begin(), cache_idx_.end(), idx);
-  if (it != cache_idx_.end() && *it == idx) {
-    return cache_attr_[static_cast<std::size_t>(it - cache_idx_.begin())];
+void StreamingSubstrate::stored_attrs(const std::uint32_t* idxs,
+                                      std::size_t count,
+                                      RetainedEdge* out) const {
+  if (!table_.empty() || count == 0) {
+    Substrate::stored_attrs(idxs, count, out);
+    return;
   }
-  return load_attr(idx);
+  // Merge walk of the ascending indices against the ascending cache: one
+  // lower_bound for the batch, then a forward cursor. An index the cursor
+  // cannot find (a miss, or a batch out of order) reads its file record.
+  auto it = std::lower_bound(cache_idx_.begin(), cache_idx_.end(), idxs[0]);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint32_t idx = idxs[i];
+    while (it != cache_idx_.end() && *it < idx) ++it;
+    if (it != cache_idx_.end() && *it == idx) {
+      out[i] = cache_attr_[static_cast<std::size_t>(it - cache_idx_.begin())];
+    } else {
+      out[i] = load_attr(idx);
+    }
+  }
 }
 
 void StreamingSubstrate::fetch_edges(const std::uint32_t* idxs,
@@ -202,7 +215,7 @@ const core::SamplingRound& StreamingSubstrate::draw(
       meter_.store_edges(draws.stored_total());
       if (table_.empty()) {
         // File mode: snapshot the drawn union's attributes into the
-        // per-round cache so the pipeline's stored_attr() reads are RAM
+        // per-round cache so the pipeline's stored_attrs() reads are RAM
         // lookups, not per-index file records. Exactly o(m) entries,
         // budget-charged, dropped at release_stored. The previous round's
         // cache was released before this draw (join_pending precedes

@@ -61,7 +61,8 @@ class StreamingSubstrate final : public Substrate {
                                   std::size_t t, std::uint64_t round,
                                   std::uint64_t seed) override;
 
-  RetainedEdge stored_attr(std::uint32_t idx) const override;
+  void stored_attrs(const std::uint32_t* idxs, std::size_t count,
+                    RetainedEdge* out) const override;
 
   void fetch_edges(const std::uint32_t* idxs, std::size_t count,
                    Edge* out) const override;

@@ -140,20 +140,22 @@ class Substrate {
   std::size_t num_retained() const noexcept { return retained_count_; }
 
   /// The attribute table (retained order). Empty when the backend runs
-  /// table-free (file-backed streaming); use stored_attr()/fetch_edges()
-  /// for per-index attribute access that works on every backend.
+  /// table-free (file-backed streaming); use stored_attrs()/fetch_edges()
+  /// for attribute access that works on every backend.
   const std::vector<RetainedEdge>& table() const noexcept { return table_; }
 
   /// Edge-typed view of the table (same order). Empty when table-free.
   const std::vector<Edge>& edge_view() const noexcept { return edge_view_; }
 
-  /// Attributes of one retained index. On table-backed substrates this is
-  /// the table row; the file-backed backend serves STORED indices from its
-  /// per-round sample cache (falling back to a file record read). Valid
-  /// between a draw and the matching release_stored for stored indices;
-  /// always valid on table-backed substrates. Thread-safe.
-  virtual RetainedEdge stored_attr(std::uint32_t idx) const {
-    return table_[idx];
+  /// Batch-fetch the attributes of retained indices into out[0..count).
+  /// On table-backed substrates these are the table rows; the file-backed
+  /// backend serves STORED indices from its per-round sample cache
+  /// (falling back to a file record read), fastest when `idxs` ascends.
+  /// Valid between a draw and the matching release_stored for stored
+  /// indices; always valid on table-backed substrates. Thread-safe.
+  virtual void stored_attrs(const std::uint32_t* idxs, std::size_t count,
+                            RetainedEdge* out) const {
+    for (std::size_t i = 0; i < count; ++i) out[i] = table_[idxs[i]];
   }
 
   /// Batch-fetch edge records for retained indices (the deferred

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <map>
 
+#include "matching/greedy.hpp"
+
 namespace dp::core {
 
 CertificateReport extract_certificate(const DualState& state,
@@ -52,19 +54,11 @@ OddSetDual greedy_witness_dual(const Graph& g) {
   OddSetDual dual;
   dual.x.assign(g.num_vertices(), 0.0);
   // Weight-sorted greedy; both endpoints of a taken edge get its weight.
-  std::vector<EdgeId> order(g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) order[e] = e;
-  std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId c) {
-    return g.edge(a).w > g.edge(c).w;
-  });
-  std::vector<char> used(g.num_vertices(), 0);
-  for (EdgeId e : order) {
+  const Matching greedy = greedy_matching(g);
+  for (const EdgeId e : greedy.edges()) {
     const Edge& edge = g.edge(e);
-    if (!used[edge.u] && !used[edge.v]) {
-      used[edge.u] = used[edge.v] = 1;
-      dual.x[edge.u] = edge.w;
-      dual.x[edge.v] = edge.w;
-    }
+    dual.x[edge.u] = edge.w;
+    dual.x[edge.v] = edge.w;
   }
   return dual;
 }

@@ -14,7 +14,10 @@
 //   FlatDuals — a dense value buffer of n*L doubles plus a compact list of
 //     active keys: O(1) random access, O(active) clear. Used as reusable
 //     scratch inside the oracle and as the backing store of DualState.
+//   KeyBitset — one bit per key over [0, n*L): the sort-free way to turn
+//     keys marked in any order into the sorted, unique key sequence.
 
+#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -134,6 +137,41 @@ class FlatDuals {
   std::vector<double> val_;
   std::vector<char> in_;
   std::vector<std::uint64_t> active_;
+};
+
+/// A bit per slot over the packed key domain [0, slots). Callers mark keys
+/// in any order; drain() then visits every marked key once, in ascending
+/// order, with no comparisons — O(marked + slots / 64). The drain zeroes
+/// each word as it reads it, so the set is empty again afterwards.
+class KeyBitset {
+ public:
+  /// Ensure room for keys in [0, slots). Growing keeps the set empty.
+  void reserve(std::size_t slots) {
+    const std::size_t words = (slots + 63) / 64;
+    if (words_.size() < words) words_.resize(words, 0);
+  }
+
+  void mark(std::uint64_t key) noexcept {
+    words_[key >> 6] |= std::uint64_t{1} << (key & 63);
+  }
+
+  /// Call fn(key) for every marked key in ascending order, leaving the set
+  /// empty.
+  template <typename Fn>
+  void drain(Fn&& fn) {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      std::uint64_t bits = words_[w];
+      if (bits == 0) continue;
+      words_[w] = 0;
+      const std::uint64_t base = static_cast<std::uint64_t>(w) << 6;
+      for (; bits != 0; bits &= bits - 1) {
+        fn(base + static_cast<std::uint64_t>(std::countr_zero(bits)));
+      }
+    }
+  }
+
+ private:
+  std::vector<std::uint64_t> words_;
 };
 
 }  // namespace dp::core

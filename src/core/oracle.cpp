@@ -9,12 +9,11 @@ namespace dp::core {
 /// n*L once and cleared in O(touched) between invocations; vectors keep
 /// their capacity across calls so the steady state allocates nothing.
 struct MicroOracle::Scratch {
-  /// (key, us) per stored-edge endpoint, then grouped by vertex via a
-  /// stable counting sort — the cache-resident replacement for the dense
-  /// sum_us buffer (the count/offset arrays are n-sized, not n*L).
-  std::vector<std::pair<std::uint64_t, double>> pairs;
-  std::vector<std::pair<std::uint64_t, double>> grouped;
-  std::vector<std::size_t> voff;
+  /// Step 1's per-row us sums: a dense n*L accumulator plus the bitset of
+  /// touched rows, both all-zero between invocations (the drain resets
+  /// every touched slot).
+  std::vector<double> row_sum;
+  KeyBitset rows;
   std::vector<std::uint64_t> sum_keys;  // key-sorted distinct (i,k) rows
   std::vector<double> sum_vals;         // summed us per row
   std::vector<std::uint64_t> pos_keys;  // sorted keys with A_i(k) > 0
@@ -49,7 +48,11 @@ struct MicroOracle::Scratch {
     if (zsuffix.size() < n) {
       zsuffix.resize(n, 0.0);
       set_of.assign(n, -1);
-      voff.resize(n + 1, 0);
+    }
+    const std::size_t slots = n * static_cast<std::size_t>(levels);
+    if (row_sum.size() < slots) {
+      row_sum.resize(slots, 0.0);
+      rows.reserve(slots);
     }
     if (has_level.size() < static_cast<std::size_t>(levels)) {
       has_level.resize(static_cast<std::size_t>(levels), 0);
@@ -203,57 +206,35 @@ MicroResult MicroOracle::run(const std::vector<StoredMultiplier>& us,
   MicroResult result;
 
   // ---- gamma and per-(i,k) us sums (Step 1). ----
-  // Rows are grouped by vertex with a stable counting sort over packed
-  // (i, k) keys instead of a hash map: the count/offset arrays are n-sized
-  // (cache resident), the per-vertex groups are tiny, and the stable order
-  // keeps every per-row sum bitwise identical to the map path's insertion
-  // order.
+  // Each row's sum accumulates in the dense n*L scratch in encounter
+  // order, and the row bitset's drain reads the touched rows back
+  // key-sorted (resetting them) — so every sum adds the same values in the
+  // same order as the map path's insertion order, starting from +0.0.
   const std::size_t n = lg.graph().num_vertices();
-  s.pairs.clear();
   double gamma = 0;
   for (const StoredMultiplier& sm : us) {
     const Edge& e = lg.graph().edge(sm.edge);
     const int k = lg.level(sm.edge);
     if (k < 0 || sm.us <= 0) continue;
-    s.pairs.emplace_back(key(e.u, k), sm.us);
-    s.pairs.emplace_back(key(e.v, k), sm.us);
+    for (const std::uint64_t kk : {key(e.u, k), key(e.v, k)}) {
+      s.rows.mark(kk);
+      s.row_sum[kk] += sm.us;
+    }
     gamma += lg.level_weight(k) * sm.us;
   }
+  s.sum_keys.clear();
+  s.sum_vals.clear();
+  s.rows.drain([&s](std::uint64_t kk) {
+    s.sum_keys.push_back(kk);
+    s.sum_vals.push_back(s.row_sum[kk]);
+    s.row_sum[kk] = 0.0;
+  });
   for (const auto& [kk, z] : zeta) {
     const int k = static_cast<int>(kk % Lu);
     gamma -= 3.0 * rho * lg.level_weight(k) * z;
   }
   result.gamma = gamma;
   if (gamma <= 0) return result;  // x = 0 satisfies LagInner trivially
-
-  // Two stable counting passes (LSD radix on the packed key's digits:
-  // level first, vertex second) leave s.grouped key-sorted with duplicate
-  // keys in their original encounter order; folding them then reproduces
-  // the map path's per-row sums bitwise.
-  {
-    std::vector<std::size_t>& koff = s.run_start;  // borrowed until Step 3
-    koff.assign(static_cast<std::size_t>(L) + 1, 0);
-    for (const auto& [kk, u_val] : s.pairs) ++koff[kk % Lu + 1];
-    for (int k = 0; k < L; ++k) koff[k + 1] += koff[k];
-    s.grouped.resize(s.pairs.size());
-    for (const auto& p : s.pairs) s.grouped[koff[p.first % Lu]++] = p;
-
-    std::fill(s.voff.begin(), s.voff.begin() + static_cast<long>(n) + 1, 0);
-    for (const auto& [kk, u_val] : s.grouped) ++s.voff[kk / Lu + 1];
-    for (std::size_t v = 0; v < n; ++v) s.voff[v + 1] += s.voff[v];
-    s.pairs.resize(s.grouped.size());
-    for (const auto& p : s.grouped) s.pairs[s.voff[p.first / Lu]++] = p;
-  }
-  s.sum_keys.clear();
-  s.sum_vals.clear();
-  for (const auto& [kk, u_val] : s.pairs) {
-    if (!s.sum_keys.empty() && s.sum_keys.back() == kk) {
-      s.sum_vals.back() += u_val;
-    } else {
-      s.sum_keys.push_back(kk);
-      s.sum_vals.push_back(u_val);
-    }
-  }
 
   // ---- Pos(i) and A_i(k) = sum_us - 2 rho zeta (Step 2). ----
   // Both supports are key-sorted: a single merge-join computes every A.

@@ -16,12 +16,12 @@
 //
 // This is the solver's hot path. All dual variables live in flat
 // level-indexed buffers (core/flat_duals.hpp): dense scratch is reused
-// across invocations, per-vertex indexes come from sorting packed (i, k)
-// keys instead of hashing, and the per-vertex sweep plus the weighted_po
-// membership scan run on a thread pool with FIXED chunk boundaries, so
-// results are bitwise identical for any thread count. The seed's hash-map
-// implementation is retained in core/oracle_ref.hpp as the equivalence
-// baseline for tests and benchmarks.
+// across invocations, per-vertex indexes come from draining a bitset over
+// packed (i, k) keys instead of hashing, and the per-vertex sweep plus the
+// weighted_po membership scan run on a thread pool with FIXED chunk
+// boundaries, so results are bitwise identical for any thread count. The
+// seed's hash-map implementation is retained in core/oracle_ref.hpp as the
+// equivalence baseline for tests and benchmarks.
 
 #include <cstdint>
 #include <memory>

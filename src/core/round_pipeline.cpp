@@ -9,38 +9,6 @@ namespace dp::core {
 
 namespace {
 
-/// Sort packed row keys: fixed-grain chunk sorts in parallel, then a merge
-/// cascade over chunk-pair ranges. Both phases produce the unique sorted
-/// sequence whatever the thread count (sorting is a deterministic function
-/// of the input range), so the pass honors the fixed-chunk contract while
-/// parallelizing the dominant O(s log s) comparison work.
-void sort_keys(std::vector<std::uint64_t>& keys, ThreadPool* pool,
-               std::size_t grain) {
-  const std::size_t n = keys.size();
-  if (n <= 1) return;
-  if (pool == nullptr || n <= grain) {
-    std::sort(keys.begin(), keys.end());
-    return;
-  }
-  run_chunks(pool, 0, n, grain,
-             [&](std::size_t, std::size_t lo, std::size_t hi) {
-               std::sort(keys.begin() + static_cast<std::ptrdiff_t>(lo),
-                         keys.begin() + static_cast<std::ptrdiff_t>(hi));
-             });
-  for (std::size_t width = grain; width < n; width *= 2) {
-    const std::size_t pairs = (n + 2 * width - 1) / (2 * width);
-    run_jobs(pool, pairs, [&](std::size_t p) {
-      const std::size_t lo = p * 2 * width;
-      const std::size_t mid = lo + width;
-      if (mid >= n) return;
-      const std::size_t hi = std::min(n, lo + 2 * width);
-      std::inplace_merge(keys.begin() + static_cast<std::ptrdiff_t>(lo),
-                         keys.begin() + static_cast<std::ptrdiff_t>(mid),
-                         keys.begin() + static_cast<std::ptrdiff_t>(hi));
-    });
-  }
-}
-
 /// The compute half of the Theorem 5 multiplier rule, shared by the full
 /// retained sweep and the stored-sample refinement: u_i =
 /// exp(-alpha (ratio_i - min_ratio)) / wHat_{level_at(i)} with an exact
@@ -406,23 +374,14 @@ void RoundPipeline::gather_stored_attrs() {
   ctx_.store_attr.resize(s);
   const std::uint32_t* idxs = ctx_.store_idx.data();
   access::RetainedEdge* out = ctx_.store_attr.data();
-  const std::vector<access::RetainedEdge>& table = substrate_->table();
-  if (!table.empty()) {
-    const access::RetainedEdge* rows = table.data();
-    run_chunks(pool_, 0, s, options_.grain,
-               [&](std::size_t, std::size_t lo, std::size_t hi) {
-                 for (std::size_t i = lo; i < hi; ++i) {
-                   out[i] = rows[idxs[i]];
-                 }
-               });
-  } else {
-    // Table-free (file-backed) substrate: stored_attr serves from its
-    // per-round sample cache. Serial — the stored sample is o(m), and the
-    // virtual per-index path does not belong inside pool workers.
-    for (std::size_t i = 0; i < s; ++i) {
-      out[i] = substrate_->stored_attr(idxs[i]);
-    }
-  }
+  // One batched fetch per fixed-grain chunk: a row copy on table-backed
+  // substrates, a merge walk of the per-round sample cache on the
+  // file-backed one (the extracted indices are ascending).
+  const access::Substrate* sub = substrate_;
+  run_chunks(pool_, 0, s, options_.grain,
+             [&](std::size_t, std::size_t lo, std::size_t hi) {
+               sub->stored_attrs(idxs + lo, hi - lo, out + lo);
+             });
 }
 
 void RoundPipeline::covering_us_stored(const DualState& state, double alpha,
@@ -514,26 +473,20 @@ void RoundPipeline::build_zeta(const DualState& state) {
   const std::size_t grain = options_.grain;
 
   // zeta: packing multipliers on the active outer rows (i, k), built flat:
-  // chunk-parallel packed-key emission, parallel sort + unique, then two
+  // the stored edges' endpoint rows are marked in the (vertex, level)
+  // bitset, whose drain yields them sorted and unique; then two
   // chunk-parallel exp sweeps (the max reduction is exact).
-  ctx_.row_keys.resize(2 * s);
-  std::uint64_t* row_keys = ctx_.row_keys.data();
-  run_chunks(pool_, 0, s, grain,
-             [&](std::size_t, std::size_t lo, std::size_t hi) {
-               for (std::size_t i = lo; i < hi; ++i) {
-                 const access::RetainedEdge& re = attr[i];
-                 const auto k = static_cast<std::uint64_t>(re.level);
-                 row_keys[2 * i] =
-                     static_cast<std::uint64_t>(re.u) * levels + k;
-                 row_keys[2 * i + 1] =
-                     static_cast<std::uint64_t>(re.v) * levels + k;
-               }
-             });
-  sort_keys(ctx_.row_keys, pool_, grain);
-  ctx_.row_keys.erase(
-      std::unique(ctx_.row_keys.begin(), ctx_.row_keys.end()),
-      ctx_.row_keys.end());
-  row_keys = ctx_.row_keys.data();
+  KeyBitset& marks = ctx_.row_marks;
+  marks.reserve(substrate_->num_vertices() * levels);
+  for (std::size_t i = 0; i < s; ++i) {
+    const access::RetainedEdge& re = attr[i];
+    const auto k = static_cast<std::uint64_t>(re.level);
+    marks.mark(static_cast<std::uint64_t>(re.u) * levels + k);
+    marks.mark(static_cast<std::uint64_t>(re.v) * levels + k);
+  }
+  ctx_.row_keys.clear();
+  marks.drain([this](std::uint64_t key) { ctx_.row_keys.push_back(key); });
+  const std::uint64_t* row_keys = ctx_.row_keys.data();
 
   const std::size_t rows = ctx_.row_keys.size();
   const std::size_t chunks = rows == 0 ? 0 : (rows + grain - 1) / grain;

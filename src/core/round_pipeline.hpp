@@ -196,6 +196,7 @@ class RoundPipeline {
     std::vector<double> sample_prob;
     std::vector<double> u_now;
     std::vector<StoredMultiplier> us;
+    KeyBitset row_marks;  // (vertex, level) rows of the stored edges
     std::vector<std::uint64_t> row_keys;
     std::vector<double> expos;
     ZetaMap zeta;
@@ -232,12 +233,12 @@ class RoundPipeline {
   /// sample_prob) from the frozen draw (count + exclusive scan + fill).
   void extract_sparsifier(const SamplingRound& draws, std::size_t q);
   /// Gather the extracted sample's attribute records into ctx_.store_attr
-  /// — the one per-iteration stored-attribute access. Table-backed
-  /// substrates copy rows; the file-backed backend serves its per-round
-  /// sample cache through stored_attr().
+  /// — the one per-iteration stored-attribute access, through the
+  /// substrate's batched stored_attrs() (table rows, or the file-backed
+  /// backend's per-round sample cache).
   void gather_stored_attrs();
-  /// Chunk-parallel zeta build: packed row keys, parallel sort + merge
-  /// cascade, exp sweeps with exact max reduction.
+  /// zeta build: the stored edges' (vertex, level) rows, sorted and unique
+  /// through the row bitset, then exp sweeps with exact max reduction.
   void build_zeta(const DualState& state);
 
   access::Substrate* substrate_;

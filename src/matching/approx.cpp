@@ -1,7 +1,6 @@
 #include "matching/approx.hpp"
 
-#include <algorithm>
-#include <numeric>
+#include <utility>
 
 #include "matching/blossom_weighted.hpp"
 #include "matching/greedy.hpp"
@@ -144,14 +143,10 @@ bool add_free_edges(MatchState& state,
 
 Matching local_search_matching(const Graph& g, std::size_t max_rounds,
                                std::uint64_t seed) {
+  // One weight sort serves both the greedy start and the sweep order.
+  std::vector<EdgeId> order = edges_by_weight_desc(g);
   MatchState state(g);
-  state.init_from(greedy_matching(g));
-
-  std::vector<EdgeId> order(g.num_edges());
-  std::iota(order.begin(), order.end(), EdgeId{0});
-  std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-    return g.edge(a).w > g.edge(b).w;
-  });
+  state.init_from(greedy_matching_in_order(g, order));
   Rng rng(seed);
 
   for (std::size_t round = 0; round < max_rounds; ++round) {
@@ -191,7 +186,8 @@ Matching approx_weighted_matching(const Graph& g) {
 
 BMatching approx_weighted_b_matching(const Graph& g, const Capacities& b,
                                      std::size_t max_rounds) {
-  BMatching bm = greedy_b_matching(g, b);
+  const std::vector<EdgeId> order = edges_by_weight_desc(g);
+  BMatching bm = greedy_b_matching_in_order(g, b, order);
   std::vector<std::int64_t> residual(g.num_vertices());
   for (std::size_t v = 0; v < g.num_vertices(); ++v) {
     residual[v] = b[static_cast<Vertex>(v)];
@@ -200,12 +196,6 @@ BMatching approx_weighted_b_matching(const Graph& g, const Capacities& b,
   for (std::size_t v = 0; v < g.num_vertices(); ++v) {
     residual[v] -= deg[v];
   }
-
-  std::vector<EdgeId> order(g.num_edges());
-  std::iota(order.begin(), order.end(), EdgeId{0});
-  std::stable_sort(order.begin(), order.end(), [&](EdgeId x, EdgeId y) {
-    return g.edge(x).w > g.edge(y).w;
-  });
 
   // Unit-transfer local search: move one unit from a lighter incident edge
   // to a heavier one while capacities allow.

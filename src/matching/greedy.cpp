@@ -5,12 +5,21 @@
 
 namespace dp {
 
-Matching greedy_matching(const Graph& g) {
+std::vector<EdgeId> edges_by_weight_desc(const Graph& g) {
   std::vector<EdgeId> order(g.num_edges());
   std::iota(order.begin(), order.end(), EdgeId{0});
   std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
     return g.edge(a).w > g.edge(b).w;
   });
+  return order;
+}
+
+Matching greedy_matching(const Graph& g) {
+  return greedy_matching_in_order(g, edges_by_weight_desc(g));
+}
+
+Matching greedy_matching_in_order(const Graph& g,
+                                  const std::vector<EdgeId>& order) {
   std::vector<char> used(g.num_vertices(), 0);
   Matching m;
   for (EdgeId e : order) {
@@ -50,10 +59,8 @@ void extend_maximal_matching(const Graph& g,
   }
 }
 
-namespace {
-
-BMatching b_matching_in_order(const Graph& g, const Capacities& b,
-                              const std::vector<EdgeId>& order) {
+BMatching greedy_b_matching_in_order(const Graph& g, const Capacities& b,
+                                     const std::vector<EdgeId>& order) {
   std::vector<std::int64_t> residual(g.num_vertices());
   for (std::size_t v = 0; v < g.num_vertices(); ++v) {
     residual[v] = b[static_cast<Vertex>(v)];
@@ -71,21 +78,14 @@ BMatching b_matching_in_order(const Graph& g, const Capacities& b,
   return bm;
 }
 
-}  // namespace
-
 BMatching greedy_b_matching(const Graph& g, const Capacities& b) {
-  std::vector<EdgeId> order(g.num_edges());
-  std::iota(order.begin(), order.end(), EdgeId{0});
-  std::stable_sort(order.begin(), order.end(), [&](EdgeId x, EdgeId y) {
-    return g.edge(x).w > g.edge(y).w;
-  });
-  return b_matching_in_order(g, b, order);
+  return greedy_b_matching_in_order(g, b, edges_by_weight_desc(g));
 }
 
 BMatching maximal_b_matching(const Graph& g, const Capacities& b) {
   std::vector<EdgeId> order(g.num_edges());
   std::iota(order.begin(), order.end(), EdgeId{0});
-  return b_matching_in_order(g, b, order);
+  return greedy_b_matching_in_order(g, b, order);
 }
 
 }  // namespace dp

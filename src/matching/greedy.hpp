@@ -10,13 +10,24 @@
 //   makes the Lattanzi-style filtering analysis carry over to b-matching.
 
 #include <cstdint>
+#include <vector>
 
 #include "matching/matching.hpp"
 
 namespace dp {
 
-/// Weight-sorted greedy matching (>= 1/2 of optimal weight).
+/// Edge ids by weight descending, ties in id order (a stable sort): the
+/// one weight order that every greedy and local-search routine scans, so
+/// a caller running several of them sorts once.
+std::vector<EdgeId> edges_by_weight_desc(const Graph& g);
+
+/// Weight-sorted greedy matching (>= 1/2 of optimal weight):
+/// greedy_matching_in_order on edges_by_weight_desc(g).
 Matching greedy_matching(const Graph& g);
+
+/// Take every edge of `order`, in order, whose endpoints are both free.
+Matching greedy_matching_in_order(const Graph& g,
+                                  const std::vector<EdgeId>& order);
 
 /// Maximal matching scanning edges in stored order.
 Matching maximal_matching(const Graph& g);
@@ -30,6 +41,10 @@ void extend_maximal_matching(const Graph& g,
 /// Weight-sorted greedy b-matching: multiplicity = residual min(b_u, b_v)
 /// at selection time (uncapacitated b-matching, Lemma 20 saturation).
 BMatching greedy_b_matching(const Graph& g, const Capacities& b);
+
+/// The saturating greedy b-matching scanning the edges of `order`.
+BMatching greedy_b_matching_in_order(const Graph& g, const Capacities& b,
+                                     const std::vector<EdgeId>& order);
 
 /// Maximal b-matching in stored edge order with saturation.
 BMatching maximal_b_matching(const Graph& g, const Capacities& b);

@@ -41,10 +41,11 @@ struct DeferredOptions {
 /// Reusable buffers for deferred_probabilities_into: weight-class grouping
 /// plus the strength scratch. One instance serves any sequence of rounds.
 struct DeferredScratch {
-  std::vector<std::uint64_t> class_keys;   // packed (class, edge index)
-  std::vector<std::uint32_t> class_members;  // per-class member indices
-  std::vector<Edge> class_edges;           // per-class subgraph, reused
-  std::vector<double> class_strength;      // per-class strengths, reused
+  std::vector<std::int32_t> class_of;        // weight class per edge
+  std::vector<std::size_t> class_offset;     // counting-pass class bounds
+  std::vector<std::uint32_t> class_members;  // edge indices, class-grouped
+  std::vector<Edge> class_edges;             // per-class subgraph, reused
+  std::vector<double> class_strength;        // per-class strengths, reused
   StrengthScratch strength;
 };
 
@@ -61,9 +62,10 @@ std::vector<double> deferred_probabilities(std::size_t n,
 
 /// The sampling engine's path: same probabilities as above, computed into a
 /// caller-owned vector with all working memory in `scratch` (steady-state
-/// rounds allocate nothing). Weight classes group by one sort, per-class
-/// seeds are counter-based (a pure function of (seed, class)), and the
-/// strength estimation inside each class runs its per-level jobs on `pool`
+/// rounds allocate nothing). Weight classes group by one stable counting
+/// pass, per-class seeds are counter-based (a pure function of (seed,
+/// class)), and the strength estimation inside each class runs its
+/// per-level jobs on `pool`
 /// — so the output is bitwise identical for any thread count.
 void deferred_probabilities_into(std::size_t n, const std::vector<Edge>& edges,
                                  const std::vector<double>& promise,

@@ -73,6 +73,47 @@ TEST(FlatDuals, ActiveListAndClear) {
   EXPECT_FALSE(f.contains(10));
 }
 
+TEST(KeyBitset, DrainMatchesSortUnique) {
+  Rng rng(17);
+  for (const std::uint64_t domain : {1u, 63u, 64u, 65u, 19350u}) {
+    KeyBitset set;
+    set.reserve(domain);
+    std::vector<std::uint64_t> drained;
+    auto drain = [&] {
+      drained.clear();
+      set.drain([&](std::uint64_t key) { drained.push_back(key); });
+    };
+    drain();  // nothing marked yet
+    EXPECT_TRUE(drained.empty()) << "domain " << domain;
+    // Three mark/drain cycles on the one instance: each drain must return
+    // exactly its own cycle's keys, so the set starts empty every time.
+    for (int cycle = 0; cycle < 3; ++cycle) {
+      std::vector<std::uint64_t> keys;
+      for (const std::uint64_t edge : {std::uint64_t{0}, std::uint64_t{63},
+                                       std::uint64_t{64}, domain - 1}) {
+        if (edge < domain && rng.uniform_real() < 0.7) keys.push_back(edge);
+      }
+      const std::size_t count = rng.uniform(2 * domain + 1);
+      for (std::size_t i = 0; i < count; ++i) {
+        keys.push_back(rng.uniform(domain));
+      }
+      // Duplicates, marked out of order.
+      const std::size_t dups = keys.size() / 2;
+      for (std::size_t i = 0; i < dups; ++i) {
+        keys.push_back(keys[rng.uniform(keys.size())]);
+      }
+      rng.shuffle(keys);
+      for (const std::uint64_t key : keys) set.mark(key);
+      drain();
+      std::sort(keys.begin(), keys.end());
+      keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+      EXPECT_EQ(drained, keys) << "domain " << domain << " cycle " << cycle;
+    }
+    drain();
+    EXPECT_TRUE(drained.empty()) << "domain " << domain;
+  }
+}
+
 TEST(WeightLevels, PrefixRangeMatchesLoop) {
   Graph g(4);
   g.add_edge(0, 1, 1.0);
@@ -260,6 +301,18 @@ TEST(OracleEquivalence, LagrangianMatchesMapReference) {
   }
 }
 
+void expect_results_bitwise_equal(const MicroResult& a, const MicroResult& c) {
+  ASSERT_EQ(a.kind, c.kind);
+  EXPECT_EQ(a.gamma, c.gamma);
+  EXPECT_TRUE(a.x.xik == c.x.xik);
+  ASSERT_EQ(a.x.odd_sets.size(), c.x.odd_sets.size());
+  for (std::size_t s = 0; s < a.x.odd_sets.size(); ++s) {
+    EXPECT_EQ(a.x.odd_sets[s].level, c.x.odd_sets[s].level);
+    EXPECT_EQ(a.x.odd_sets[s].members, c.x.odd_sets[s].members);
+    EXPECT_EQ(a.x.odd_sets[s].value, c.x.odd_sets[s].value);
+  }
+}
+
 TEST(OracleDeterminism, ResultsIndependentOfThreadCount) {
   for (std::uint64_t seed = 31; seed <= 36; ++seed) {
     const OracleInstance inst = make_instance(seed, seed % 2 == 1);
@@ -274,19 +327,53 @@ TEST(OracleDeterminism, ResultsIndependentOfThreadCount) {
     for (const double rho : {0.05, 0.7, 3.0}) {
       const MicroResult a = serial.run(inst.us, inst.zeta, inst.beta, rho);
       const MicroResult c = parallel.run(inst.us, inst.zeta, inst.beta, rho);
-      ASSERT_EQ(a.kind, c.kind);
       // Bitwise identical: fixed chunk boundaries + chunk-ordered
       // reductions make thread count invisible to the arithmetic.
-      EXPECT_EQ(a.gamma, c.gamma);
-      EXPECT_TRUE(a.x.xik == c.x.xik);
-      ASSERT_EQ(a.x.odd_sets.size(), c.x.odd_sets.size());
-      for (std::size_t s = 0; s < a.x.odd_sets.size(); ++s) {
-        EXPECT_EQ(a.x.odd_sets[s].members, c.x.odd_sets[s].members);
-        EXPECT_EQ(a.x.odd_sets[s].value, c.x.odd_sets[s].value);
-      }
+      expect_results_bitwise_equal(a, c);
       EXPECT_EQ(serial.weighted_po(a.x, inst.zeta),
                 parallel.weighted_po(a.x, inst.zeta));
     }
+  }
+}
+
+TEST(OracleScratch, ReuseAcrossSamplesMatchesFreshOracle) {
+  // The oracle's n*L row accumulator and row bitset persist across calls;
+  // a run on sample A, then on a different sample B of the same level
+  // graph, then on A again must reproduce the first run — and a fresh
+  // oracle's — bit for bit.
+  for (std::uint64_t seed = 41; seed <= 44; ++seed) {
+    const OracleInstance a = make_instance(seed, seed % 2 == 0);
+    Rng rng(seed + 100);
+    std::vector<StoredMultiplier> us_b;
+    for (EdgeId e : a.lg->retained()) {
+      if (rng.uniform_real() < 0.4) {
+        us_b.push_back(StoredMultiplier{e, rng.uniform_real(0.01, 3.0)});
+      }
+    }
+    ZetaMap zeta_b;
+    for (const auto& [key, value] : a.zeta) {
+      if (rng.uniform_real() < 0.5) zeta_b.append(key, 2.0 * value);
+    }
+    OracleConfig config;
+    config.odd.eps = 0.2;
+    config.threads = 1;
+    const MicroOracle reused(*a.lg, a.b, config);
+    for (const double rho : {0.05, 1.0}) {
+      const MicroResult first = reused.run(a.us, a.zeta, a.beta, rho);
+      // Sample B at a small rho and at one large enough that gamma <= 0
+      // (the early return after Step 1).
+      reused.run(us_b, zeta_b, 0.5 * a.beta, 0.05);
+      EXPECT_LE(reused.run(us_b, zeta_b, a.beta, 1e6).gamma, 0.0);
+      const MicroResult third = reused.run(a.us, a.zeta, a.beta, rho);
+      expect_results_bitwise_equal(third, first);
+      const MicroOracle fresh(*a.lg, a.b, config);
+      expect_results_bitwise_equal(third,
+                                   fresh.run(a.us, a.zeta, a.beta, rho));
+    }
+    const MicroResult lag = reused.run_lagrangian(a.us, a.zeta, a.beta);
+    reused.run_lagrangian(us_b, zeta_b, a.beta);
+    expect_results_bitwise_equal(reused.run_lagrangian(a.us, a.zeta, a.beta),
+                                 lag);
   }
 }
 

@@ -26,6 +26,33 @@ TEST(Greedy, ValidAndHalfApprox) {
   }
 }
 
+TEST(Greedy, InOrderOnWeightOrderMatchesGreedy) {
+  // Weights in {1, 2, 3}: most edges tie, so the order's tie rule (edge id
+  // ascending, as a stable sort leaves it) decides which edges greedy takes.
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    const Graph g = test::small_random_int_graph(20, 0.5, 3, seed);
+    const std::vector<EdgeId> order = edges_by_weight_desc(g);
+    ASSERT_EQ(order.size(), g.num_edges());
+    for (std::size_t i = 1; i < order.size(); ++i) {
+      const double wa = g.edge(order[i - 1]).w;
+      const double wb = g.edge(order[i]).w;
+      EXPECT_TRUE(wa > wb || (wa == wb && order[i - 1] < order[i]));
+    }
+    EXPECT_EQ(greedy_matching(g).edges(),
+              greedy_matching_in_order(g, order).edges());
+    std::vector<std::int64_t> caps(g.num_vertices());
+    for (std::size_t v = 0; v < caps.size(); ++v) {
+      caps[v] = 1 + static_cast<std::int64_t>((v + seed) % 3);
+    }
+    const Capacities b(std::move(caps));
+    const BMatching by_weight = greedy_b_matching(g, b);
+    const BMatching in_order = greedy_b_matching_in_order(g, b, order);
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      EXPECT_EQ(by_weight.multiplicity(e), in_order.multiplicity(e));
+    }
+  }
+}
+
 TEST(Greedy, TrapPathIsTight) {
   // Greedy picks the (1+delta) middle edges and loses nearly half.
   const Graph g = gen::greedy_trap_path(20, 0.01);

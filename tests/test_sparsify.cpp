@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -286,6 +287,69 @@ TEST(Deferred, ProbabilitiesThreadCountInvariantAndScratchReusable) {
       deferred_probabilities_into(g.num_vertices(), g.edges(), promise, opt,
                                   11, prob, scratch, &pool);
       EXPECT_EQ(prob, reference) << "threads " << threads;
+    }
+  }
+}
+
+TEST(Deferred, ScratchReuseAcrossClassRangesMatchesFresh) {
+  // The class grouping's counting pass keeps per-class offsets in the
+  // scratch; promise vectors whose classes span different ranges (and that
+  // mix in non-positive promises, which join no class) must each give the
+  // fresh-scratch probabilities bitwise.
+  Graph g = gen::gnm(70, 700, 47);
+  gen::weight_uniform(g, 1.0, 8.0, 48);
+  DeferredOptions opt;
+  opt.xi = 0.4;
+  opt.sampling_constant = 0.3;
+  Rng rng(49);
+  auto promises = [&](double lo_exp, double hi_exp, double nonpositive) {
+    std::vector<double> promise(g.num_edges());
+    for (double& p : promise) {
+      const double draw = rng.uniform_real();
+      if (draw < nonpositive / 2) {
+        p = 0.0;
+      } else if (draw < nonpositive) {
+        p = -rng.uniform_real(0.1, 5.0);
+      } else {
+        p = std::exp2(rng.uniform_real(lo_exp, hi_exp));
+      }
+    }
+    return promise;
+  };
+  const std::vector<std::vector<double>> cases = {
+      promises(-1.0, 1.0, 0.0),     // two classes around 1
+      promises(-30.0, 25.0, 0.2),   // wide range, negative classes
+      promises(10.0, 12.0, 0.5),    // narrow, far from the first
+      promises(0.0, 1.0, 1.0),      // nothing positive: no class at all
+      promises(-3.0, 40.0, 0.1),
+  };
+  DeferredScratch scratch;
+  std::vector<double> prob;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const std::uint64_t seed = 60 + c;
+    deferred_probabilities_into(g.num_vertices(), g.edges(), cases[c], opt,
+                                seed, prob, scratch);
+    EXPECT_EQ(prob, deferred_probabilities(g.num_vertices(), g.edges(),
+                                           cases[c], opt, seed))
+        << "case " << c;
+    // The grouped members are the index halves of the sorted packed
+    // (biased class, index) keys.
+    std::vector<std::uint64_t> keys;
+    for (std::size_t e = 0; e < g.num_edges(); ++e) {
+      if (!(cases[c][e] > 0)) continue;
+      const auto cls =
+          static_cast<std::int64_t>(std::floor(std::log2(cases[c][e])));
+      keys.push_back(
+          (static_cast<std::uint64_t>(cls + (std::int64_t{1} << 31)) << 32) |
+          e);
+    }
+    std::sort(keys.begin(), keys.end());
+    std::vector<std::uint32_t> members;
+    for (const std::uint64_t key : keys) {
+      members.push_back(static_cast<std::uint32_t>(key & 0xffffffffULL));
+    }
+    if (!members.empty()) {
+      EXPECT_EQ(scratch.class_members, members) << "case " << c;
     }
   }
 }
