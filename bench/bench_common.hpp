@@ -1,6 +1,8 @@
 #pragma once
 // Shared reporting helpers for the experiment harness. Every bench binary
-// regenerates one experiment row-set from EXPERIMENTS.md: it prints a
+// regenerates one experiment row-set, named with its claim in the
+// binary's header comment (the solver's sampling deviation from the paper
+// is documented under "Probabilities" in src/core/README.md): it prints a
 // human-readable table plus machine-parseable CSV lines prefixed "CSV,".
 // A BenchReport additionally persists the rows as BENCH_<tag>.json in the
 // working directory so successive PRs have a perf trajectory to diff

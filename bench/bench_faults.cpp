@@ -92,7 +92,6 @@ int main() {
     gen::weight_uniform(g, 1.0, 16.0, 4002);
     core::SolverOptions ref_opts = solve_options();
     ref_opts.oracle.threads = 1;
-    ref_opts.pipeline_overlap = false;
     const Fingerprint ref(core::solve_matching(g, ref_opts));
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                       std::size_t{8}}) {

@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
 
   core::SolverOptions ref_opts = file_options();
   ref_opts.oracle.threads = 1;
-  ref_opts.pipeline_overlap = false;
   const core::SolverResult ref_result = core::solve_matching(g, ref_opts);
   const Fingerprint ref(ref_result);
 
@@ -185,7 +184,6 @@ int main(int argc, char** argv) {
   // ---- MapReduce rows: uncompressed (mode 2) vs compressed (mode 3). ----
   core::SolverOptions mr_ref_opts = mapreduce_options();
   mr_ref_opts.oracle.threads = 1;
-  mr_ref_opts.pipeline_overlap = false;
   const Fingerprint mr_ref(core::solve_matching(g, mr_ref_opts));
   for (const std::size_t compression :
        {std::size_t{1}, std::size_t{3}}) {

@@ -1,9 +1,5 @@
 // E5 (Theorem 15): running time vs m at fixed eps and p. Expected shape:
 // near-linear growth in m (the paper claims O(m poly(1/eps, log n))).
-// Each size runs twice — staged round pipeline with the offline re-solve
-// overlapped against the inner MW iterations (the default), and the
-// sequential stage reference — so BENCH_runtime.json tracks the overlap
-// win ("speedup" column) alongside the absolute trajectory.
 
 #include <cstdio>
 
@@ -17,19 +13,19 @@ int main() {
   using namespace dp;
   bench::header("E5 runtime (Theorem 15)",
                 "wall seconds vs m at fixed n, eps, p; expect near-linear "
-                "growth in m and a pipeline-overlap win vs the sequential "
-                "stage order");
+                "growth in m");
 
-  bench::BenchReport report("runtime", {"n", "m", "seconds", "seconds_seq",
-                                        "speedup", "certified_ratio"});
+  bench::BenchReport report("runtime", {"n", "m", "seconds",
+                                        "certified_ratio"});
   std::vector<double> ms, secs;
   const std::size_t n = 600;
 
   // Determinism gate: the certified ratio AND the per-round stored-edge
-  // counts must be bitwise identical across thread counts AND across the
-  // pipelined/sequential stage orders (the fixed-chunk contract of the
-  // oracle sweeps, lambda, covering_us, the batched sampling engine's
-  // counter-based draws, and the round pipeline's single merge point).
+  // counts must be bitwise identical across thread counts (the fixed-chunk
+  // contract of the oracle sweeps, lambda, covering_us, the batched
+  // sampling engine's counter-based draws, and the round pipeline's single
+  // merge point). The 1-thread solve has no pool, so its offline re-solve
+  // runs inline: it is the sequential stage order.
   {
     Graph g = gen::gnm(n, 3000, 3001);
     gen::weight_uniform(g, 1.0, 16.0, 3002);
@@ -39,53 +35,37 @@ int main() {
     opts.seed = 13;
     opts.max_outer_rounds = 2;
     opts.sparsifiers_per_round = 2;
-    struct Run {
-      std::size_t threads;
-      bool overlap;
-      bool cross_round;
-    };
-    const Run runs[] = {{1, false, false}, {1, true, false},
-                        {1, true, true},   {2, true, true},
-                        {8, true, true},   {8, true, false},
-                        {8, false, false}};
-    double ratio[7];
-    std::vector<std::size_t> stored[7];
-    std::size_t slot = 0;
-    for (const Run& run : runs) {
-      opts.oracle.threads = run.threads;
-      opts.pipeline_overlap = run.overlap;
-      opts.pipeline_cross_round = run.cross_round;
+    const std::size_t threads[] = {1, 2, 8};
+    double ratio[3];
+    std::vector<std::size_t> stored[3];
+    for (std::size_t s = 0; s < 3; ++s) {
+      opts.oracle.threads = threads[s];
       const auto result = core::solve_matching(g, opts);
-      ratio[slot] = result.certified_ratio;
+      ratio[s] = result.certified_ratio;
       for (const auto& rs : result.history) {
-        stored[slot].push_back(rs.stored_edges);
+        stored[s].push_back(rs.stored_edges);
       }
-      ++slot;
     }
-    for (std::size_t s = 1; s < slot; ++s) {
+    for (std::size_t s = 1; s < 3; ++s) {
       if (ratio[0] != ratio[s]) {
         std::fprintf(stderr,
-                     "FATAL: certified ratio varies with threads/overlap/"
-                     "cross-round "
-                     "(run %zu: %.17g vs %.17g)\n",
-                     s, ratio[0], ratio[s]);
+                     "FATAL: certified ratio varies with threads "
+                     "(%zu threads: %.17g vs %.17g)\n",
+                     threads[s], ratio[0], ratio[s]);
         return 1;
       }
       if (stored[0] != stored[s]) {
         std::fprintf(stderr,
-                     "FATAL: per-round stored-edge counts vary with "
-                     "threads/overlap/cross-round (run %zu)\n", s);
+                     "FATAL: per-round stored-edge counts vary with threads "
+                     "(%zu threads)\n", threads[s]);
         return 1;
       }
     }
     std::printf("determinism: certified ratio and stored-edge counts "
-                "bitwise stable for 1/2/8 threads, pipeline on/off and "
-                "cross-round deferral on/off "
-                "(%.6f)\n\n", ratio[0]);
+                "bitwise stable for 1/2/8 threads (%.6f)\n\n", ratio[0]);
   }
 
-  std::printf("%-10s %-10s %12s %12s %10s %12s\n", "n", "m", "seconds",
-              "seconds_seq", "speedup", "ratio");
+  std::printf("%-10s %-10s %12s %12s\n", "n", "m", "seconds", "ratio");
   for (std::size_t m : {3000, 6000, 12000, 24000}) {
     Graph g = gen::gnm(n, m, m + 1);
     gen::weight_uniform(g, 1.0, 16.0, m + 2);
@@ -96,26 +76,14 @@ int main() {
     opts.max_outer_rounds = 4;
     opts.sparsifiers_per_round = 3;
 
-    opts.pipeline_overlap = true;
     WallTimer timer;
     const auto result = core::solve_matching(g, opts);
     const double sec = timer.seconds();
 
-    opts.pipeline_overlap = false;
-    WallTimer seq_timer;
-    const auto seq_result = core::solve_matching(g, opts);
-    const double sec_seq = seq_timer.seconds();
-    if (seq_result.certified_ratio != result.certified_ratio) {
-      std::fprintf(stderr,
-                   "FATAL: pipeline on/off results diverge at m=%zu\n", m);
-      return 1;
-    }
-
-    const double speedup = sec > 0 ? sec_seq / sec : 0.0;
-    std::printf("%-10zu %-10zu %12.3f %12.3f %10.2f %12.4f\n", n, m, sec,
-                sec_seq, speedup, result.certified_ratio);
+    std::printf("%-10zu %-10zu %12.3f %12.4f\n", n, m, sec,
+                result.certified_ratio);
     report.add({static_cast<double>(n), static_cast<double>(m), sec,
-                sec_seq, speedup, result.certified_ratio});
+                result.certified_ratio});
     ms.push_back(static_cast<double>(m));
     secs.push_back(sec);
   }

@@ -21,6 +21,7 @@
 // across runners; the _ms twins are informational absolutes.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -304,11 +305,21 @@ int main(int argc, char** argv) {
     const auto solve_deadline_us =
         static_cast<std::uint64_t>(4.0 * solo_ms * 1000.0);
 
+    // The overload phase is sized from the admission limits, not the host:
+    // it offers 3 * solve_slots solves in expectation, arriving three times
+    // faster than the workers could finish them even at the solo pace. At
+    // most a third complete while they arrive, so the in-flight count must
+    // pass solve_slots and admission sheds, whatever the core count.
+    const auto overload_ops = std::max<std::size_t>(
+        ops, static_cast<std::size_t>(std::lround(
+                 3.0 * static_cast<double>(sopt.solve_slots) / mix.solve)));
+
     for (std::size_t phase = 0; phase < 3; ++phase) {
       const double mult = phase_mults[phase];
       const PhaseResult pr = run_phase(
-          svc, snap, gen, /*client=*/workers * 10 + phase, ops,
-          mult * capacity_rps, solve_deadline_us, expected);
+          svc, snap, gen, /*client=*/workers * 10 + phase,
+          mult >= 3.0 ? overload_ops : ops, mult * capacity_rps,
+          solve_deadline_us, expected);
 
       if (mult >= 3.0) {
         gate(pr.shed + pr.deadline + pr.stalled > 0,

@@ -24,7 +24,9 @@ Usage:
   scripts/bench_compare.py BASELINE.json CANDIDATE.json [--threshold 0.10]
   scripts/bench_compare.py --no-fail ...   # report only, always exit 0
 
-Exit status: 1 if any regression was flagged (unless --no-fail), else 0.
+Exit status: 1 if any regression was flagged, or if a column named by
+--columns is missing from either file (a gate on a column that is not
+there would pass vacuously); 0 otherwise, and always 0 with --no-fail.
 """
 
 import argparse
@@ -95,7 +97,8 @@ def main():
               f"('{base['bench']}' vs '{cand['bench']}')")
 
     # A metric present in only one snapshot is reported as added/removed
-    # (not an error): the common columns still compare, matched by name.
+    # (not an error unless --columns gates it): the common columns still
+    # compare, matched by name.
     base_idx = {col: c for c, col in enumerate(base["columns"])}
     cand_idx = {col: c for c, col in enumerate(cand["columns"])}
     removed = [col for col in base["columns"] if col not in cand_idx]
@@ -107,8 +110,17 @@ def main():
         print(f"added: [{base['bench']}] column '{col}' is only in the "
               f"candidate; skipping it")
     columns = [col for col in base["columns"] if col in cand_idx]
+    missing = []
     if args.columns is not None:
-        wanted = {c.strip() for c in args.columns.split(",") if c.strip()}
+        wanted = [c.strip() for c in args.columns.split(",") if c.strip()]
+        for col in wanted:
+            absent = [name for name, idx in (("baseline", base_idx),
+                                             ("candidate", cand_idx))
+                      if col not in idx]
+            if absent:
+                missing.append(col)
+                print(f"error: [{base['bench']}] gated column '{col}' is "
+                      f"missing from the {' and '.join(absent)}")
         columns = [col for col in columns
                    if col in wanted or direction(col) == 0]
     if not columns:
@@ -150,7 +162,7 @@ def main():
     print(f"{base['bench']}: {regressions} regression(s), "
           f"{improvements} improvement(s) beyond "
           f"{args.threshold:.0%} across {rows} row(s)")
-    return 1 if regressions and not args.no_fail else 0
+    return 1 if (regressions or missing) and not args.no_fail else 0
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@
 # a build failure, runs the full test suite through ctest, runs
 # bench_micro --quick (which also sanity-checks flat-vs-map agreement and
 # refreshes BENCH_micro.json), then bench_runtime (which gates bitwise
-# 1/2/8-thread and pipeline-on/off stability and refreshes
-# BENCH_runtime.json with the overlap speedup column), bench_substrate
+# 1/2/8-thread stability and refreshes BENCH_runtime.json with the
+# time-vs-m rows), bench_substrate
 # (which gates the SolverResult bitwise identical across the in-memory /
 # streaming / MapReduce access substrates and refreshes
 # BENCH_substrate.json), and bench_faults (which gates clean ==

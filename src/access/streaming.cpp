@@ -85,10 +85,9 @@ void StreamingSubstrate::materialize_union(
     Substrate::materialize_union(indices, ids, edges);
     return;
   }
-  // Cache-free on purpose: under cross-round pipelining this runs on the
-  // offline job thread CONCURRENTLY with the next round's opening pass,
-  // which replaces the per-round cache. The file's random-access path and
-  // the level graph are immutable for the bind, so this is race-free.
+  // Runs on the offline job thread concurrently with InnerRefine. The
+  // file's random-access path and the level graph are immutable for the
+  // bind, so this is race-free.
   const EdgeId* retained = lg_->retained().data();
   const stream::EdgeFileStream* file = source_.file();
   ids.clear();
@@ -218,9 +217,9 @@ const core::SamplingRound& StreamingSubstrate::draw(
         // per-round cache so the pipeline's stored_attrs() reads are RAM
         // lookups, not per-index file records. Exactly o(m) entries,
         // budget-charged, dropped at release_stored. The previous round's
-        // cache was released before this draw (join_pending precedes
-        // stage_draw), but uncharge defensively in case a caller skipped
-        // the release.
+        // cache was released before this draw (its Merge runs inside its
+        // own run_round), but uncharge defensively in case a caller
+        // skipped the release.
         if (!cache_idx_.empty()) uncharge_resident(cache_idx_.size());
         cache_idx_ = draws.union_support();
         cache_attr_.resize(cache_idx_.size());

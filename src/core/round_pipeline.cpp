@@ -121,25 +121,12 @@ double RoundPipeline::open_round(const DualState& state) {
   return min_ratio;
 }
 
-RoundPipeline::~RoundPipeline() {
-  if (pending_ && pending_offline_.valid()) pending_offline_.wait();
-}
-
-void RoundPipeline::join_pending(Incumbent& inc, ResourceMeter& meter) {
-  if (!pending_) return;
-  pending_ = false;
-  stage_merge(pending_offline_, inc, meter, pending_stored_);
-}
-
 RoundPipeline::RoundReport RoundPipeline::run_round(std::size_t round,
                                                     double lambda,
                                                     DualState& state,
                                                     Incumbent& inc,
                                                     ResourceMeter& meter) {
   RoundReport report;
-  // Defensive: a deferred Merge must land before this round touches the
-  // incumbent or the stage meters (the solver normally joined already).
-  join_pending(inc, meter);
   // Stage boundaries are safe points: no partially-applied state mutation
   // exists between stages, so a stop here loses at most buffer fills.
   options_.stop.throw_if_stopped("pipeline.multipliers");
@@ -159,19 +146,7 @@ RoundPipeline::RoundReport RoundPipeline::run_round(std::size_t round,
     if (offline.valid()) offline.wait();
     throw;
   }
-  if (options_.cross_round) {
-    // Cross-round pipelining: park the Merge. The offline job keeps
-    // running while the caller opens the next round (the opening sweep
-    // reads only the dual state and the immutable substrate table, the job
-    // reads only the frozen draw and the table — no shared mutable state).
-    // The draw stays frozen until the next stage_draw, which join_pending
-    // always precedes.
-    pending_offline_ = std::move(offline);
-    pending_stored_ = draws.stored_total();
-    pending_ = true;
-  } else {
-    stage_merge(offline, inc, meter, draws.stored_total());
-  }
+  stage_merge(offline, inc, meter, draws.stored_total());
   return report;
 }
 
@@ -231,10 +206,7 @@ Future<OfflineSolution> RoundPipeline::stage_offline(
     substrate_->materialize_union(frozen->union_support(), ids, edges);
     return solve_offline(ids, edges);
   };
-  if (!options_.overlap_offline || pool_ == nullptr) {
-    return Future<OfflineSolution>::immediate(job());
-  }
-  return pool_->submit_job(std::move(job));
+  return submit_job(pool_, std::move(job));
 }
 
 void RoundPipeline::stage_inner(const SamplingRound& draws, double alpha,
@@ -283,7 +255,7 @@ void RoundPipeline::stage_inner(const SamplingRound& draws, double alpha,
   // monotone over its lifetime; differencing against the last-seen snapshot
   // charges exactly this round's flows to this round's inner meter. The
   // separation work is a pure function of the oracle inputs, so the delta
-  // is identical for any thread count, overlap mode or substrate.
+  // is identical for any thread count or substrate.
   const SeparationStats sep = oracle_->separation_stats();
   ctx_.inner_meter.add_max_flows(sep.max_flows - sep_seen_.max_flows);
   ctx_.inner_meter.add_max_flows_saved(sep.flows_saved -

@@ -43,9 +43,10 @@
 // runs on fixed
 // chunks with exact (min/max) reductions, and all cross-stage effects land
 // at Merge — so the pipelined round is bitwise identical to executing the
-// same stages sequentially, for any thread count AND for any access
-// substrate (gated by tests/test_round_pipeline.cpp, tests/
-// test_substrate.cpp, bench_runtime and bench_substrate).
+// same stages sequentially (the 1-thread solve: no pool, so OfflineResolve
+// runs inline), for any thread count AND for any access substrate (gated
+// by tests/test_round_pipeline.cpp, tests/test_substrate.cpp, bench_runtime
+// and bench_substrate).
 //
 // Access discipline: the pipeline touches the INPUT only through the
 // substrate (open_round's sweep, the draw, and the stored-union
@@ -95,17 +96,6 @@ struct RoundPipelineOptions {
   std::size_t sparsifiers = 4;
   /// Fixed chunk grain of every pipeline sweep (the determinism contract).
   std::size_t grain = 1024;
-  /// Run OfflineResolve concurrently with InnerRefine. Off = the
-  /// sequential reference; the result is bitwise identical either way.
-  bool overlap_offline = true;
-  /// Cross-round software pipelining: run_round returns with the round's
-  /// OfflineResolve future still in flight (the Merge join deferred) so the
-  /// NEXT round's opening multiplier sweep overlaps the offline tail. The
-  /// caller joins at the second join point — join_pending() right after
-  /// open_round — before anything reads the incumbent. The fold runs at
-  /// the same logical place in the round order either way, so the result
-  /// is bitwise identical for deferral on or off.
-  bool cross_round = false;
   /// Deferred-sparsifier probability knobs for the Multipliers stage.
   DeferredOptions deferred;
   /// Offline solver knobs for OfflineResolve.
@@ -130,11 +120,6 @@ class RoundPipeline {
                 const Capacities& b, bool unit_caps, MicroOracle& oracle,
                 RoundPipelineOptions options);
 
-  /// Joins a still-pending deferred OfflineResolve job (the job reads
-  /// `this` and the frozen draw, so it must never outlive the pipeline).
-  /// The result is discarded — join_pending is the semantic join point.
-  ~RoundPipeline();
-
   struct RoundReport {
     std::size_t stored_edges = 0;
     std::size_t oracle_calls = 0;
@@ -151,21 +136,10 @@ class RoundPipeline {
   /// Multipliers -> Draw -> OfflineResolve (async) with InnerRefine ->
   /// Merge. `lambda` must be open_round's return value (sets the PST
   /// temperature alpha). Mutates the dual state and the incumbent; merges
-  /// the per-stage meters into `meter` at the join point.
+  /// the per-stage meters into `meter` at the join point. The offline job
+  /// is joined before run_round returns or throws.
   RoundReport run_round(std::size_t round, double lambda, DualState& state,
                         Incumbent& inc, ResourceMeter& meter);
-
-  /// True when a cross-round-deferred Merge awaits join_pending().
-  bool merge_pending() const noexcept { return pending_; }
-
-  /// The SECOND join point (cross-round pipelining): join the deferred
-  /// round's OfflineResolve future and run its Merge stage — fold the
-  /// offline solution into the incumbent, merge the stage meters into
-  /// `meter` in fixed stage order, release the round's stored edges. Must
-  /// run before anything reads the incumbent for the deferred round (the
-  /// solver calls it right after the next open_round, and on every loop
-  /// exit path). No-op when nothing is pending.
-  void join_pending(Incumbent& inc, ResourceMeter& meter);
 
   /// Offline re-solve on an explicit stored subgraph: full-graph edge ids
   /// plus their attributes (parallel arrays). The initial support and the
@@ -213,7 +187,7 @@ class RoundPipeline {
   /// Stage 2: batched draw of all t sparsifiers through the substrate.
   const SamplingRound& stage_draw(std::size_t round);
   /// Stage 3: launch the offline re-solve on the union as a one-shot job
-  /// (inline when overlap is off or no pool exists).
+  /// (inline when no pool exists).
   Future<OfflineSolution> stage_offline(const SamplingRound& draws);
   /// Stage 4: the t inner MW iterations on the stored samples.
   void stage_inner(const SamplingRound& draws, double alpha,
@@ -253,11 +227,6 @@ class RoundPipeline {
   // Last-seen oracle separation counters; stage_inner differences against
   // this snapshot to charge each round's max-flow work to its own meter.
   SeparationStats sep_seen_;
-  // Cross-round deferred Merge: the offline future and its round's stored
-  // total, parked between run_round and join_pending.
-  Future<OfflineSolution> pending_offline_;
-  std::size_t pending_stored_ = 0;
-  bool pending_ = false;
   RoundContext ctx_;
 };
 

@@ -151,7 +151,6 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
   popt.eps = eps;
   popt.sparsifiers = t;
   popt.grain = std::max<std::size_t>(1, options_.oracle.parallel_grain);
-  popt.overlap_offline = options_.pipeline_overlap;
   popt.offline = options_.offline;
   // Internal sparsifier accuracy is decoupled from eps: the driver
   // re-solves offline on the stored union every round and the dual
@@ -159,8 +158,8 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
   // quality, so a coarse-but-cheap sparsifier only slows convergence.
   // gamma enters deferred_probabilities squared; passing sqrt(gamma)
   // yields linear-in-gamma oversampling — the measured multiplier drift
-  // per round sits far below the worst-case gamma^2 (documented deviation
-  // in EXPERIMENTS.md).
+  // per round sits far below the worst-case gamma^2 (a deviation from the
+  // paper, documented under "Probabilities" in src/core/README.md).
   popt.deferred.xi = 0.5;
   popt.deferred.gamma = std::sqrt(std::max(1.0, gamma));
   popt.deferred.sampling_constant = 0.25;
@@ -184,13 +183,6 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
   // into the anytime result.
   const StopCheck stop(options_.cancel, options_.deadline);
   popt.stop = stop;
-  // Cross-round deferral of the Merge join (the pipeline's second join
-  // point). Per-round checkpointing pins the classic stage order: the
-  // checkpoint snapshots the meters at the round boundary, and a deferred
-  // join would move that boundary past the next round's opening pass.
-  popt.cross_round = options_.pipeline_cross_round &&
-                     options_.pipeline_overlap && !options_.on_checkpoint &&
-                     !stop.armed();
   substrate->set_stop(stop);
   substrate->bind(g, lg, pool, popt.grain);
 
@@ -372,31 +364,6 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
     return ck;
   };
 
-  // Cross-round pipelining bookkeeping: a deferred round's report is
-  // booked (outer_rounds, oracle calls, history) only once its Merge joins
-  // at the second join point — the incumbent the history row records is
-  // the post-merge one, exactly as in the classic order.
-  struct PendingRound {
-    bool active = false;
-    std::size_t round = 0;
-    double lambda = 0;
-    RoundPipeline::RoundReport rep;
-  } pending;
-  const auto finalize_pending = [&]() {
-    if (!pending.active) return;
-    pending.active = false;
-    pipeline.join_pending(inc, result.meter);
-    ++result.outer_rounds;
-    result.oracle_calls += pending.rep.oracle_calls;
-    result.history.push_back(RoundStats{pending.round + 1, pending.lambda,
-                                        inc.beta, inc.value,
-                                        pending.rep.stored_edges,
-                                        pending.rep.oracle_calls});
-    DP_INFO("round " << pending.round + 1 << " lambda=" << pending.lambda
-                     << " beta=" << inc.beta << " best=" << inc.value
-                     << " stored=" << pending.rep.stored_edges);
-  };
-
   // Stopping bar of the outer loop. A warm re-solve stops as soon as the
   // exact-lambda certificate RE-ATTAINS the level the previous solve
   // reached (capped by the 1 - 3 eps rule): the repaired iterate keeps
@@ -438,10 +405,6 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
       result.fault_detail = fault.what();
       break;
     }
-    // SECOND JOIN POINT (cross-round pipelining): the previous round's
-    // offline tail overlapped the sweep above; its Merge and bookkeeping
-    // land here, before anything below reads the incumbent.
-    finalize_pending();
     result.lambda = lambda;
     lambda_fresh = true;
     if (lambda >= stop_bar) break;
@@ -472,13 +435,6 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
       break;
     }
     lambda_fresh = false;
-    if (popt.cross_round) {
-      // Merge deferred: the offline job is still in flight. Book the round
-      // after the join (next iteration's finalize_pending, or the one
-      // right after the loop on any exit path).
-      pending = PendingRound{true, round, lambda, rep};
-      continue;
-    }
     ++result.outer_rounds;
     result.oracle_calls += rep.oracle_calls;
 
@@ -497,10 +453,6 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
       }
     }
   }
-  // Every loop exit (stopping rule, round budget, fault, abort) runs the
-  // join here if the last round's Merge is still deferred — the incumbent
-  // and meters must be whole before the certificate below reads them.
-  finalize_pending();
   // Early-stopped solves carry their resume handle: interrupt -> resume
   // round-trips without the caller wiring its own on_checkpoint, and a
   // deadline-expired request re-submitted with the checkpoint warm-resumes

@@ -23,8 +23,9 @@
 // (Multipliers -> Draw -> OfflineResolve || InnerRefine -> Merge): the
 // offline re-solve (step 3) runs concurrently with the inner iterations
 // (step 4) — they share only the frozen draw — and their effects join at a
-// single merge point, so the result is bitwise identical to the sequential
-// stage order for any thread count.
+// single merge point inside the round, so the result is bitwise identical
+// for any thread count to the 1-thread solve, which runs the stages one
+// after another.
 //
 // The solver meters rounds, stored edges and oracle calls, and reports a
 // rigorous dual upper bound: objective(x)/lambda is feasible for LP10/LP11
@@ -96,19 +97,6 @@ struct SolverOptions {
   ApproxOptions offline;
   /// Stop as soon as best/bound >= 1 - certified_gap (0 = only lambda rule).
   double target_ratio = 0.0;
-  /// Run the per-round offline re-solve concurrently with the inner MW
-  /// iterations (core/round_pipeline). Off = the sequential stage
-  /// reference; the result is bitwise identical either way.
-  bool pipeline_overlap = true;
-  /// Cross-round software pipelining: defer each round's Merge join past
-  /// the round boundary so the offline re-solve's tail overlaps the NEXT
-  /// round's opening multiplier sweep (the pipeline's second join point).
-  /// Takes effect only with pipeline_overlap on and no per-round
-  /// checkpointing (on_checkpoint / armed cancel / deadline force the
-  /// classic order, whose round boundary the checkpoint snapshot
-  /// captures). The SolverResult — meters included — is bitwise identical
-  /// for cross-round on or off, at any thread count, on every substrate.
-  bool pipeline_cross_round = true;
   /// Access substrate the whole solve runs through (src/access): nullptr =
   /// an internal in-memory substrate; otherwise a caller-owned backend
   /// (streaming / MapReduce / custom) the solver bind()s for this solve.

@@ -30,8 +30,8 @@
 // prefetcher had already completed counts a prefetch hit, each one the
 // pass had to wait for counts an IO stall. Random-access reads
 // (EdgeFileStream::edge) are unmetered and touch no shared mutable state,
-// so concurrent stored-attribute fetches (the pipeline's overlapped
-// offline re-solve) are safe against an in-flight pass.
+// so they are safe from any thread, even against an in-flight pass (the
+// pipeline's offline re-solve reads stored records from a pool thread).
 
 #include <cstdint>
 #include <cstdio>

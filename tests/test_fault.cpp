@@ -448,7 +448,6 @@ TEST(Checkpoint, KillAndResumeIsBitwiseIdenticalEverywhere) {
   const Graph g = test_graph();
   SolverOptions ref_opt = base_options();
   ref_opt.oracle.threads = 1;
-  ref_opt.pipeline_overlap = false;
   const SolverResult ref = solve_matching(g, ref_opt);  // clean, fault-free
   ASSERT_GT(ref.outer_rounds, 1u);  // the kill point must be interior
 

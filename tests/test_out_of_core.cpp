@@ -239,7 +239,6 @@ TEST(OutOfCore, FileBackedSolveIsBitwiseIdenticalToInMemory) {
 
   SolverOptions ref_opt = base_options();
   ref_opt.oracle.threads = 1;
-  ref_opt.pipeline_overlap = false;
   const SolverResult ref = solve_matching(g, ref_opt);
   EXPECT_GT(ref.value, 0.0);
 
@@ -439,7 +438,6 @@ TEST(OutOfCore, MemoryBudgetAdmitsFileBackedAndRejectsOverBudget) {
 
   SolverOptions ref_opt = sparse;
   ref_opt.oracle.threads = 1;
-  ref_opt.pipeline_overlap = false;
   const SolverResult ref = solve_matching(g, ref_opt);
 
   // Measure the file-backed solve's true resident peak (block buffers +

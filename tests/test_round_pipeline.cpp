@@ -1,19 +1,24 @@
 // Tests for the staged round pipeline (core/round_pipeline): the offline
 // re-solve overlapped with the inner MW iterations must be bitwise
-// equivalent to the sequential stage order — for the whole SolverResult
-// (value, lambda, beta, certified ratio, per-round history, meter
-// counters) and for 1/2/8 threads — and the offline/merge helpers must
-// behave like Algorithm 2 steps 5/6.
+// equivalent to the 1-thread solve, which has no pool and runs the stages
+// one after another — for the whole SolverResult (value, lambda, beta,
+// certified ratio, per-round history, meter counters), at 2 and 8 threads,
+// on every exit path of the round loop — and the offline/merge helpers
+// must behave like Algorithm 2 steps 5/6.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "access/in_memory.hpp"
+#include "core/checkpoint.hpp"
 #include "core/round_pipeline.hpp"
 #include "core/solver.hpp"
 #include "graph/generators.hpp"
+#include "util/cancel.hpp"
+#include "util/clock.hpp"
 
 namespace dp::core {
 namespace {
@@ -30,6 +35,7 @@ SolverOptions pipeline_options(double eps = 0.2) {
 
 void expect_bitwise_equal(const SolverResult& a, const SolverResult& b,
                           const char* label) {
+  EXPECT_EQ(a.status, b.status) << label;
   EXPECT_EQ(a.value, b.value) << label;
   EXPECT_EQ(a.dual_bound, b.dual_bound) << label;
   EXPECT_EQ(a.certified_ratio, b.certified_ratio) << label;
@@ -49,7 +55,7 @@ void expect_bitwise_equal(const SolverResult& a, const SolverResult& b,
         << label;
   }
   // Meter counters: the per-stage thread-local meters must aggregate to
-  // the same totals whatever the thread count or overlap mode.
+  // the same totals whatever the thread count.
   EXPECT_EQ(a.meter.rounds(), b.meter.rounds()) << label;
   EXPECT_EQ(a.meter.passes(), b.meter.passes()) << label;
   EXPECT_EQ(a.meter.stored_edges(), b.meter.stored_edges()) << label;
@@ -70,35 +76,74 @@ void expect_bitwise_equal(const SolverResult& a, const SolverResult& b,
   }
 }
 
-TEST(RoundPipeline, BitwiseIdenticalAcrossThreadsAndOverlap) {
+TEST(RoundPipeline, BitwiseIdenticalAcrossThreads) {
   Graph g = gen::gnm(120, 900, 61);
   gen::weight_uniform(g, 1.0, 12.0, 62);
-  // Sequential reference: serial stages, one thread, no cross-round
-  // deferral.
-  SolverOptions ref_opt = pipeline_options();
-  ref_opt.pipeline_overlap = false;
-  ref_opt.pipeline_cross_round = false;
-  ref_opt.oracle.threads = 1;
-  const SolverResult ref = solve_matching(g, ref_opt);
-  EXPECT_GT(ref.value, 0.0);
-  EXPECT_FALSE(ref.history.empty());
+  // One input per way out of the round loop. Each runs at 1 thread (the
+  // sequential reference) and must be reproduced bitwise at 2 and 8.
+  struct Input {
+    const char* name;
+    SolverOptions opt;
+  };
+  std::vector<Input> inputs;
+  inputs.push_back({"round cap", pipeline_options()});
+  SolverOptions target = pipeline_options();
+  // Met at the top of round 2: the first round lifts the incumbent from the
+  // initial solution's value over the bar.
+  target.target_ratio = 0.43;
+  inputs.push_back({"target_ratio stop", target});
+  SolverOptions interrupted = pipeline_options();
+  interrupted.on_checkpoint = [](const RoundCheckpoint& ck) {
+    return ck.next_round < 2;
+  };
+  inputs.push_back({"on_checkpoint false after round 2", interrupted});
+  FakeClock clock;  // never advanced, so the deadline never fires
+  SolverOptions armed = pipeline_options();
+  armed.deadline = Deadline::after(clock, std::uint64_t{1} << 62);
+  inputs.push_back({"armed deadline", armed});
 
-  for (const bool overlap : {false, true}) {
-    for (const bool cross_round : {false, true}) {
-      for (const std::size_t threads : {1, 2, 8}) {
-        SolverOptions opt = pipeline_options();
-        opt.pipeline_overlap = overlap;
-        opt.pipeline_cross_round = cross_round;
-        opt.oracle.threads = threads;
-        const SolverResult run = solve_matching(g, opt);
-        const std::string label =
-            std::string("overlap=") + (overlap ? "on" : "off") +
-            " cross_round=" + (cross_round ? "on" : "off") +
-            " threads=" + std::to_string(threads);
-        expect_bitwise_equal(ref, run, label.c_str());
+  std::vector<SolverResult> refs;
+  for (const Input& input : inputs) {
+    SolverOptions ref_opt = input.opt;
+    ref_opt.oracle.threads = 1;
+    refs.push_back(solve_matching(g, ref_opt));
+    const SolverResult& ref = refs.back();
+    for (const std::size_t threads : {2, 8}) {
+      SolverOptions opt = input.opt;
+      opt.oracle.threads = threads;
+      const SolverResult run = solve_matching(g, opt);
+      const std::string label =
+          std::string(input.name) + " threads=" + std::to_string(threads);
+      expect_bitwise_equal(ref, run, label.c_str());
+      ASSERT_EQ(ref.checkpoint == nullptr, run.checkpoint == nullptr)
+          << label;
+      if (ref.checkpoint != nullptr) {
+        EXPECT_EQ(ref.checkpoint->serialize(), run.checkpoint->serialize())
+            << label;
       }
     }
   }
+
+  const SolverResult& capped = refs[0];
+  EXPECT_GT(capped.value, 0.0);
+  EXPECT_EQ(capped.outer_rounds, 3u);
+  EXPECT_EQ(capped.history.size(), 3u);
+
+  const SolverResult& stopped = refs[1];
+  EXPECT_EQ(stopped.status, SolverStatus::kComplete);
+  EXPECT_GE(stopped.outer_rounds, 1u);
+  EXPECT_LT(stopped.outer_rounds, capped.outer_rounds);
+
+  const SolverResult& cut = refs[2];
+  EXPECT_EQ(cut.status, SolverStatus::kInterrupted);
+  EXPECT_EQ(cut.outer_rounds, 2u);
+  ASSERT_NE(cut.checkpoint, nullptr);
+  EXPECT_EQ(cut.checkpoint->next_round, 2u);
+
+  // Arming a stop builds a checkpoint every round; a stop that never fires
+  // must leave the result exactly as the unarmed solve's.
+  expect_bitwise_equal(capped, refs[3], "armed deadline vs unarmed");
+  EXPECT_EQ(refs[3].checkpoint, nullptr);
 }
 
 TEST(RoundPipeline, BitwiseIdenticalForBMatching) {
@@ -106,12 +151,10 @@ TEST(RoundPipeline, BitwiseIdenticalForBMatching) {
   gen::weight_uniform(g, 1.0, 8.0, 72);
   const Capacities b = gen::random_capacities(60, 1, 3, 73);
   SolverOptions ref_opt = pipeline_options(0.15);
-  ref_opt.pipeline_overlap = false;
   ref_opt.oracle.threads = 1;
   const SolverResult ref = solve_b_matching(g, b, ref_opt);
   for (const std::size_t threads : {2, 8}) {
     SolverOptions opt = pipeline_options(0.15);
-    opt.pipeline_overlap = true;
     opt.oracle.threads = threads;
     const SolverResult run = solve_b_matching(g, b, opt);
     const std::string label = "bmatching threads=" + std::to_string(threads);

@@ -71,7 +71,6 @@ TEST(Substrate, SolverBitwiseIdenticalAcrossSubstratesAndThreads) {
   const Graph g = test_graph();
   SolverOptions ref_opt = base_options();
   ref_opt.oracle.threads = 1;
-  ref_opt.pipeline_overlap = false;
   const SolverResult ref = solve_matching(g, ref_opt);  // internal in-memory
   EXPECT_GT(ref.value, 0.0);
   EXPECT_FALSE(ref.history.empty());
