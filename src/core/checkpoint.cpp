@@ -104,134 +104,41 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-void put_meter(std::vector<std::uint8_t>& out, const MeterSnapshot& ms) {
-  put_u64(out, ms.rounds);
-  put_u64(out, ms.passes);
-  put_u64(out, ms.stored_edges);
-  put_u64(out, ms.peak_edges);
-  put_u64(out, ms.sketch_words);
-  put_u64(out, ms.messages);
-  put_u64(out, ms.inner_iterations);
-  put_u64(out, ms.oracle_calls);
-  put_u64(out, ms.faults);
-  put_u64(out, ms.max_flows);
-  put_u64(out, ms.max_flows_saved);
-  put_u64(out, ms.gh_full_builds);
-  put_u64(out, ms.gh_incremental);
-  put_u64(out, ms.gh_tree_reuses);
-  put_u64(out, ms.saved_rounds);
-  put_u64(out, ms.saved_passes);
-  put_u64(out, ms.repaired_rows);
-  put_u64(out, ms.io_bytes);
-  put_u64(out, ms.io_stalls);
-  put_u64(out, ms.prefetch_hits);
-  put_u64(out, ms.shuffle_bytes);
-  put_u64(out, ms.resident_edges);
-  put_u64(out, ms.peak_resident);
+// The meter block: every ResourceMeter counter as one u64, in enum order.
+static_assert(ResourceMeter::kCounterCount == 23,
+              "checkpoint v4 carries 23 meter counters; a new counter "
+              "changes the wire format, so bump RoundCheckpoint::kVersion");
+constexpr std::size_t kMeterBytes = 8 * ResourceMeter::kCounterCount;
+
+void put_meter(std::vector<std::uint8_t>& out, const ResourceMeter& meter) {
+  for (const std::uint64_t value : meter.counters()) put_u64(out, value);
 }
 
-MeterSnapshot get_meter(Reader& in) {
-  MeterSnapshot ms;
-  ms.rounds = in.u64();
-  ms.passes = in.u64();
-  ms.stored_edges = in.u64();
-  ms.peak_edges = in.u64();
-  ms.sketch_words = in.u64();
-  ms.messages = in.u64();
-  ms.inner_iterations = in.u64();
-  ms.oracle_calls = in.u64();
-  ms.faults = in.u64();
-  ms.max_flows = in.u64();
-  ms.max_flows_saved = in.u64();
-  ms.gh_full_builds = in.u64();
-  ms.gh_incremental = in.u64();
-  ms.gh_tree_reuses = in.u64();
-  ms.saved_rounds = in.u64();
-  ms.saved_passes = in.u64();
-  ms.repaired_rows = in.u64();
-  ms.io_bytes = in.u64();
-  ms.io_stalls = in.u64();
-  ms.prefetch_hits = in.u64();
-  ms.shuffle_bytes = in.u64();
-  ms.resident_edges = in.u64();
-  ms.peak_resident = in.u64();
-  return ms;
+ResourceMeter get_meter(Reader& in) {
+  ResourceMeter::Counters values{};
+  for (std::uint64_t& value : values) value = in.u64();
+  return ResourceMeter(values);
 }
 
 }  // namespace
-
-MeterSnapshot MeterSnapshot::of(const ResourceMeter& meter) {
-  MeterSnapshot ms;
-  ms.rounds = meter.rounds();
-  ms.passes = meter.passes();
-  ms.stored_edges = meter.stored_edges();
-  ms.peak_edges = meter.peak_edges();
-  ms.sketch_words = meter.sketch_words();
-  ms.messages = meter.messages();
-  ms.inner_iterations = meter.inner_iterations();
-  ms.oracle_calls = meter.oracle_calls();
-  ms.faults = meter.faults();
-  ms.max_flows = meter.max_flows();
-  ms.max_flows_saved = meter.max_flows_saved();
-  ms.gh_full_builds = meter.gh_full_builds();
-  ms.gh_incremental = meter.gh_incremental();
-  ms.gh_tree_reuses = meter.gh_tree_reuses();
-  ms.saved_rounds = meter.saved_rounds();
-  ms.saved_passes = meter.saved_passes();
-  ms.repaired_rows = meter.repaired_rows();
-  ms.io_bytes = meter.io_bytes();
-  ms.io_stalls = meter.io_stalls();
-  ms.prefetch_hits = meter.prefetch_hits();
-  ms.shuffle_bytes = meter.shuffle_bytes();
-  ms.resident_edges = meter.resident_edges();
-  ms.peak_resident = meter.peak_resident_edges();
-  return ms;
-}
-
-void MeterSnapshot::restore_into(ResourceMeter& meter) const {
-  meter.reset();
-  meter.add_round(rounds);
-  meter.add_pass(passes);
-  meter.add_sketch_words(sketch_words);
-  meter.add_messages(messages);
-  meter.add_inner_iterations(inner_iterations);
-  meter.add_oracle_calls(oracle_calls);
-  meter.add_faults(faults);
-  meter.add_max_flows(max_flows);
-  meter.add_max_flows_saved(max_flows_saved);
-  meter.add_gh_full_builds(gh_full_builds);
-  meter.add_gh_incremental(gh_incremental);
-  meter.add_gh_tree_reuses(gh_tree_reuses);
-  meter.add_saved_rounds(saved_rounds);
-  meter.add_saved_passes(saved_passes);
-  meter.add_repaired_rows(repaired_rows);
-  meter.add_io_bytes(io_bytes);
-  meter.add_io_stalls(io_stalls);
-  meter.add_prefetch_hits(prefetch_hits);
-  meter.add_shuffle_bytes(shuffle_bytes);
-  // Reconstruct (running stored, peak) exactly: raise to the peak, then
-  // release back down to the running count — same trick for the resident
-  // edge-attribute accounting.
-  meter.store_edges(peak_edges);
-  meter.release_edges(peak_edges - stored_edges);
-  meter.hold_resident(peak_resident);
-  meter.release_resident(peak_resident - resident_edges);
-}
 
 std::vector<std::uint8_t> RoundCheckpoint::serialize() const {
   // Serialization must stay cheap relative to a round (the <5% overhead
   // gate of bench_faults): the payload is built in place behind a
   // placeholder header — no second copy — with the exact size reserved up
-  // front, and the size/checksum fields patched at the end.
+  // front, and the size/checksum fields patched at the end. Exact size:
+  // identity 76, position 24, incumbent 24 + 16 per support entry, dual
+  // iterate 16 + 16 per xik pair + 8 + 8 per xi + 8 + 20 per odd set + 4
+  // per member, history 8 + 48 per round, then the two meter blocks.
   std::size_t member_bytes = 0;
   for (const OddSetVar& var : odd_sets) {
     member_bytes += 4 * var.members.size();
   }
   std::vector<std::uint8_t> out;
-  out.reserve(kHeaderSize + 68 + 24 + 24 + best_support.size() * 16 + 16 +
+  out.reserve(kHeaderSize + 76 + 24 + 24 + best_support.size() * 16 + 16 +
               xik.size() * 16 + 8 + xi.size() * 8 + 8 +
               odd_sets.size() * 20 + member_bytes + 8 + history.size() * 48 +
-              2 * 112);
+              2 * kMeterBytes);
   for (const std::uint8_t b : kMagic) out.push_back(b);
   put_u32(out, kVersion);
   put_u64(out, 0);  // payload size, patched below
@@ -382,6 +289,16 @@ RoundCheckpoint RoundCheckpoint::deserialize(
   ck.substrate_meter = get_meter(in);
   if (!in.exhausted()) {
     throw CheckpointCorrupt("checkpoint payload has trailing bytes");
+  }
+  // The meters are restored as stored, so a running count above its peak —
+  // a state no meter built by the mutators and merge() can reach — would
+  // carry straight into the resumed solve.
+  for (const ResourceMeter* meter : {&ck.solve_meter, &ck.substrate_meter}) {
+    if (meter->stored_edges() > meter->peak_edges() ||
+        meter->resident_edges() > meter->peak_resident_edges()) {
+      throw CheckpointCorrupt("checkpoint meter has a running count above "
+                              "its peak");
+    }
   }
   return ck;
 }

@@ -31,45 +31,14 @@
 
 namespace dp::core {
 
-/// Value snapshot of a ResourceMeter (the meter itself exposes no mutable
-/// counter access; restore replays the counters through the public API).
-struct MeterSnapshot {
-  std::uint64_t rounds = 0;
-  std::uint64_t passes = 0;
-  std::uint64_t stored_edges = 0;
-  std::uint64_t peak_edges = 0;
-  std::uint64_t sketch_words = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t inner_iterations = 0;
-  std::uint64_t oracle_calls = 0;
-  std::uint64_t faults = 0;
-  std::uint64_t max_flows = 0;
-  std::uint64_t max_flows_saved = 0;
-  std::uint64_t gh_full_builds = 0;
-  std::uint64_t gh_incremental = 0;
-  std::uint64_t gh_tree_reuses = 0;
-  std::uint64_t saved_rounds = 0;
-  std::uint64_t saved_passes = 0;
-  std::uint64_t repaired_rows = 0;
-  std::uint64_t io_bytes = 0;
-  std::uint64_t io_stalls = 0;
-  std::uint64_t prefetch_hits = 0;
-  std::uint64_t shuffle_bytes = 0;
-  std::uint64_t resident_edges = 0;
-  std::uint64_t peak_resident = 0;
-
-  static MeterSnapshot of(const ResourceMeter& meter);
-  void restore_into(ResourceMeter& meter) const;
-};
-
 struct RoundCheckpoint {
-  // v2: MeterSnapshot grew the separation flow-work counters (max_flows,
+  // v2: the meter block grew the separation flow-work counters (max_flows,
   // max_flows_saved, gh_full_builds, gh_incremental, gh_tree_reuses).
   // v3: identity grew graph_generation — the dynamic-graph delta counter.
   // A checkpoint cut before a delta must not silently resume against the
   // mutated graph: n/m/retained can all survive a remove+insert delta, so
   // the generation is the field that makes staleness a typed rejection.
-  // v4: MeterSnapshot grew the dynamic-resolve savings (saved_rounds,
+  // v4: the meter block grew the dynamic-resolve savings (saved_rounds,
   // saved_passes, repaired_rows) and the out-of-core counters (io_bytes,
   // io_stalls, prefetch_hits, shuffle_bytes, resident_edges,
   // peak_resident) — a mid-pass kill/resume on the file backend must
@@ -106,14 +75,15 @@ struct RoundCheckpoint {
 
   // -- Per-round history and resource accounting. --
   std::vector<RoundStats> history;
-  MeterSnapshot solve_meter;
-  MeterSnapshot substrate_meter;
+  ResourceMeter solve_meter;
+  ResourceMeter substrate_meter;
 
   std::vector<std::uint8_t> serialize() const;
 
   /// Parses and validates a serialized checkpoint. Throws CheckpointCorrupt
   /// on any structural defect: short buffer, wrong magic/version, size or
-  /// checksum mismatch, truncated or oversized payload.
+  /// checksum mismatch, truncated or oversized payload, or a meter whose
+  /// running stored/resident count exceeds its peak.
   static RoundCheckpoint deserialize(const std::vector<std::uint8_t>& bytes);
 };
 

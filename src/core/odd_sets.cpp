@@ -208,13 +208,13 @@ std::vector<std::vector<Vertex>> OddSetSeparator::exact(
   return collected;
 }
 
-SeparationStats OddSetSeparator::stats() const {
-  SeparationStats s;
-  s.max_flows = net_.flows_run();
-  s.flows_saved = gh_stamp_.flows_saved;
-  s.gh_full_builds = gh_stamp_.full_builds;
-  s.gh_incremental = gh_stamp_.incremental_updates;
-  s.gh_tree_reuses = gh_stamp_.tree_reuses;
+ResourceMeter OddSetSeparator::stats() const {
+  ResourceMeter s;
+  s.add_max_flows(net_.flows_run());
+  s.add_max_flows_saved(gh_stamp_.flows_saved);
+  s.add_gh_full_builds(gh_stamp_.full_builds);
+  s.add_gh_incremental(gh_stamp_.incremental_updates);
+  s.add_gh_tree_reuses(gh_stamp_.tree_reuses);
   return s;
 }
 

@@ -25,6 +25,7 @@
 
 #include "graph/gomory_hu.hpp"
 #include "graph/graph.hpp"
+#include "util/accounting.hpp"
 
 namespace dp::core {
 
@@ -32,19 +33,6 @@ struct OddSetQueryEdge {
   Vertex u;
   Vertex v;
   double q;
-};
-
-/// Monotone counters for the exact separation path's Gomory-Hu / max-flow
-/// work (Lemma 25): flows actually run, flows skipped by the incremental
-/// per-subtree reuse after contraction, and how each tree (re)build ran.
-/// Summed across the oracle's per-level separation engines in fixed job
-/// order, so totals are identical for any thread count.
-struct SeparationStats {
-  std::uint64_t max_flows = 0;
-  std::uint64_t flows_saved = 0;
-  std::uint64_t gh_full_builds = 0;
-  std::uint64_t gh_incremental = 0;
-  std::uint64_t gh_tree_reuses = 0;
 };
 
 struct OddSetOptions {
@@ -71,8 +59,13 @@ class OddSetSeparator {
       const std::vector<double>& q_hat, const Capacities& b,
       const OddSetOptions& options);
 
-  /// Flow-work counters accumulated across every find() on this engine.
-  SeparationStats stats() const;
+  /// Flow-work counters accumulated across every find() on this engine
+  /// for the exact path's Gomory-Hu / max-flow work (Lemma 25): flows
+  /// actually run (max_flows), flows skipped by the incremental per-subtree
+  /// reuse after contraction (max_flows_saved), and how each tree
+  /// (re)build ran (gh_full_builds / gh_incremental / gh_tree_reuses).
+  /// Every other counter stays 0.
+  ResourceMeter stats() const;
 
  private:
   void ensure(std::size_t n);

@@ -80,16 +80,11 @@ ThreadPool* MicroOracle::pool() const {
   return pool_.get();
 }
 
-SeparationStats MicroOracle::separation_stats() const {
-  SeparationStats total;
+ResourceMeter MicroOracle::separation_stats() const {
+  ResourceMeter total;
   if (!scratch_) return total;
   for (const OddSetSeparator& sep : scratch_->separators) {
-    const SeparationStats s = sep.stats();
-    total.max_flows += s.max_flows;
-    total.flows_saved += s.flows_saved;
-    total.gh_full_builds += s.gh_full_builds;
-    total.gh_incremental += s.gh_incremental;
-    total.gh_tree_reuses += s.gh_tree_reuses;
+    total.merge(sep.stats());
   }
   return total;
 }

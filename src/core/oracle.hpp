@@ -32,6 +32,7 @@
 #include "core/odd_sets.hpp"
 #include "core/weight_levels.hpp"
 #include "graph/graph.hpp"
+#include "util/accounting.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dp::core {
@@ -153,7 +154,7 @@ class MicroOracle {
   /// Aggregate Gomory-Hu / max-flow counters of the per-level separation
   /// engines this oracle owns (monotone across invocations; summed in
   /// fixed job-slot order, so identical for any thread count).
-  SeparationStats separation_stats() const;
+  ResourceMeter separation_stats() const;
 
  private:
   struct Scratch;  // reusable flat buffers; defined in oracle.cpp

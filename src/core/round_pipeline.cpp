@@ -30,7 +30,7 @@ void exp_floor_multipliers(ThreadPool* pool, std::size_t grain,
   double* part = partial.data();
   double* div = divisor.data();
   // Three passes per chunk, every one a clones-dispatched elementwise
-  // kernel (util/simd): argument fill, exp_batch in place, then the
+  // kernel (util/simd): argument fill, exp_batch_poly in place, then the
   // level-weight divide fused with the chunk max as a bit-pattern integer
   // reduction (all quotients are positive). Only the divisor gather stays
   // scalar — level_at is an indexed load the sweep cannot vectorize.
@@ -41,7 +41,7 @@ void exp_floor_multipliers(ThreadPool* pool, std::size_t grain,
              [&](std::size_t c, std::size_t lo, std::size_t hi) {
                simd::fill_scaled_shift(ratio + lo, out + lo, hi - lo, alpha,
                                        min_ratio);
-               simd::exp_batch(out + lo, out + lo, hi - lo);
+               simd::exp_batch_poly(out + lo, out + lo, hi - lo);
                for (std::size_t i = lo; i < hi; ++i) {
                  div[i] = lg.level_weight(level_at(i));
                }
@@ -255,17 +255,14 @@ void RoundPipeline::stage_inner(const SamplingRound& draws, double alpha,
   // monotone over its lifetime; differencing against the last-seen snapshot
   // charges exactly this round's flows to this round's inner meter. The
   // separation work is a pure function of the oracle inputs, so the delta
-  // is identical for any thread count or substrate.
-  const SeparationStats sep = oracle_->separation_stats();
-  ctx_.inner_meter.add_max_flows(sep.max_flows - sep_seen_.max_flows);
-  ctx_.inner_meter.add_max_flows_saved(sep.flows_saved -
-                                       sep_seen_.flows_saved);
-  ctx_.inner_meter.add_gh_full_builds(sep.gh_full_builds -
-                                      sep_seen_.gh_full_builds);
-  ctx_.inner_meter.add_gh_incremental(sep.gh_incremental -
-                                      sep_seen_.gh_incremental);
-  ctx_.inner_meter.add_gh_tree_reuses(sep.gh_tree_reuses -
-                                      sep_seen_.gh_tree_reuses);
+  // is identical for any thread count or substrate. Separator meters never
+  // touch the stored/resident gauges, so merge()'s peak rule is a no-op.
+  const ResourceMeter sep = oracle_->separation_stats();
+  ResourceMeter::Counters delta{};
+  for (std::size_t c = 0; c < ResourceMeter::kCounterCount; ++c) {
+    delta[c] = sep.counters()[c] - sep_seen_.counters()[c];
+  }
+  ctx_.inner_meter.merge(ResourceMeter(delta));
   sep_seen_ = sep;
 }
 
@@ -484,17 +481,17 @@ void RoundPipeline::build_zeta(const DualState& state) {
   for (std::size_t c = 0; c < chunks; ++c) {
     max_expo = std::max(max_expo, partial[c]);
   }
-  // Shift / exp_batch / divide as separate elementwise passes, all through
-  // the clones-dispatched kernels (util/simd): alpha = -1 turns the fill
-  // into the plain shift (multiply by exactly 1.0), and the divisor gather
-  // feeds divide_batch. Bitwise identical to the scalar loops.
+  // Shift / exp_batch_poly / divide as separate elementwise passes, all
+  // through the clones-dispatched kernels (util/simd): alpha = -1 turns the
+  // fill into the plain shift (multiply by exactly 1.0), and the divisor
+  // gather feeds divide_batch. Bitwise identical to the scalar loops.
   ctx_.divisor.resize(rows);
   double* div = ctx_.divisor.data();
   run_chunks(pool_, 0, rows, grain,
              [&](std::size_t, std::size_t lo, std::size_t hi) {
                simd::fill_scaled_shift(expos + lo, expos + lo, hi - lo,
                                        -1.0, max_expo);
-               simd::exp_batch(expos + lo, expos + lo, hi - lo);
+               simd::exp_batch_poly(expos + lo, expos + lo, hi - lo);
                for (std::size_t r = lo; r < hi; ++r) {
                  const int k = static_cast<int>(row_keys[r] % levels);
                  div[r] = 3.0 * lg.level_weight(k);

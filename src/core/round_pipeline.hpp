@@ -226,7 +226,7 @@ class RoundPipeline {
   double staged_min_ratio_ = 0.0;  // open_round's exact min (= lambda)
   // Last-seen oracle separation counters; stage_inner differences against
   // this snapshot to charge each round's max-flow work to its own meter.
-  SeparationStats sep_seen_;
+  ResourceMeter sep_seen_;
   RoundContext ctx_;
 };
 

@@ -311,8 +311,8 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
     result.outer_rounds = resume->outer_rounds;
     result.oracle_calls = resume->oracle_calls;
     result.history = resume->history;
-    resume->solve_meter.restore_into(result.meter);
-    resume->substrate_meter.restore_into(substrate->meter());
+    result.meter = resume->solve_meter;
+    substrate->meter() = resume->substrate_meter;
     start_round = resume->next_round;
   }
 
@@ -359,8 +359,8 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
     ck->xi = st.raw_xi();
     ck->odd_sets = st.odd_sets();
     ck->history = result.history;
-    ck->solve_meter = MeterSnapshot::of(result.meter);
-    ck->substrate_meter = MeterSnapshot::of(substrate->meter());
+    ck->solve_meter = result.meter;
+    ck->substrate_meter = substrate->meter();
     return ck;
   };
 

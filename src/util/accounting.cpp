@@ -1,53 +1,24 @@
 #include "util/accounting.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace dp {
 
 void ResourceMeter::merge(const ResourceMeter& other) noexcept {
-  rounds_ += other.rounds_;
-  passes_ += other.passes_;
-  stored_edges_ += other.stored_edges_;
-  if (other.peak_edges_ > peak_edges_) peak_edges_ = other.peak_edges_;
-  if (stored_edges_ > peak_edges_) peak_edges_ = stored_edges_;
-  sketch_words_ += other.sketch_words_;
-  messages_ += other.messages_;
-  inner_iterations_ += other.inner_iterations_;
-  oracle_calls_ += other.oracle_calls_;
-  faults_ += other.faults_;
-  max_flows_ += other.max_flows_;
-  max_flows_saved_ += other.max_flows_saved_;
-  gh_full_builds_ += other.gh_full_builds_;
-  gh_incremental_ += other.gh_incremental_;
-  gh_tree_reuses_ += other.gh_tree_reuses_;
-  saved_rounds_ += other.saved_rounds_;
-  saved_passes_ += other.saved_passes_;
-  repaired_rows_ += other.repaired_rows_;
-  io_bytes_ += other.io_bytes_;
-  io_stalls_ += other.io_stalls_;
-  prefetch_hits_ += other.prefetch_hits_;
-  shuffle_bytes_ += other.shuffle_bytes_;
-  resident_edges_ += other.resident_edges_;
-  if (other.peak_resident_ > peak_resident_) {
-    peak_resident_ = other.peak_resident_;
-  }
-  if (resident_edges_ > peak_resident_) peak_resident_ = resident_edges_;
+  const std::uint64_t peak = std::max(c_[kPeakEdges], other.c_[kPeakEdges]);
+  const std::uint64_t peak_resident =
+      std::max(c_[kPeakResidentEdges], other.c_[kPeakResidentEdges]);
+  for (std::size_t i = 0; i < kCounterCount; ++i) c_[i] += other.c_[i];
+  c_[kPeakEdges] = std::max(peak, c_[kStoredEdges]);
+  c_[kPeakResidentEdges] = std::max(peak_resident, c_[kResidentEdges]);
 }
 
 std::string ResourceMeter::summary() const {
   std::ostringstream os;
-  os << "rounds=" << rounds_ << " passes=" << passes_
-     << " peak_edges=" << peak_edges_ << " sketch_words=" << sketch_words_
-     << " messages=" << messages_ << " inner_iters=" << inner_iterations_
-     << " oracle_calls=" << oracle_calls_ << " faults=" << faults_
-     << " max_flows=" << max_flows_ << " flows_saved=" << max_flows_saved_
-     << " gh_builds=" << gh_full_builds_ << "/" << gh_incremental_ << "/"
-     << gh_tree_reuses_ << " saved_rounds=" << saved_rounds_
-     << " saved_passes=" << saved_passes_
-     << " repaired_rows=" << repaired_rows_ << " io_bytes=" << io_bytes_
-     << " io_stalls=" << io_stalls_ << " prefetch_hits=" << prefetch_hits_
-     << " shuffle_bytes=" << shuffle_bytes_
-     << " peak_resident=" << peak_resident_;
+  for (std::size_t i = 0; i < kCounterCount; ++i) {
+    os << (i > 0 ? " " : "") << kCounterNames[i] << '=' << c_[i];
+  }
   return os.str();
 }
 

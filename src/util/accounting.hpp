@@ -7,13 +7,21 @@
 // library meter those quantities through a shared ResourceMeter so that
 // benchmarks report exactly what Theorem 1 / Theorem 15 bound.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 namespace dp {
 
 /// Counters for the resource-constrained models of Section 1 of the paper.
+/// The counter list lives in ONE place: the Counter enum below, with its
+/// names in kCounterNames. merge(), summary() and the round checkpoint's
+/// meter block all loop over it, and the enum order IS the checkpoint wire
+/// order — a new counter goes at the end, gets a name and a mutator/getter
+/// pair, and bumps RoundCheckpoint::kVersion.
+///
 /// All counters are plain (non-atomic). Concurrent phases never share one
 /// meter: each stage/thread writes its own ResourceMeter and the owner
 /// aggregates them with merge() at a stage boundary, in a fixed stage
@@ -27,75 +35,104 @@ namespace dp {
 /// the Draw stage's meter until the post-merge release).
 class ResourceMeter {
  public:
+  enum Counter : std::size_t {
+    kRounds, kPasses, kStoredEdges, kPeakEdges, kSketchWords, kMessages,
+    kInnerIterations, kOracleCalls, kFaults, kMaxFlows, kMaxFlowsSaved,
+    kGhFullBuilds, kGhIncremental, kGhTreeReuses, kSavedRounds, kSavedPasses,
+    kRepairedRows, kIoBytes, kIoStalls, kPrefetchHits, kShuffleBytes,
+    kResidentEdges, kPeakResidentEdges,
+    kCounterCount  // not a counter: the number of counters
+  };
+  /// Each counter's getter name, in enum order (summary() prints these).
+  static constexpr const char* kCounterNames[] = {
+      "rounds", "passes", "stored_edges", "peak_edges", "sketch_words",
+      "messages", "inner_iterations", "oracle_calls", "faults", "max_flows",
+      "max_flows_saved", "gh_full_builds", "gh_incremental",
+      "gh_tree_reuses", "saved_rounds", "saved_passes", "repaired_rows",
+      "io_bytes", "io_stalls", "prefetch_hits", "shuffle_bytes",
+      "resident_edges", "peak_resident_edges"};
+  static_assert(std::size(kCounterNames) == kCounterCount,
+                "one name per counter");
+
+  using Counters = std::array<std::uint64_t, kCounterCount>;
+
+  ResourceMeter() = default;
+  /// A meter holding exactly `values` (checkpoint restore, counter deltas).
+  /// Unlike the mutators below it does not enforce running <= peak.
+  explicit ResourceMeter(const Counters& values) noexcept : c_(values) {}
+
+  const Counters& counters() const noexcept { return c_; }
+
   /// One adaptive sampling round (MapReduce round / sketch epoch).
-  void add_round(std::size_t k = 1) noexcept { rounds_ += k; }
+  void add_round(std::size_t k = 1) noexcept { c_[kRounds] += k; }
 
   /// One sequential pass over the input stream.
-  void add_pass(std::size_t k = 1) noexcept { passes_ += k; }
+  void add_pass(std::size_t k = 1) noexcept { c_[kPasses] += k; }
 
   /// Edges currently held in central memory. Tracks a running total and the
   /// peak, which is the "space" of Theorem 15.
   void store_edges(std::size_t k) noexcept {
-    stored_edges_ += k;
-    if (stored_edges_ > peak_edges_) peak_edges_ = stored_edges_;
+    raise(kStoredEdges, kPeakEdges, k);
   }
-  void release_edges(std::size_t k) noexcept {
-    stored_edges_ = k > stored_edges_ ? 0 : stored_edges_ - k;
-  }
+  void release_edges(std::size_t k) noexcept { lower(kStoredEdges, k); }
 
   /// Sketch words communicated (congested clique accounting).
-  void add_sketch_words(std::size_t k) noexcept { sketch_words_ += k; }
+  void add_sketch_words(std::size_t k) noexcept { c_[kSketchWords] += k; }
 
   /// Generic message count (MapReduce shuffle volume).
-  void add_messages(std::size_t k) noexcept { messages_ += k; }
+  void add_messages(std::size_t k) noexcept { c_[kMessages] += k; }
 
   /// Inner (non-adaptive) iterations executed on stored data. The paper's
   /// key distinction: these do NOT touch the input.
   void add_inner_iterations(std::size_t k = 1) noexcept {
-    inner_iterations_ += k;
+    c_[kInnerIterations] += k;
   }
 
   /// Oracle invocations (MicroOracle calls in Theorem 1).
-  void add_oracle_calls(std::size_t k = 1) noexcept { oracle_calls_ += k; }
+  void add_oracle_calls(std::size_t k = 1) noexcept { c_[kOracleCalls] += k; }
 
   /// Injected (or real) substrate faults survived via retry. The cost of
   /// each retry lands on the counters above — an extra pass, re-shuffled
   /// messages — so faults() is the denominator of per-fault recovery cost.
-  void add_faults(std::size_t k = 1) noexcept { faults_ += k; }
+  void add_faults(std::size_t k = 1) noexcept { c_[kFaults] += k; }
 
   /// Max-flow computations run by odd-set separation (Gusfield, Lemma 25),
   /// and flows skipped by the incremental per-subtree Gomory-Hu reuse
   /// after contraction — the hot-path saving made observable.
-  void add_max_flows(std::size_t k) noexcept { max_flows_ += k; }
-  void add_max_flows_saved(std::size_t k) noexcept { max_flows_saved_ += k; }
+  void add_max_flows(std::size_t k) noexcept { c_[kMaxFlows] += k; }
+  void add_max_flows_saved(std::size_t k) noexcept {
+    c_[kMaxFlowsSaved] += k;
+  }
 
   /// Gomory-Hu tree (re)build outcomes: full Gusfield rebuilds,
   /// incremental post-contraction updates, whole-tree cache hits.
-  void add_gh_full_builds(std::size_t k) noexcept { gh_full_builds_ += k; }
-  void add_gh_incremental(std::size_t k) noexcept { gh_incremental_ += k; }
-  void add_gh_tree_reuses(std::size_t k) noexcept { gh_tree_reuses_ += k; }
+  void add_gh_full_builds(std::size_t k) noexcept { c_[kGhFullBuilds] += k; }
+  void add_gh_incremental(std::size_t k) noexcept { c_[kGhIncremental] += k; }
+  void add_gh_tree_reuses(std::size_t k) noexcept { c_[kGhTreeReuses] += k; }
 
   /// Dynamic re-solve accounting: MW rounds and substrate passes the
   /// warm-started path did NOT pay relative to the previous solve's cost,
   /// plus covering rows raised by the feasibility-repair pass — the
   /// o(full-solve) claim made observable as first-class counters.
-  void add_saved_rounds(std::size_t k) noexcept { saved_rounds_ += k; }
-  void add_saved_passes(std::size_t k) noexcept { saved_passes_ += k; }
-  void add_repaired_rows(std::size_t k) noexcept { repaired_rows_ += k; }
+  void add_saved_rounds(std::size_t k) noexcept { c_[kSavedRounds] += k; }
+  void add_saved_passes(std::size_t k) noexcept { c_[kSavedPasses] += k; }
+  void add_repaired_rows(std::size_t k) noexcept { c_[kRepairedRows] += k; }
 
   /// Out-of-core IO accounting (stream/edge_file): bytes physically read
   /// from the edge file, pass iterations that had to WAIT for a block
   /// (stalls), and block requests the async prefetcher had already
   /// completed (hits). hit_rate = prefetch_hits / (prefetch_hits +
   /// io_stalls) is the double-buffering pipeline's health signal.
-  void add_io_bytes(std::size_t k) noexcept { io_bytes_ += k; }
-  void add_io_stalls(std::size_t k = 1) noexcept { io_stalls_ += k; }
-  void add_prefetch_hits(std::size_t k = 1) noexcept { prefetch_hits_ += k; }
+  void add_io_bytes(std::size_t k) noexcept { c_[kIoBytes] += k; }
+  void add_io_stalls(std::size_t k = 1) noexcept { c_[kIoStalls] += k; }
+  void add_prefetch_hits(std::size_t k = 1) noexcept {
+    c_[kPrefetchHits] += k;
+  }
 
   /// MapReduce shuffle volume in BYTES (messages counts records; each
   /// shuffled record is a fixed-width key/value pair, so the simulator
   /// charges bytes alongside).
-  void add_shuffle_bytes(std::size_t k) noexcept { shuffle_bytes_ += k; }
+  void add_shuffle_bytes(std::size_t k) noexcept { c_[kShuffleBytes] += k; }
 
   /// Resident edge-attribute state of the access layer: full per-edge
   /// attribute records (attribute table, IO block buffers, stored-sample
@@ -105,69 +142,58 @@ class ResourceMeter {
   /// backends keep it o(m) while the in-memory reference pins the whole
   /// attribute table.
   void hold_resident(std::size_t k) noexcept {
-    resident_edges_ += k;
-    if (resident_edges_ > peak_resident_) peak_resident_ = resident_edges_;
+    raise(kResidentEdges, kPeakResidentEdges, k);
   }
-  void release_resident(std::size_t k) noexcept {
-    resident_edges_ = k > resident_edges_ ? 0 : resident_edges_ - k;
-  }
+  void release_resident(std::size_t k) noexcept { lower(kResidentEdges, k); }
 
-  std::size_t rounds() const noexcept { return rounds_; }
-  std::size_t passes() const noexcept { return passes_; }
-  std::size_t stored_edges() const noexcept { return stored_edges_; }
-  std::size_t peak_edges() const noexcept { return peak_edges_; }
-  std::size_t sketch_words() const noexcept { return sketch_words_; }
-  std::size_t messages() const noexcept { return messages_; }
-  std::size_t inner_iterations() const noexcept { return inner_iterations_; }
-  std::size_t oracle_calls() const noexcept { return oracle_calls_; }
-  std::size_t faults() const noexcept { return faults_; }
-  std::size_t max_flows() const noexcept { return max_flows_; }
-  std::size_t max_flows_saved() const noexcept { return max_flows_saved_; }
-  std::size_t gh_full_builds() const noexcept { return gh_full_builds_; }
-  std::size_t gh_incremental() const noexcept { return gh_incremental_; }
-  std::size_t gh_tree_reuses() const noexcept { return gh_tree_reuses_; }
-  std::size_t saved_rounds() const noexcept { return saved_rounds_; }
-  std::size_t saved_passes() const noexcept { return saved_passes_; }
-  std::size_t repaired_rows() const noexcept { return repaired_rows_; }
-  std::size_t io_bytes() const noexcept { return io_bytes_; }
-  std::size_t io_stalls() const noexcept { return io_stalls_; }
-  std::size_t prefetch_hits() const noexcept { return prefetch_hits_; }
-  std::size_t shuffle_bytes() const noexcept { return shuffle_bytes_; }
-  std::size_t resident_edges() const noexcept { return resident_edges_; }
-  std::size_t peak_resident_edges() const noexcept { return peak_resident_; }
+  std::size_t rounds() const noexcept { return c_[kRounds]; }
+  std::size_t passes() const noexcept { return c_[kPasses]; }
+  std::size_t stored_edges() const noexcept { return c_[kStoredEdges]; }
+  std::size_t peak_edges() const noexcept { return c_[kPeakEdges]; }
+  std::size_t sketch_words() const noexcept { return c_[kSketchWords]; }
+  std::size_t messages() const noexcept { return c_[kMessages]; }
+  std::size_t inner_iterations() const noexcept {
+    return c_[kInnerIterations];
+  }
+  std::size_t oracle_calls() const noexcept { return c_[kOracleCalls]; }
+  std::size_t faults() const noexcept { return c_[kFaults]; }
+  std::size_t max_flows() const noexcept { return c_[kMaxFlows]; }
+  std::size_t max_flows_saved() const noexcept { return c_[kMaxFlowsSaved]; }
+  std::size_t gh_full_builds() const noexcept { return c_[kGhFullBuilds]; }
+  std::size_t gh_incremental() const noexcept { return c_[kGhIncremental]; }
+  std::size_t gh_tree_reuses() const noexcept { return c_[kGhTreeReuses]; }
+  std::size_t saved_rounds() const noexcept { return c_[kSavedRounds]; }
+  std::size_t saved_passes() const noexcept { return c_[kSavedPasses]; }
+  std::size_t repaired_rows() const noexcept { return c_[kRepairedRows]; }
+  std::size_t io_bytes() const noexcept { return c_[kIoBytes]; }
+  std::size_t io_stalls() const noexcept { return c_[kIoStalls]; }
+  std::size_t prefetch_hits() const noexcept { return c_[kPrefetchHits]; }
+  std::size_t shuffle_bytes() const noexcept { return c_[kShuffleBytes]; }
+  std::size_t resident_edges() const noexcept { return c_[kResidentEdges]; }
+  std::size_t peak_resident_edges() const noexcept {
+    return c_[kPeakResidentEdges];
+  }
 
   void reset() noexcept { *this = ResourceMeter{}; }
 
-  /// Merge counters from another meter (peak = max of peaks).
+  /// Merge counters from another meter (peak = max of peaks and of the
+  /// combined running count).
   void merge(const ResourceMeter& other) noexcept;
 
-  /// Human-readable one-line summary.
+  /// Human-readable one-line summary: name=value for every counter.
   std::string summary() const;
 
  private:
-  std::size_t rounds_ = 0;
-  std::size_t passes_ = 0;
-  std::size_t stored_edges_ = 0;
-  std::size_t peak_edges_ = 0;
-  std::size_t sketch_words_ = 0;
-  std::size_t messages_ = 0;
-  std::size_t inner_iterations_ = 0;
-  std::size_t oracle_calls_ = 0;
-  std::size_t faults_ = 0;
-  std::size_t max_flows_ = 0;
-  std::size_t max_flows_saved_ = 0;
-  std::size_t gh_full_builds_ = 0;
-  std::size_t gh_incremental_ = 0;
-  std::size_t gh_tree_reuses_ = 0;
-  std::size_t saved_rounds_ = 0;
-  std::size_t saved_passes_ = 0;
-  std::size_t repaired_rows_ = 0;
-  std::size_t io_bytes_ = 0;
-  std::size_t io_stalls_ = 0;
-  std::size_t prefetch_hits_ = 0;
-  std::size_t shuffle_bytes_ = 0;
-  std::size_t resident_edges_ = 0;
-  std::size_t peak_resident_ = 0;
+  /// Gauge pair: raise the running count and lift its peak along.
+  void raise(Counter running, Counter peak, std::uint64_t k) noexcept {
+    c_[running] += k;
+    if (c_[running] > c_[peak]) c_[peak] = c_[running];
+  }
+  void lower(Counter running, std::uint64_t k) noexcept {
+    c_[running] = k > c_[running] ? 0 : c_[running] - k;
+  }
+
+  Counters c_{};
 };
 
 }  // namespace dp

@@ -91,22 +91,6 @@ void exp_batch_libm(const double* x, double* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(x[i]);
 }
 
-void exp_batch(const double* x, double* out, std::size_t n) {
-#if defined(DP_VECTOR_EXP)
-  exp_batch_poly(x, out, n);
-#else
-  exp_batch_libm(x, out, n);
-#endif
-}
-
-bool vectorized_exp() noexcept {
-#if defined(DP_VECTOR_EXP)
-  return true;
-#else
-  return false;
-#endif
-}
-
 DP_SIMD_CLONES
 void fill_scaled_shift(const double* x, double* out, std::size_t n,
                        double alpha, double shift) {

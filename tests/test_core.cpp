@@ -230,10 +230,10 @@ TEST(OddSetSeparation, IncrementalGusfieldAcrossContractionRounds) {
     if (set == std::vector<Vertex>{6, 7, 8}) found_triangle = true;
   }
   EXPECT_TRUE(found_triangle);
-  const SeparationStats s = sep.stats();
-  EXPECT_EQ(s.gh_full_builds, 1u);   // round 1 only
-  EXPECT_GE(s.gh_incremental, 1u);   // round 2 replayed the stamp
-  EXPECT_GT(s.flows_saved, 0u);      // with reused (free) steps
+  const ResourceMeter s = sep.stats();
+  EXPECT_EQ(s.gh_full_builds(), 1u);   // round 1 only
+  EXPECT_GE(s.gh_incremental(), 1u);   // round 2 replayed the stamp
+  EXPECT_GT(s.max_flows_saved(), 0u);  // with reused (free) steps
 }
 
 TEST(OddSetSeparation, SeparatorReuseMatchesFreeFunction) {

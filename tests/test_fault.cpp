@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "access/in_memory.hpp"
@@ -366,15 +367,25 @@ RoundCheckpoint sample_checkpoint() {
                  OddSetVar{0, {1, 3, 5}, 0.0625}};
   ck.history = {RoundStats{1, 0.5, 0.7, 11.0, 40, 8},
                 RoundStats{2, 0.6, 0.75, 12.5, 44, 9}};
-  ck.solve_meter.oracle_calls = 17;
-  ck.solve_meter.inner_iterations = 8;
-  ck.substrate_meter.rounds = 2;
-  ck.substrate_meter.passes = 3;
-  ck.substrate_meter.stored_edges = 0;
-  ck.substrate_meter.peak_edges = 44;
-  ck.substrate_meter.messages = 123;
-  ck.substrate_meter.faults = 1;
+  // Both meters hold 23 distinct counter values that exercise every byte
+  // lane, with running <= peak on both gauges.
+  for (std::uint64_t which = 0; which < 2; ++which) {
+    ResourceMeter::Counters values{};
+    for (std::uint64_t c = 0; c < values.size(); ++c) {
+      values[c] = (c + 1 + 100 * which) << (2 * c);
+    }
+    (which == 0 ? ck.solve_meter : ck.substrate_meter) = ResourceMeter(values);
+  }
   return ck;
+}
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  return h;
 }
 
 TEST(Checkpoint, SerializeDeserializeRoundTrip) {
@@ -412,10 +423,61 @@ TEST(Checkpoint, SerializeDeserializeRoundTrip) {
     EXPECT_EQ(back.history[r].lambda, ck.history[r].lambda);
     EXPECT_EQ(back.history[r].best_value, ck.history[r].best_value);
   }
-  EXPECT_EQ(back.solve_meter.oracle_calls, ck.solve_meter.oracle_calls);
-  EXPECT_EQ(back.substrate_meter.messages, ck.substrate_meter.messages);
-  EXPECT_EQ(back.substrate_meter.peak_edges, ck.substrate_meter.peak_edges);
-  EXPECT_EQ(back.substrate_meter.faults, ck.substrate_meter.faults);
+  EXPECT_EQ(back.solve_meter.counters(), ck.solve_meter.counters());
+  EXPECT_EQ(back.substrate_meter.counters(), ck.substrate_meter.counters());
+}
+
+TEST(Checkpoint, WireFormatIsV4) {
+  // The FNV-1a-64 of sample_checkpoint() as the field-by-field v4 writer
+  // serialized it: a changed layout or counter order fails here.
+  const std::vector<std::uint8_t> bytes = sample_checkpoint().serialize();
+  EXPECT_EQ(RoundCheckpoint::kVersion, 4u);
+  EXPECT_EQ(bytes.size(), 852u);
+  EXPECT_EQ(fnv1a(bytes), 0xb938f8ce25522323ULL);
+}
+
+TEST(Checkpoint, RejectsMeterRunningAbovePeak) {
+  // A checksum-valid checkpoint whose meter holds a running stored or
+  // resident count above its peak cannot come from a solve; deserialize
+  // refuses it instead of resuming with an impossible meter.
+  using M = ResourceMeter;
+  for (const auto& [running, peak] :
+       {std::pair{M::kStoredEdges, M::kPeakEdges},
+        std::pair{M::kResidentEdges, M::kPeakResidentEdges}}) {
+    for (const bool substrate : {false, true}) {
+      const std::string label = std::string(M::kCounterNames[running]) +
+                                (substrate ? " substrate" : " solve");
+      RoundCheckpoint ck = sample_checkpoint();
+      M& meter = substrate ? ck.substrate_meter : ck.solve_meter;
+      M::Counters values{};
+      values[peak] = 5;
+      values[running] = 5;
+      meter = M(values);
+      EXPECT_NO_THROW(RoundCheckpoint::deserialize(ck.serialize())) << label;
+      values[running] = 6;
+      meter = M(values);
+      EXPECT_THROW(RoundCheckpoint::deserialize(ck.serialize()),
+                   CheckpointCorrupt)
+          << label;
+    }
+  }
+}
+
+TEST(Checkpoint, SerializeReservesExactly) {
+  // serialize() reserves the exact wire size up front, so it builds the
+  // payload without ever regrowing (and copying) its buffer.
+  const std::vector<std::uint8_t> sample = sample_checkpoint().serialize();
+  EXPECT_EQ(sample.capacity(), sample.size());
+  SolverOptions opt = base_options();
+  std::size_t checked = 0;
+  opt.on_checkpoint = [&checked](const RoundCheckpoint& ck) {
+    const std::vector<std::uint8_t> bytes = ck.serialize();
+    EXPECT_EQ(bytes.capacity(), bytes.size()) << "round " << ck.next_round;
+    ++checked;
+    return true;
+  };
+  (void)solve_matching(test_graph(), opt);
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(Checkpoint, EveryFlippedByteIsRejected) {
@@ -512,8 +574,8 @@ TEST(Checkpoint, KillAndResumeIsBitwiseIdenticalEverywhere) {
 }
 
 TEST(Checkpoint, ResumeMeterContinuesWhereTheSolveLeftOff) {
-  // Fault-free kill/resume: even the meters (solve + substrate, merged
-  // into the result) must match the uninterrupted run exactly.
+  // Fault-free kill/resume: even the meters (every counter of the solve
+  // and substrate meters) must match the uninterrupted run exactly.
   const Graph g = test_graph();
   access::StreamingSubstrate whole_sub;
   SolverOptions whole_opt = base_options();

@@ -404,18 +404,18 @@ TEST(OutOfCore, KillAndResumeContinuesTheIoMetersExactly) {
   EXPECT_EQ(resumed.status, SolverStatus::kComplete);
 
   // The v4 checkpoint restores the IO accounting: the interrupted +
-  // resumed meters equal the uninterrupted run's. (The hit/stall SPLIT is
-  // timing-dependent by design; their sum — block fetches — is not.)
-  const ResourceMeter& a = whole_sub.meter();
-  const ResourceMeter& b = resumed_sub.meter();
-  EXPECT_EQ(a.rounds(), b.rounds());
-  EXPECT_EQ(a.passes(), b.passes());
-  EXPECT_EQ(a.io_bytes(), b.io_bytes());
+  // resumed meters equal the uninterrupted run's in every counter. (The
+  // hit/stall SPLIT is timing-dependent by design; their sum — block
+  // fetches — is not.)
+  using M = ResourceMeter;
+  const M& a = whole_sub.meter();
+  const M& b = resumed_sub.meter();
+  for (std::size_t c = 0; c < M::kCounterCount; ++c) {
+    if (c == M::kIoStalls || c == M::kPrefetchHits) continue;
+    EXPECT_EQ(a.counters()[c], b.counters()[c]) << M::kCounterNames[c];
+  }
   EXPECT_EQ(a.io_stalls() + a.prefetch_hits(),
             b.io_stalls() + b.prefetch_hits());
-  EXPECT_EQ(a.peak_edges(), b.peak_edges());
-  EXPECT_EQ(a.peak_resident_edges(), b.peak_resident_edges());
-  EXPECT_EQ(a.resident_edges(), b.resident_edges());
   std::remove(path.c_str());
 }
 

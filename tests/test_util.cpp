@@ -1,10 +1,15 @@
-// Tests for the util substrate: RNG, hashing, accounting, math helpers and
-// the thread pool.
+// Tests for the util substrate: RNG, hashing, accounting, math helpers, the
+// SIMD kernels and the thread pool.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -16,6 +21,7 @@
 #include "util/hash.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dp {
@@ -222,12 +228,7 @@ TEST(ResourceMeter, StageAggregationMatchesDirectMetering) {
   total.merge(inner);
   total.release_edges(500);
 
-  EXPECT_EQ(total.rounds(), direct.rounds());
-  EXPECT_EQ(total.passes(), direct.passes());
-  EXPECT_EQ(total.stored_edges(), direct.stored_edges());
-  EXPECT_EQ(total.peak_edges(), direct.peak_edges());
-  EXPECT_EQ(total.inner_iterations(), direct.inner_iterations());
-  EXPECT_EQ(total.oracle_calls(), direct.oracle_calls());
+  EXPECT_EQ(total.counters(), direct.counters());
 }
 
 TEST(ResourceMeter, ReleaseClampsAtZero) {
@@ -427,6 +428,112 @@ TEST(Cancel, StopCheckRanksCancellationOverDeadline) {
   } catch (const SolveAborted& aborted) {
     EXPECT_EQ(aborted.reason(), StopReason::kCancelled);
     EXPECT_NE(std::string(aborted.what()).find("cancel"), std::string::npos);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// util/simd: the exp kernel's accuracy and clamp, and the sweep bodies'
+// bitwise agreement with the scalar loops they replace.
+
+std::vector<std::uint64_t> bit_patterns(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+TEST(Simd, PolyExpWithin64UlpOfLibm) {
+  // A uniform grid over the clamp range, plus runs at 1e-9 spacing around
+  // every reduction boundary (k +- 1/2) ln 2, where the reduced argument
+  // and so the Taylor remainder are largest.
+  std::vector<double> x;
+  constexpr std::size_t kGrid = std::size_t{1} << 20;
+  for (std::size_t i = 0; i <= kGrid; ++i) {
+    x.push_back(-708.0 + 1417.0 * static_cast<double>(i) / kGrid);
+  }
+  for (int k = -1022; k <= 1023; ++k) {
+    for (const double half : {-0.5, 0.5}) {
+      for (int j = -20; j <= 20; ++j) {
+        const double v = (k + half) * std::log(2.0) + j * 1e-9;
+        if (v >= -708.0 && v <= 709.0) x.push_back(v);
+      }
+    }
+  }
+  std::vector<double> poly(x.size());
+  std::vector<double> libm(x.size());
+  simd::exp_batch_poly(x.data(), poly.data(), x.size());
+  simd::exp_batch_libm(x.data(), libm.data(), x.size());
+  // Both outputs are positive normal doubles, whose bit patterns order
+  // like their values: the pattern difference is the ulp distance.
+  const std::vector<std::uint64_t> p = bit_patterns(poly);
+  const std::vector<std::uint64_t> l = bit_patterns(libm);
+  std::uint64_t worst = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    worst = std::max(worst, p[i] > l[i] ? p[i] - l[i] : l[i] - p[i]);
+  }
+  EXPECT_LE(worst, 64u);
+}
+
+TEST(Simd, PolyExpClampsOutsideItsRange) {
+  // x[0] and x[5] are the range ends; the rest lie beyond them.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> x = {-708.0, -708.5, -800.0, -1e300, -inf,
+                                 709.0,  709.5,  800.0,  1e300,  inf};
+  std::vector<double> out(x.size());
+  simd::exp_batch_poly(x.data(), out.data(), x.size());
+  EXPECT_TRUE(std::isnormal(out[0]) && std::isnormal(out[5]));
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+              std::bit_cast<std::uint64_t>(out[i < 5 ? 0 : 5]))
+        << x[i];
+  }
+}
+
+TEST(Simd, PolyExpIsPurePerElement) {
+  // In place, one element at a time or as one batch: the same bits.
+  Rng rng(0x5eed);
+  std::vector<double> x(1031);
+  for (double& v : x) v = rng.uniform_real(-60.0, 60.0);
+  std::vector<double> batch(x.size());
+  simd::exp_batch_poly(x.data(), batch.data(), x.size());
+  std::vector<double> in_place = x;
+  simd::exp_batch_poly(in_place.data(), in_place.data(), in_place.size());
+  std::vector<double> single(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    simd::exp_batch_poly(&x[i], &single[i], 1);
+  }
+  EXPECT_EQ(bit_patterns(in_place), bit_patterns(batch));
+  EXPECT_EQ(bit_patterns(single), bit_patterns(batch));
+}
+
+TEST(Simd, SweepBodiesMatchScalarLoops) {
+  Rng rng(0xd1a);
+  const double alpha = 1.7;
+  const double shift = 0.3;
+  for (const std::size_t n : {0, 1, 7, 1024, 1031}) {
+    std::vector<double> x(n);
+    std::vector<double> num(n);
+    std::vector<double> div(n);
+    std::vector<double> fill_ref(n);
+    std::vector<double> quot_ref(n);
+    double max_ref = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = rng.uniform_real(-5.0, 5.0);
+      num[i] = rng.uniform_real(1e-3, 1e3);  // positive quotients
+      div[i] = rng.uniform_real(0.5, 10.0);
+      fill_ref[i] = -alpha * (x[i] - shift);
+      quot_ref[i] = num[i] / div[i];
+      max_ref = std::max(max_ref, quot_ref[i]);
+    }
+    std::vector<double> fill(n);
+    simd::fill_scaled_shift(x.data(), fill.data(), n, alpha, shift);
+    EXPECT_EQ(bit_patterns(fill), bit_patterns(fill_ref)) << "n=" << n;
+    std::vector<double> quot = num;
+    simd::divide_batch(quot.data(), div.data(), n);
+    EXPECT_EQ(bit_patterns(quot), bit_patterns(quot_ref)) << "n=" << n;
+    std::vector<double> fused = num;
+    const double max = simd::divide_max_positive(fused.data(), div.data(), n);
+    EXPECT_EQ(bit_patterns(fused), bit_patterns(quot_ref)) << "n=" << n;
+    EXPECT_EQ(bit_patterns({max}), bit_patterns({max_ref})) << "n=" << n;
   }
 }
 
