@@ -54,7 +54,7 @@ void MapReduceSubstrate::on_bind() {
   compress_k_ = config_.round_compression == 0 ? 1 : config_.round_compression;
   batch_valid_ = false;
   envelope_.clear();
-  batch_candidates_.clear();
+  batch_bitmaps_.clear();
 }
 
 void MapReduceSubstrate::multiplier_sweep(const SweepKernel& kernel) {
@@ -98,12 +98,13 @@ bool MapReduceSubstrate::cached_draw_valid(const std::vector<double>& prob,
   if (!batch_valid_ || t != batch_t_ || seed != batch_seed_) return false;
   if (round <= batch_base_) return false;
   const std::uint64_t j = round - batch_base_;
-  if (j >= batch_candidates_.size()) return false;
+  if (j >= batch_bitmaps_.size()) return false;
   if (prob.size() != envelope_.size()) return false;
   // Envelope invariant: the pre-draw is a superset of this round's exact
-  // draw only while every probability is still under its envelope.
+  // draw only while every probability is still under its envelope. A
+  // probability at or above 1 draws the full mask, as 1 does.
   for (std::size_t e = 0; e < prob.size(); ++e) {
-    if (prob[e] > envelope_[e]) return false;
+    if (std::min(prob[e], 1.0) > envelope_[e]) return false;
   }
   return true;
 }
@@ -151,10 +152,7 @@ bool MapReduceSubstrate::predraw_batch(const std::vector<double>& prob,
             }
           }
         },
-        [](std::uint64_t key, const std::vector<std::uint64_t>& values,
-           std::vector<mapreduce::KeyValue>& emit) {
-          for (const std::uint64_t idx : values) emit.push_back({key, idx});
-        });
+        mapreduce::emit_support_words);
   } catch (const mapreduce::ReducerMemoryExceeded&) {
     // The envelope over-shipped to some (j, q) reducer: the model refuses
     // the batch. Degrade to per-round draws for the rest of the solve —
@@ -163,16 +161,15 @@ bool MapReduceSubstrate::predraw_batch(const std::vector<double>& prob,
     batch_valid_ = false;
     return false;
   }
-  // Candidate union per round-in-batch (dedupe across sparsifier bits);
-  // adopt_cached re-evaluates each candidate's exact mask locally.
-  batch_candidates_.assign(k, {});
+  // Candidate bitmap per round-in-batch j: the OR of the support words of
+  // its (j, q) reducers, so an edge drawn by several sparsifiers is one
+  // bit. adopt_cached reads it ascending and re-evaluates each candidate's
+  // exact mask locally.
+  const std::size_t words = (prob.size() + 63) / 64;
+  batch_bitmaps_.assign(k, std::vector<std::uint64_t>(words, 0));
   for (const mapreduce::KeyValue& kv : output) {
-    batch_candidates_[kv.key / 64].push_back(
-        static_cast<std::uint32_t>(kv.value));
-  }
-  for (std::vector<std::uint32_t>& cand : batch_candidates_) {
-    std::sort(cand.begin(), cand.end());
-    cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
+    const mapreduce::SupportWord w = mapreduce::decode_support_word(kv);
+    batch_bitmaps_[w.group / 64][w.word] |= w.bits;
   }
   meter_.add_pass();  // the batch's mappers read the input once
   charge_shard_draw();
@@ -192,14 +189,20 @@ const core::SamplingRound& MapReduceSubstrate::adopt_cached(
   // Exact local filter: the candidates are a bitwise superset of this
   // round's draw (mask monotone in p), so re-evaluating each candidate's
   // mask at its ACTUAL probability reproduces SamplingEngine::draw's
-  // supports exactly — candidates ascend, so the supports do too.
-  for (const std::uint32_t idx : batch_candidates_[j]) {
-    std::uint64_t mask = core::sampling_mask(round_rng, t, idx, prob[idx]);
-    while (mask != 0) {
-      supports_scratch_[static_cast<std::size_t>(__builtin_ctzll(mask))]
-          .push_back(idx);
-      mask &= mask - 1;
-      ++stored_total;
+  // supports exactly — the bitmap is read ascending, so the supports
+  // ascend too.
+  const std::vector<std::uint64_t>& bitmap = batch_bitmaps_[j];
+  for (std::size_t word = 0; word < bitmap.size(); ++word) {
+    for (std::uint64_t bits = bitmap[word]; bits != 0; bits &= bits - 1) {
+      const auto idx =
+          static_cast<std::uint32_t>(word * 64 + std::countr_zero(bits));
+      std::uint32_t mask = core::sampling_mask(round_rng, t, idx, prob[idx]);
+      while (mask != 0) {
+        supports_scratch_[static_cast<std::size_t>(std::countr_zero(mask))]
+            .push_back(idx);
+        mask &= mask - 1;
+        ++stored_total;
+      }
     }
   }
   if (j > 0) {
@@ -211,7 +214,7 @@ const core::SamplingRound& MapReduceSubstrate::adopt_cached(
     meter_.add_saved_passes(1);
   }
   meter_.store_edges(stored_total);
-  if (j + 1 >= batch_candidates_.size()) batch_valid_ = false;  // exhausted
+  if (j + 1 >= batch_bitmaps_.size()) batch_valid_ = false;  // exhausted
   return engine_.adopt_supports(prob.size(), t, supports_scratch_);
 }
 

@@ -17,6 +17,15 @@
 // of the totals on the main meter (never merged into it — the simulator
 // already charges the totals there).
 //
+// Reducer output: every reducer returns its sparsifier support as bitmap
+// words (mapreduce::emit_support_words) — one record per 64-index word
+// that holds a member, key (reducer key << 32) | word, value the word's
+// bits. This is safe for the model's accounting: the meters count mapper
+// emissions (the shuffle) and fault re-fetches, never reducer output, and
+// the words are read only to rebuild the round's supports (sample_round)
+// or a batch's candidate bitmaps (below). Results, meters and checkpoints
+// do not depend on it.
+//
 // Round compression (paper Section 4.2): with Config::round_compression =
 // k > 1, ONE simulator round pre-draws the counter-based masks of the next
 // k sampling rounds at an ENVELOPE probability min(1, boost * p). Because
@@ -24,14 +33,18 @@
 // subset of mask(p') whenever p <= p'), each later round filters its
 // cached candidate set with its EXACT probabilities locally — zero
 // additional simulator rounds, bitwise identical supports — as long as the
-// actual probabilities stay under the envelope (validated per round; a
-// violation just starts a fresh batch). The reducer cap applies to every
+// actual probabilities (capped at 1, which already draws every bit) stay
+// under the envelope (validated per round; a violation just starts a
+// fresh batch). The reducer cap applies to every
 // (round-in-batch, sparsifier) key of the batch round, so compression
 // cannot smuggle space past the model: a cap violation during the
 // pre-draw falls back to per-round draws and disables compression for the
 // rest of the solve. Saved simulator rounds/passes land on the meter as
 // saved_rounds/saved_passes, making simulator rounds < outer rounds
-// directly observable.
+// directly observable. The words of the batch round's (j, q) reducers
+// are ORed into one candidate bitmap per round-in-batch j and read
+// ascending: an edge drawn by several sparsifiers is one bit, so no sort
+// is needed to deduplicate the candidates.
 
 #include <cstdint>
 #include <memory>
@@ -146,7 +159,8 @@ class MapReduceSubstrate final : public Substrate {
   std::size_t batch_t_ = 0;
   std::uint64_t batch_seed_ = 0;
   std::vector<double> envelope_;  // pre-draw probabilities (batch base)
-  std::vector<std::vector<std::uint32_t>> batch_candidates_;  // per j
+  // Per round-in-batch j: bitmap of the pre-drawn candidate indices.
+  std::vector<std::vector<std::uint64_t>> batch_bitmaps_;
   std::vector<std::vector<std::uint32_t>> supports_scratch_;
 };
 

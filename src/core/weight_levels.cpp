@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
+
+#include "util/error.hpp"
 
 namespace dp::core {
 
@@ -27,6 +30,13 @@ LevelGraph::LevelGraph(const Graph& g, const Capacities& b, double eps)
   int max_level = 0;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     const double w = g.edge(e).w;
+    // A NaN or infinite weight has no level (and would poison W*, the
+    // scale and the certificate): reject it rather than guess.
+    if (!std::isfinite(w)) {
+      throw ConfigError("LevelGraph: weight of edge " + std::to_string(e) +
+                            " is not finite",
+                        {"core.levels"});
+    }
     if (w < scale_ || w <= 0) continue;  // dropped: below W*/B
     // Level k with scale * (1+eps)^k <= w; epsilon guard for exact powers.
     const int k = static_cast<int>(

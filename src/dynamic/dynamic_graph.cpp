@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <map>
 
 #include "util/error.hpp"
@@ -66,6 +67,10 @@ DeltaSummary DynamicGraph::apply(const EdgeDelta& delta) {
   for (const EdgeInsert& e : nd.inserts) {
     if (e.v >= n_) {
       throw ConfigError("delta insert endpoint out of range",
+                        {"dynamic.apply", generation_ + 1});
+    }
+    if (!std::isfinite(e.w)) {
+      throw ConfigError("delta insert weight is not finite",
                         {"dynamic.apply", generation_ + 1});
     }
   }

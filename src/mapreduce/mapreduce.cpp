@@ -122,21 +122,23 @@ std::vector<KeyValue> Simulator::round(
     meter_->add_shuffle_bytes(shuffle_volume * sizeof(KeyValue));
   }
 
+  // Keys ascending: the reducers' deterministic order, and the cap check's
+  // too — so a violation names the smallest offending key whatever order
+  // the hash table yields them in.
+  std::vector<std::uint64_t> keys;
+  keys.reserve(grouped.size());
+  for (const auto& [key, values] : grouped) keys.push_back(key);
+  std::sort(keys.begin(), keys.end());
   if (config_.reducer_memory > 0) {
-    for (const auto& [key, values] : grouped) {
-      if (values.size() > config_.reducer_memory) {
-        throw ReducerMemoryExceeded(key, values.size(),
-                                    config_.reducer_memory);
+    for (const std::uint64_t key : keys) {
+      const std::size_t got = grouped.at(key).size();
+      if (got > config_.reducer_memory) {
+        throw ReducerMemoryExceeded(key, got, config_.reducer_memory);
       }
     }
   }
 
   // ---- Reduce phase: parallel over keys. ----
-  std::vector<std::uint64_t> keys;
-  keys.reserve(grouped.size());
-  for (const auto& [key, values] : grouped) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());  // deterministic order
-
   // Each key is ONE retriable task (FaultSite::kReducerTask). A retried
   // reducer re-fetches its grouped input from the shuffle fabric, so every
   // failed attempt re-charges the task's input volume as messages. Same
@@ -188,11 +190,30 @@ std::vector<KeyValue> Simulator::round(
     if (red_errors[i] != nullptr) std::rethrow_exception(red_errors[i]);
   }
 
+  std::size_t emitted = 0;
+  for (const auto& r : reduced) emitted += r.size();
   std::vector<KeyValue> output;
+  output.reserve(emitted);
   for (const auto& r : reduced) {
     output.insert(output.end(), r.begin(), r.end());
   }
   return output;
+}
+
+void emit_support_words(std::uint64_t group,
+                        const std::vector<std::uint64_t>& indices,
+                        std::vector<KeyValue>& emit) {
+  std::uint64_t word = 0;
+  std::uint64_t bits = 0;
+  for (const std::uint64_t idx : indices) {
+    if (bits != 0 && idx / 64 != word) {
+      emit.push_back({(group << 32) | word, bits});
+      bits = 0;
+    }
+    word = idx / 64;
+    bits |= std::uint64_t{1} << (idx % 64);
+  }
+  if (bits != 0) emit.push_back({(group << 32) | word, bits});
 }
 
 std::vector<std::vector<std::uint32_t>> sample_round(
@@ -226,20 +247,21 @@ std::vector<std::vector<std::uint32_t>> sample_round(
           }
         }
       },
-      [](std::uint64_t key, const std::vector<std::uint64_t>& values,
-         std::vector<KeyValue>& emit) {
-        for (std::uint64_t idx : values) emit.push_back({key, idx});
-      });
+      emit_support_words);
 
+  // Reducer q's words follow reducer q-1's, each ascending: decoding in
+  // output order appends every support's members in ascending order.
   std::vector<std::vector<std::uint32_t>> supports(t);
   std::size_t stored_total = 0;
   for (const KeyValue& kv : output) {
-    supports[kv.key].push_back(static_cast<std::uint32_t>(kv.value));
-    ++stored_total;
+    const SupportWord w = decode_support_word(kv);
+    std::vector<std::uint32_t>& support = supports[w.group];
+    for (std::uint64_t bits = w.bits; bits != 0; bits &= bits - 1) {
+      support.push_back(
+          static_cast<std::uint32_t>(w.word * 64 + std::countr_zero(bits)));
+    }
+    stored_total += static_cast<std::size_t>(std::popcount(w.bits));
   }
-  // Shards are contiguous and each mapper emits in shard order, so the
-  // grouped values already ascend; the sort is a cheap guarantee.
-  for (auto& s : supports) std::sort(s.begin(), s.end());
   if (meter != nullptr) {
     meter->add_pass();
     meter->store_edges(stored_total);

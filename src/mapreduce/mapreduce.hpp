@@ -10,7 +10,9 @@
 // reducers in parallel on a thread pool for physical speed.
 //
 // Values are 64-bit words (enough for edge ids / packed edges / sketch
-// words); richer payloads pack into multiple words.
+// words); richer payloads pack into multiple words. Reducers that return a
+// sparsifier support pack it into bitmap words (emit_support_words /
+// decode_support_word below).
 //
 // Fault tolerance (util/fault): with a FaultPlan in Config, individual
 // mapper-shard and reducer tasks fail deterministically (FaultSite::
@@ -72,12 +74,16 @@ class Simulator {
   ///
   /// * `input` is sharded contiguously across machines.
   /// * `mapper(shard, emit)` runs once per machine over its shard.
-  /// * `reducer(key, values, emit)` runs once per distinct key.
+  /// * `reducer(key, values, emit)` runs once per distinct key. `values`
+  ///   arrive in shard order, and within a shard in emission order.
   ///
-  /// Returns all reducer emissions. Counts one round and |shuffle| messages
-  /// (plus the same volume in bytes — each shuffled record is one fixed
-  /// 16-byte KeyValue — via add_shuffle_bytes, including wasted and
-  /// re-fetched fault traffic).
+  /// Keys are checked against the reducer cap in ascending order, so a
+  /// violation names the smallest offending key. Returns all reducer
+  /// emissions, reducer by reducer in ascending key order. Counts one
+  /// round and |shuffle| messages (plus the same volume in bytes — each
+  /// shuffled record is one fixed 16-byte KeyValue — via
+  /// add_shuffle_bytes, including wasted and re-fetched fault traffic).
+  /// Reducer emissions are not metered.
   std::vector<KeyValue> round(
       const std::vector<KeyValue>& input,
       const std::function<void(const std::vector<KeyValue>&,
@@ -104,13 +110,39 @@ class Simulator {
   RetryPolicy retry_;
 };
 
+/// One decoded support word: the members of `group`'s support among the
+/// indices [64 word, 64 word + 64).
+struct SupportWord {
+  std::uint64_t group;  // the emitting reducer's key
+  std::uint64_t word;   // index / 64
+  std::uint64_t bits;   // bit b set: index 64 word + b is a member
+};
+
+/// Reducer that returns the support `indices` of reducer key `group` as
+/// bitmap words: one KeyValue per 64-index word holding at least one
+/// member, key (group << 32) | word, value the word's bits. Words come
+/// out ascending when `indices` ascend — which the shuffle guarantees
+/// whenever the mappers walk their contiguous shards in order. Requires
+/// group < 2^32 and indices < 2^38. Usable directly as a round's reducer.
+void emit_support_words(std::uint64_t group,
+                        const std::vector<std::uint64_t>& indices,
+                        std::vector<KeyValue>& emit);
+
+/// Inverse of emit_support_words for one emitted record.
+inline SupportWord decode_support_word(const KeyValue& kv) noexcept {
+  return {kv.key >> 32, kv.key & 0xffffffffu, kv.value};
+}
+
 /// One deferred-sampling round executed as a single MapReduce round: mappers
 /// evaluate the counter-based inclusion mask of each edge in their shard
 /// (core/sampling's sampling_mask — the same pure function of
 /// (seed, round, q, edge) the in-memory SamplingEngine sweeps), emitting
-/// (sparsifier q, edge index) pairs; reducer q collects sparsifier q's
-/// support. Returns the t supports, each ascending — bitwise identical to
-/// SamplingEngine::draw / draw_stream on the same (prob, t, round, seed).
+/// (sparsifier q, edge index) pairs; reducer q returns sparsifier q's
+/// support as support words. The reducers run in ascending q and each
+/// emits its words ascending, so decoding the round's output in order
+/// rebuilds every support ascending, with no sort. Returns the t supports
+/// — bitwise identical to SamplingEngine::draw / draw_stream on the same
+/// (prob, t, round, seed).
 ///
 /// `meter` (typically the simulator's) is charged one pass (the mappers
 /// collectively read the input once) and the stored incidences, mirroring

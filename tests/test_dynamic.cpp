@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -108,6 +109,19 @@ TEST(Dynamic, ApplyRejectsOutOfRangeEndpointsTyped) {
   EXPECT_THROW(dg.apply(d), ConfigError);
   EXPECT_EQ(dg.generation(), 0u);  // nothing applied
   EXPECT_EQ(dg.num_live_edges(), 4u);
+}
+
+TEST(Dynamic, ApplyRejectsNonFiniteInsertWeightTyped) {
+  for (const double w : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    DynamicGraph dg(tiny_graph());
+    EdgeDelta d;
+    d.inserts.push_back({3, 5, w});
+    EXPECT_THROW(dg.apply(d), ConfigError) << w;
+    EXPECT_EQ(dg.generation(), 0u) << w;  // nothing applied
+    EXPECT_EQ(dg.num_live_edges(), 4u) << w;
+  }
 }
 
 TEST(Dynamic, MaterializeGenerationZeroIsTheBaseGraph) {
@@ -424,6 +438,27 @@ TEST(Dynamic, ResolveFallsBackOnConfigurationChange) {
   EXPECT_GT(r.value, 0.0);
 }
 
+TEST(Dynamic, ResolveRejectsNonFiniteWeightTyped) {
+  const Graph pre = resolve_graph();
+  const core::SolverResult cold = core::solve_matching(pre, resolve_options());
+  ASSERT_NE(cold.warm, nullptr);
+  for (const double w : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    // A post-delta graph built directly (DynamicGraph::apply refuses the
+    // reweight): edge 7 reweighted to w.
+    std::vector<Edge> edges = pre.edges();
+    edges[7].w = w;
+    const Graph post(pre.num_vertices(), std::move(edges));
+    EdgeDelta delta;
+    delta.inserts.push_back({post.edge(7).u, post.edge(7).v, w});
+    core::SolverOptions ropt = resolve_options();
+    ropt.graph_generation = 1;
+    core::Solver solver(post, ropt);
+    EXPECT_THROW(solver.resolve(*cold.warm, delta), ConfigError) << w;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Stale checkpoints: typed rejection at the solver layer.
 
@@ -540,6 +575,35 @@ TEST(Dynamic, ServiceAppliesDeltasAndResolvesWarm) {
   EXPECT_EQ(st.deltas_applied, 1u);
   EXPECT_EQ(st.resolves_warm, 1u);
   EXPECT_EQ(st.resolves_scratch, 0u);
+}
+
+TEST(Dynamic, ServiceRejectsNonFiniteInsertTyped) {
+  serve::ServiceOptions sopt;
+  sopt.workers = 1;
+  sopt.solver = resolve_options();
+  serve::MatchingService svc(sopt);
+  const std::size_t snap = svc.add_snapshot(tiny_graph());
+
+  serve::Request bad;
+  bad.type = serve::RequestType::kApplyDelta;
+  bad.snapshot = snap;
+  auto nan_insert = std::make_shared<EdgeDelta>();
+  nan_insert->inserts.push_back(
+      {3, 5, std::numeric_limits<double>::quiet_NaN()});
+  bad.delta = nan_insert;
+  const serve::Response rejected = svc.submit(bad).wait();
+  EXPECT_EQ(rejected.status, serve::ResponseStatus::kError);
+  EXPECT_NE(rejected.detail.find("not finite"), std::string::npos)
+      << rejected.detail;
+
+  // The snapshot kept its generation: the next valid batch is the first.
+  serve::Request good = bad;
+  auto finite_insert = std::make_shared<EdgeDelta>();
+  finite_insert->inserts.push_back({3, 5, 1.5});
+  good.delta = finite_insert;
+  const serve::Response applied = svc.submit(good).wait();
+  ASSERT_EQ(applied.status, serve::ResponseStatus::kOk);
+  EXPECT_EQ(applied.generation, 1u);
 }
 
 TEST(Dynamic, ServiceResolveWithoutWarmHandleFallsBackToFullSolve) {

@@ -570,5 +570,33 @@ TEST(OutOfCore, RoundCompressionExecutesFewerSimulatorRounds) {
   }
 }
 
+// The model's accounting of one fixed compressed solve, pinned: shuffle
+// traffic is what the mappers emit (plus fault re-fetches), never what the
+// reducers return, so no change to the reducer output format may move
+// these counts. Boost 1.3 keeps the envelopes below 1 (so the supports
+// are genuinely sampled), and one round outgrows its envelope: the solve
+// runs cached rounds and an early fresh batch. The counts follow the
+// solve's trajectory, so a libm that moves the trajectory moves them too.
+TEST(OutOfCore, CompressedSolveModelAccountingIsPinned) {
+  const Graph g = dense_graph();
+  access::MapReduceSubstrate::Config config;
+  config.round_compression = 3;
+  config.compression_boost = 1.3;
+  access::MapReduceSubstrate compressed(config);
+  SolverOptions opt = base_options();
+  opt.eps = 0.25;
+  opt.max_outer_rounds = 8;
+  opt.substrate = &compressed;
+  const SolverResult run = solve_matching(g, opt);
+  const ResourceMeter& meter = compressed.meter();
+  ASSERT_EQ(run.outer_rounds, 8u);
+  EXPECT_EQ(meter.messages(), 739071u);
+  EXPECT_EQ(meter.shuffle_bytes(), 11825136u);
+  EXPECT_EQ(meter.rounds(), 4u);
+  EXPECT_EQ(meter.passes(), 4u);
+  EXPECT_EQ(meter.saved_rounds(), 4u);
+  EXPECT_EQ(meter.saved_passes(), 4u);
+}
+
 }  // namespace
 }  // namespace dp::core

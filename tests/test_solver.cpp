@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include "baselines/baselines.hpp"
 #include "core/solver.hpp"
 #include "graph/generators.hpp"
@@ -103,6 +107,30 @@ TEST(Solver, EmptyAndTinyGraphs) {
   // The certificate carries the (1+eps) discretization and eps*W*/2
   // dropped-mass slack even on a one-edge graph.
   EXPECT_GE(one.certified_ratio, 1.0 - 4.0 * 0.05);
+}
+
+TEST(Solver, NonFiniteWeightIsATypedConfigError) {
+  // A NaN or infinite weight has no level and no meaningful certificate:
+  // the solve refuses the instance typed instead of reporting a ratio.
+  Graph base = gen::gnm(60, 400, 17);
+  gen::weight_uniform(base, 1.0, 16.0, 18);
+  SolverOptions opt = fast_options(0.2);
+  opt.max_outer_rounds = 4;
+  for (const double w : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    std::vector<Edge> edges = base.edges();
+    edges[7].w = w;
+    const Graph g(base.num_vertices(), std::move(edges));
+    try {
+      solve_matching(g, opt);
+      ADD_FAILURE() << "expected ConfigError for weight " << w;
+    } catch (const ConfigError& err) {
+      EXPECT_EQ(err.context().site, "core.levels") << w;
+      EXPECT_NE(std::string(err.what()).find("edge 7 "), std::string::npos)
+          << err.what();
+    }
+  }
 }
 
 TEST(Solver, SamplingDeterministicAcrossThreadCounts) {

@@ -5,10 +5,13 @@
 
 #include <functional>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "access/mapreduce.hpp"
 #include "core/sampling.hpp"
+#include "core/weight_levels.hpp"
 #include "graph/generators.hpp"
 #include "mapreduce/mapreduce.hpp"
 #include "sparsify/deferred.hpp"
@@ -224,6 +227,68 @@ TEST(SamplingEngine, MapReduceRoundMatchesEngine) {
   EXPECT_EQ(meter.stored_edges(), stored_total);
 }
 
+// Reducers return supports as 64-index bitmap words, and the compressed
+// pre-draw ORs the words of every (round-in-batch, sparsifier) reducer into
+// one bitmap per round. Retained counts on both sides of a word boundary,
+// one word and several, must still give SamplingEngine::draw's round
+// bitwise — on cached rounds, on fresh batches, and through sample_round.
+TEST(MapReduce, SupportWordsMatchEngineAtWordBoundaries) {
+  const double cycle[] = {0.0, 1e-3, 0.3, 1.0, 2.0};
+  const std::uint64_t seed = 77;
+  for (const std::size_t m : {1, 63, 64, 65, 200}) {
+    // Unit weights: every edge is retained, so retained index = edge id.
+    const Graph g = gen::gnm(30, m, 40 + m);
+    ASSERT_EQ(g.num_edges(), m);
+    const core::LevelGraph lg(g, Capacities(g.num_vertices(), 1), 0.2);
+    for (const std::size_t t : {1, 8, 32}) {
+      const std::string label =
+          "m=" + std::to_string(m) + " t=" + std::to_string(t);
+      access::MapReduceSubstrate::Config config;
+      config.round_compression = 3;
+      config.threads = 2;
+      access::MapReduceSubstrate sub(config);
+      sub.bind(g, lg, nullptr, 64);
+      ASSERT_EQ(sub.num_retained(), m) << label;
+      mapreduce::Config sim_config;
+      sim_config.threads = 2;
+      mapreduce::Simulator sim(sim_config);
+      core::SamplingEngine engine;
+      std::vector<double> prob(m);
+      for (std::uint64_t round = 0; round < 6; ++round) {
+        // Scaling every probability by 5 at round 4 leaves the boost-4
+        // envelope of the batch drawn at round 3: a fresh batch starts.
+        const double scale = round >= 4 ? 5.0 : 1.0;
+        for (std::size_t e = 0; e < m; ++e) prob[e] = cycle[e % 5] * scale;
+        const core::SamplingRound& want = engine.draw(prob, t, round, seed);
+        const core::SamplingRound& got = sub.draw(prob, t, round, seed);
+        EXPECT_EQ(got.masks(), want.masks()) << label << " round " << round;
+        EXPECT_EQ(got.union_support(), want.union_support())
+            << label << " round " << round;
+        EXPECT_EQ(got.stored_total(), want.stored_total())
+            << label << " round " << round;
+
+        const auto supports =
+            mapreduce::sample_round(sim, prob, t, round, seed);
+        ASSERT_EQ(supports.size(), t) << label;
+        std::size_t stored_total = 0;
+        for (std::size_t q = 0; q < t; ++q) {
+          EXPECT_EQ(supports[q], want.sparsifier(q))
+              << label << " round " << round << " q=" << q;
+          stored_total += supports[q].size();
+        }
+        EXPECT_EQ(stored_total, want.stored_total())
+            << label << " round " << round;
+      }
+      // Batches drawn at rounds 0, 3 and 4; a lone zero-probability edge
+      // never leaves its envelope, so there round 4 rides the batch of 3.
+      EXPECT_TRUE(sub.compression_active()) << label;
+      EXPECT_EQ(sub.simulator_rounds(), m == 1 ? 2u : 3u) << label;
+      EXPECT_EQ(sub.meter().rounds() + sub.meter().saved_rounds(), 6u)
+          << label;
+    }
+  }
+}
+
 TEST(SamplingEngine, SaturatedAndZeroProbabilities) {
   std::vector<double> prob{1.0, 0.0, 0.5, 2.0, -1.0};
   core::SamplingEngine engine;
@@ -292,6 +357,40 @@ TEST(MapReduce, ReducerMemoryCapEnforced) {
     EXPECT_NE(dynamic_cast<const ConfigError*>(&err), nullptr);
     EXPECT_NE(dynamic_cast<const SolverError*>(&err), nullptr);
     EXPECT_EQ(err.context().site, fault_site_name(FaultSite::kReducerTask));
+  }
+}
+
+TEST(MapReduce, ReducerCapErrorNamesTheSmallestViolatingKey) {
+  using mapreduce::KeyValue;
+  // Two keys over the cap, shuffled in either order: the check walks the
+  // keys ascending, so the error names key 3 both times.
+  for (const std::vector<std::uint64_t>& order :
+       {std::vector<std::uint64_t>{9, 3}, std::vector<std::uint64_t>{3, 9}}) {
+    mapreduce::Config config;
+    config.machines = 1;
+    config.reducer_memory = 2;
+    mapreduce::Simulator sim(config);
+    std::vector<KeyValue> input;
+    for (const std::uint64_t key : order) {
+      for (std::uint64_t i = 0; i < 3; ++i) input.push_back({key, i});
+    }
+    const std::string label = "keys shuffled as {" +
+                              std::to_string(order[0]) + ", " +
+                              std::to_string(order[1]) + "}";
+    try {
+      sim.round(
+          input,
+          [](const std::vector<KeyValue>& shard, std::vector<KeyValue>& emit) {
+            for (const KeyValue& kv : shard) emit.push_back(kv);
+          },
+          [](std::uint64_t, const std::vector<std::uint64_t>&,
+             std::vector<KeyValue>&) {});
+      ADD_FAILURE() << "expected ReducerMemoryExceeded, " << label;
+    } catch (const mapreduce::ReducerMemoryExceeded& err) {
+      EXPECT_NE(std::string(err.what()).find("reducer for key 3 "),
+                std::string::npos)
+          << label << ": " << err.what();
+    }
   }
 }
 

@@ -79,15 +79,20 @@ TEST(Substrate, SolverBitwiseIdenticalAcrossSubstratesAndThreads) {
     access::InMemorySubstrate in_memory;
     access::StreamingSubstrate streaming;
     access::MapReduceSubstrate map_reduce;
+    access::MapReduceSubstrate::Config compressed_config;
+    compressed_config.round_compression = 3;
+    access::MapReduceSubstrate compressed(compressed_config);
     access::Substrate* const substrates[] = {&in_memory, &streaming,
-                                             &map_reduce};
+                                             &map_reduce, &compressed};
     for (access::Substrate* sub : substrates) {
       SolverOptions opt = base_options();
       opt.oracle.threads = threads;
       opt.substrate = sub;
       const SolverResult run = solve_matching(g, opt);
-      const std::string label = std::string(sub->name()) + " threads=" +
-                                std::to_string(threads);
+      const std::string label =
+          std::string(sub->name()) +
+          (sub == &compressed ? " compression=3" : "") +
+          " threads=" + std::to_string(threads);
       expect_same_result(ref, run, label.c_str());
     }
   }
@@ -210,22 +215,30 @@ TEST(Substrate, MapReduceMetersOneSimulatorRoundPerSamplingRound) {
 
 TEST(Substrate, MeterThreadCountInvariantPerSubstrate) {
   const Graph g = test_graph();
-  for (const bool use_streaming : {false, true}) {
+  for (const std::size_t kind : {0, 1, 2}) {
     std::vector<std::string> meters;
+    std::string name;
     for (const std::size_t threads : {1, 2, 8}) {
       access::InMemorySubstrate in_memory;
       access::StreamingSubstrate streaming;
-      access::Substrate* sub =
-          use_streaming ? static_cast<access::Substrate*>(&streaming)
-                        : &in_memory;
+      // Compressed MapReduce, with the simulator's own pool sized to the
+      // thread count as well.
+      access::MapReduceSubstrate::Config config;
+      config.round_compression = 3;
+      config.threads = threads;
+      access::MapReduceSubstrate map_reduce(config);
+      access::Substrate* const substrates[] = {&in_memory, &streaming,
+                                               &map_reduce};
+      access::Substrate* const sub = substrates[kind];
+      name = sub->name();
       SolverOptions opt = base_options();
       opt.oracle.threads = threads;
       opt.substrate = sub;
       solve_matching(g, opt);
       meters.push_back(sub->meter().summary());
     }
-    EXPECT_EQ(meters[1], meters[0]);
-    EXPECT_EQ(meters[2], meters[0]);
+    EXPECT_EQ(meters[1], meters[0]) << name;
+    EXPECT_EQ(meters[2], meters[0]) << name;
   }
 }
 
