@@ -260,7 +260,9 @@ RoundCheckpoint RoundCheckpoint::deserialize(
   const std::uint64_t xi_count = in.count(8);
   ck.xi.reserve(xi_count);
   for (std::uint64_t i = 0; i < xi_count; ++i) ck.xi.push_back(in.f64());
-  const std::uint64_t set_count = in.count(0);
+  // Each odd set takes at least 20 bytes: level i32, value f64 and its
+  // member count u64.
+  const std::uint64_t set_count = in.count(20);
   ck.odd_sets.reserve(set_count);
   for (std::uint64_t i = 0; i < set_count; ++i) {
     OddSetVar var;

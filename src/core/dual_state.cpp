@@ -28,25 +28,17 @@ DualState::DualState(std::size_t n, int num_levels)
   xik_.reset(n * static_cast<std::size_t>(num_levels));
 }
 
-double DualState::cover_row(Vertex i, Vertex j, int k) const {
-  double row = x(i, k) + x(j, k);
+double DualState::add_set_terms_at(double row, Vertex i, int k,
+                                   Vertex j) const {
   // Per-level odd-set families are disjoint within one oracle output but may
   // overlap across outputs; iterate i's sets and test j's membership.
-  const auto& at_i = sets_at_[i];
-  for (std::uint32_t s : at_i) {
+  for (std::uint32_t s : sets_at_[i]) {
     const OddSetVar& var = sets_[s];
     if (var.level > k) continue;
-    if (std::binary_search(var.members.begin(), var.members.end(), j)) {
+    if (j == kAnyPartner ||
+        std::binary_search(var.members.begin(), var.members.end(), j)) {
       row += var.value * scale_;
     }
-  }
-  return row;
-}
-
-double DualState::po_row(Vertex i, int k) const {
-  double row = 2.0 * x(i, k);
-  for (std::uint32_t s : sets_at_[i]) {
-    if (sets_[s].level <= k) row += sets_[s].value * scale_;
   }
   return row;
 }

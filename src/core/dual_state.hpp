@@ -57,10 +57,27 @@ class DualState {
   double x_max(Vertex i) const noexcept { return xi_[i] * scale_; }
 
   /// Covering row value for edge (i, j) at level k (see file comment).
-  double cover_row(Vertex i, Vertex j, int k) const;
+  double cover_row(Vertex i, Vertex j, int k) const {
+    return add_set_terms(x(i, k) + x(j, k), i, k, j);
+  }
 
   /// Outer packing row for (i, k): 2 x_i(k) + z-sum over sets containing i.
-  double po_row(Vertex i, int k) const;
+  double po_row(Vertex i, int k) const {
+    return add_set_terms(2.0 * x(i, k), i, k);
+  }
+
+  /// `add_set_terms` partner meaning "every set of i counts".
+  static constexpr Vertex kAnyPartner = ~Vertex{0};
+
+  /// Continues a row sum past its x part with the odd-set terms: adds the
+  /// effective z_{U,l}, l <= k, of each set U holding i, in i's membership
+  /// order, keeping only sets that also hold `j` unless j is kAnyPartner.
+  /// cover_row and po_row are this applied to their x part, so a caller
+  /// that caches x values rounds exactly as they do.
+  double add_set_terms(double row, Vertex i, int k,
+                       Vertex j = kAnyPartner) const {
+    return sets_at_[i].empty() ? row : add_set_terms_at(row, i, k, j);
+  }
 
   /// Dual objective sum b_i x_i + sum floor(||U||_b/2) z_{U,l}.
   double objective(const Capacities& b) const;
@@ -116,6 +133,7 @@ class DualState {
 
  private:
   void add_odd_set(const OddSetVar& var, double factor);
+  double add_set_terms_at(double row, Vertex i, int k, Vertex j) const;
 
   std::size_t n_;
   int levels_;

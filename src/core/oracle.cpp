@@ -5,35 +5,40 @@
 
 namespace dp::core {
 
-/// Reusable flat scratch for one oracle instance. Dense buffers are sized
-/// n*L once and cleared in O(touched) between invocations; vectors keep
-/// their capacity across calls so the steady state allocates nothing.
+/// Reusable flat scratch for one oracle instance. Vectors keep their
+/// capacity across calls so the steady state allocates nothing.
 struct MicroOracle::Scratch {
-  /// Step 1's per-row us sums: a dense n*L accumulator plus the bitset of
-  /// touched rows, both all-zero between invocations (the drain resets
-  /// every touched slot).
+  /// Step 1 of the current sample (prepare): per-row us sums indexed by
+  /// table position, sum wHat_k us, and the levels holding stored edges,
+  /// descending.
   std::vector<double> row_sum;
-  KeyBitset rows;
-  std::vector<std::uint64_t> sum_keys;  // key-sorted distinct (i,k) rows
-  std::vector<double> sum_vals;         // summed us per row
-  std::vector<std::uint64_t> pos_keys;  // sorted keys with A_i(k) > 0
-  std::vector<double> pos_a;            // A_i(k) per pos entry
-  std::vector<double> pos_sum;          // sum_us per pos entry (Step 9)
-  std::vector<double> pref;             // in-run exclusive prefix of w*A
-  std::vector<double> suf;              // in-run inclusive suffix of A
-  std::vector<double> run_pref_total;   // full w*A sum per run
-  std::vector<std::size_t> run_start;   // run r = [run_start[r], run_start[r+1])
+  double usc = 0.0;
+  std::vector<int> active_levels;
+  std::vector<char> has_level;           // level -> holds stored edges
+  std::vector<std::uint32_t> pos_row;    // table positions with A_i(k) > 0
+  std::vector<double> pos_a;             // A_i(k) per pos entry
+  std::vector<double> pos_sum;           // sum_us per pos entry (Step 9)
+  std::vector<double> pref;              // in-run exclusive prefix of w*A
+  std::vector<double> suf;               // in-run inclusive suffix of A
+  std::vector<double> run_pref_total;    // full w*A sum per run
+  std::vector<std::size_t> run_start;    // run r = [run_start[r], run_start[r+1])
   struct Viol {
     int kstar = -1;
     double delta = 0.0;
   };
-  std::vector<Viol> viol;       // per-run violation slot
-  std::vector<char> has_level;  // level -> holds stored edges
-  /// Step 9 sparse zbar: raised rows, the merged overlay, and the overlay
-  /// re-bucketed by level descending for the suffix cursor.
-  std::vector<std::pair<std::uint64_t, double>> repl;
-  std::vector<std::pair<std::uint64_t, double>> zpairs;
-  std::vector<std::pair<std::uint64_t, double>> zlevel;
+  std::vector<Viol> viol;  // per-run violation slot
+  /// Step 9 sparse zbar: raised rows and the merged overlay, both keyed
+  /// by table position, and the overlay re-bucketed by level descending
+  /// for the suffix cursor (with vertex and level resolved, so the next
+  /// invocation can reset zsuffix whatever table it brings).
+  std::vector<std::pair<std::uint32_t, double>> repl;
+  std::vector<std::pair<std::uint32_t, double>> zpairs;
+  struct ZbarEntry {
+    Vertex vertex;
+    int level;
+    double value;
+  };
+  std::vector<ZbarEntry> zlevel;
   std::vector<double> zsuffix;  // vertex -> sum zbar_{v,k>=l} (current l)
   std::vector<std::int32_t> set_of;   // vertex -> candidate id at this level
   std::vector<double> partials;       // per-item results for reductions
@@ -43,22 +48,46 @@ struct MicroOracle::Scratch {
   std::vector<OddSetSeparator> separators;
   std::vector<std::vector<OddSetQueryEdge>> job_q;
   std::vector<std::vector<double>> job_qhat;
+  /// The row form of an edge-id sample (row_form's output); the index
+  /// is sized n*L on first use.
+  RowIndex index;
+  std::vector<double> us;
+  std::vector<std::uint32_t> row_u;
+  std::vector<std::uint32_t> row_v;
+  std::vector<std::uint32_t> zeta_rows;
+  std::vector<double> zeta;
 
   void ensure(std::size_t n, int levels) {
     if (zsuffix.size() < n) {
       zsuffix.resize(n, 0.0);
       set_of.assign(n, -1);
     }
-    const std::size_t slots = n * static_cast<std::size_t>(levels);
-    if (row_sum.size() < slots) {
-      row_sum.resize(slots, 0.0);
-      rows.reserve(slots);
-    }
     if (has_level.size() < static_cast<std::size_t>(levels)) {
       has_level.resize(static_cast<std::size_t>(levels), 0);
     }
   }
 };
+
+namespace {
+
+/// First index j in [0, count) with key_at(j) >= key (key_at ascending).
+template <typename KeyAt>
+std::size_t first_key_at_least(std::size_t count, const KeyAt& key_at,
+                               std::uint64_t key) {
+  std::size_t lo = 0;
+  std::size_t hi = count;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (key_at(mid) < key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+}  // namespace
 
 MicroOracle::MicroOracle(const LevelGraph& lg, const Capacities& b,
                          OracleConfig config)
@@ -131,15 +160,26 @@ DualPoint combine_points(const DualPoint& a, double s1, const DualPoint& b,
 }
 
 double MicroOracle::weighted_po(const DualPoint& x, const ZetaMap& zeta) const {
+  return weighted_po(x, row_form({}, zeta));
+}
+
+double MicroOracle::weighted_po(const DualPoint& x,
+                                const RowSample& sample) const {
   const auto L = static_cast<std::uint64_t>(lg_->num_levels());
+  const std::uint64_t* row_key = sample.rows->key.data();
+  const std::uint32_t* zr = sample.zeta_rows.data();
+  const double* zeta = sample.zeta.data();
+  const std::size_t count = sample.zeta_rows.size();
+  auto key_at = [row_key, zr](std::size_t j) { return row_key[zr[j]]; };
   double total = 0;
   // 2 x_i(k) terms: merge-join of the two sorted supports.
   {
     auto xit = x.xik.begin();
-    for (const auto& [key, zeta_val] : zeta) {
+    for (std::size_t j = 0; j < count; ++j) {
+      const std::uint64_t key = key_at(j);
       while (xit != x.xik.end() && xit->first < key) ++xit;
       if (xit == x.xik.end()) break;
-      if (xit->first == key) total += zeta_val * 2.0 * xit->second;
+      if (xit->first == key) total += zeta[j] * 2.0 * xit->second;
     }
   }
   // Odd-set terms: z_{U,l} enters row (i,k) for every i in U and k >= l.
@@ -161,10 +201,11 @@ double MicroOracle::weighted_po(const DualPoint& x, const ZetaMap& zeta) const {
                    for (Vertex member : var.members) {
                      const std::uint64_t base =
                          static_cast<std::uint64_t>(member) * L;
-                     for (auto it = zeta.first_at_least(
+                     for (std::size_t j = first_key_at_least(
+                              count, key_at,
                               base + static_cast<std::uint64_t>(var.level));
-                          it != zeta.end() && it->first < base + L; ++it) {
-                       t += it->second * var.value;
+                          j < count && key_at(j) < base + L; ++j) {
+                       t += zeta[j] * var.value;
                      }
                    }
                    s.partials[v] = t;
@@ -176,92 +217,167 @@ double MicroOracle::weighted_po(const DualPoint& x, const ZetaMap& zeta) const {
 }
 
 double MicroOracle::weighted_qo(const ZetaMap& zeta) const {
-  const auto L = static_cast<std::uint64_t>(lg_->num_levels());
+  return weighted_qo(row_form({}, zeta));
+}
+
+double MicroOracle::weighted_qo(const RowSample& sample) const {
+  const std::int32_t* level = sample.rows->level.data();
   double total = 0;
-  for (const auto& [key, zeta_val] : zeta) {
-    const int k = static_cast<int>(key % L);
-    total += zeta_val * 3.0 * lg_->level_weight(k);
+  for (std::size_t j = 0; j < sample.zeta_rows.size(); ++j) {
+    total += sample.zeta[j] * 3.0 *
+             lg_->level_weight(level[sample.zeta_rows[j]]);
   }
   return total;
+}
+
+RowSample MicroOracle::row_form(const std::vector<StoredMultiplier>& us,
+                                const ZetaMap& zeta) const {
+  const LevelGraph& lg = *lg_;
+  const auto Lu = static_cast<std::uint64_t>(lg.num_levels());
+  Scratch& s = scratch();
+  auto key = [Lu](Vertex i, int k) {
+    return static_cast<std::uint64_t>(i) * Lu + static_cast<std::uint64_t>(k);
+  };
+  // The table: every row a stored edge touches plus every zeta row. An
+  // edge off every level (k < 0) has no row and carries nothing on any
+  // path, so it is dropped.
+  RowIndex& index = s.index;
+  index.reserve(lg.graph().num_vertices() * Lu);
+  for (const StoredMultiplier& sm : us) {
+    const int k = lg.level(sm.edge);
+    if (k < 0) continue;
+    const Edge& e = lg.graph().edge(sm.edge);
+    index.mark(key(e.u, k));
+    index.mark(key(e.v, k));
+  }
+  for (const auto& [kk, z] : zeta) index.mark(kk);
+  index.number(Lu);
+  s.us.clear();
+  s.row_u.clear();
+  s.row_v.clear();
+  for (const StoredMultiplier& sm : us) {
+    const int k = lg.level(sm.edge);
+    if (k < 0) continue;
+    const Edge& e = lg.graph().edge(sm.edge);
+    s.us.push_back(sm.us);
+    s.row_u.push_back(index.position(key(e.u, k)));
+    s.row_v.push_back(index.position(key(e.v, k)));
+  }
+  // zeta over the whole table; rows the caller's zeta lacks carry +0.0.
+  const std::size_t rows = index.table().size();
+  s.zeta_rows.resize(rows);
+  s.zeta.assign(rows, 0.0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    s.zeta_rows[r] = static_cast<std::uint32_t>(r);
+  }
+  for (const auto& [kk, z] : zeta) s.zeta[index.position(kk)] = z;
+  RowSample sample;
+  sample.rows = &index.table();
+  sample.us = s.us;
+  sample.row_u = s.row_u;
+  sample.row_v = s.row_v;
+  sample.zeta_rows = s.zeta_rows;
+  sample.zeta = s.zeta;
+  return sample;
+}
+
+void MicroOracle::prepare(const RowSample& sample) const {
+  const LevelGraph& lg = *lg_;
+  const int L = lg.num_levels();
+  Scratch& s = scratch();
+  const std::int32_t* level = sample.rows->level.data();
+  // ---- Per-(i,k) us sums and sum wHat_k us (Step 1). ----
+  // Each row's sum accumulates in stored-edge order, u-row then v-row,
+  // starting from +0.0 — the order of the edge-keyed map path — and
+  // sum wHat_k us is gamma's first part (and usc of the Lemma 10 search),
+  // identical for every rho probe of the sample.
+  if (s.row_sum.size() < sample.rows->size()) {
+    s.row_sum.resize(sample.rows->size());
+  }
+  for (const std::uint32_t r : sample.zeta_rows) s.row_sum[r] = 0.0;
+  std::fill(s.has_level.begin(), s.has_level.end(), 0);
+  double usc = 0;
+  const std::size_t edges = sample.us.size();
+  for (std::size_t e = 0; e < edges; ++e) {
+    const double us = sample.us[e];
+    if (!(us > 0)) continue;
+    const std::uint32_t ru = sample.row_u[e];
+    s.row_sum[ru] += us;
+    s.row_sum[sample.row_v[e]] += us;
+    const int k = level[ru];
+    usc += lg.level_weight(k) * us;
+    s.has_level[k] = 1;
+  }
+  s.usc = usc;
+  s.active_levels.clear();
+  for (int k = L - 1; k >= 0; --k) {
+    if (s.has_level[k]) s.active_levels.push_back(k);
+  }
 }
 
 MicroResult MicroOracle::run(const std::vector<StoredMultiplier>& us,
                              const ZetaMap& zeta, double beta, double rho,
                              OddSetCache* cache) const {
+  const RowSample sample = row_form(us, zeta);
+  prepare(sample);
+  return probe(sample, beta, rho, cache);
+}
+
+MicroResult MicroOracle::probe(const RowSample& sample, double beta,
+                               double rho, OddSetCache* cache) const {
   const LevelGraph& lg = *lg_;
   const Capacities& b = *b_;
   const int L = lg.num_levels();
   const auto Lu = static_cast<std::uint64_t>(L);
   const double eps = lg.eps();
   Scratch& s = scratch();
-  auto key = [Lu](Vertex i, int k) {
-    return static_cast<std::uint64_t>(i) * Lu + static_cast<std::uint64_t>(k);
-  };
+  const std::uint64_t* row_key = sample.rows->key.data();
+  const Vertex* row_vertex = sample.rows->vertex.data();
+  const std::int32_t* row_level = sample.rows->level.data();
+  const std::uint32_t* zeta_rows = sample.zeta_rows.data();
+  const double* zeta = sample.zeta.data();
+  const std::size_t zeta_count = sample.zeta_rows.size();
+  const std::size_t edges = sample.us.size();
 
   MicroResult result;
 
-  // ---- gamma and per-(i,k) us sums (Step 1). ----
-  // Each row's sum accumulates in the dense n*L scratch in encounter
-  // order, and the row bitset's drain reads the touched rows back
-  // key-sorted (resetting them) — so every sum adds the same values in the
-  // same order as the map path's insertion order, starting from +0.0.
-  const std::size_t n = lg.graph().num_vertices();
-  double gamma = 0;
-  for (const StoredMultiplier& sm : us) {
-    const Edge& e = lg.graph().edge(sm.edge);
-    const int k = lg.level(sm.edge);
-    if (k < 0 || sm.us <= 0) continue;
-    for (const std::uint64_t kk : {key(e.u, k), key(e.v, k)}) {
-      s.rows.mark(kk);
-      s.row_sum[kk] += sm.us;
-    }
-    gamma += lg.level_weight(k) * sm.us;
-  }
-  s.sum_keys.clear();
-  s.sum_vals.clear();
-  s.rows.drain([&s](std::uint64_t kk) {
-    s.sum_keys.push_back(kk);
-    s.sum_vals.push_back(s.row_sum[kk]);
-    s.row_sum[kk] = 0.0;
-  });
-  for (const auto& [kk, z] : zeta) {
-    const int k = static_cast<int>(kk % Lu);
-    gamma -= 3.0 * rho * lg.level_weight(k) * z;
+  // ---- gamma (Step 1, with the sums from prepare()). ----
+  double gamma = s.usc;
+  for (std::size_t j = 0; j < zeta_count; ++j) {
+    gamma -= 3.0 * rho * lg.level_weight(row_level[zeta_rows[j]]) * zeta[j];
   }
   result.gamma = gamma;
   if (gamma <= 0) return result;  // x = 0 satisfies LagInner trivially
 
   // ---- Pos(i) and A_i(k) = sum_us - 2 rho zeta (Step 2). ----
-  // Both supports are key-sorted: a single merge-join computes every A.
-  s.pos_keys.clear();
-  s.pos_a.clear();
-  s.pos_sum.clear();
-  {
-    auto zit = zeta.begin();
-    for (std::size_t row = 0; row < s.sum_keys.size(); ++row) {
-      const std::uint64_t kk = s.sum_keys[row];
-      while (zit != zeta.end() && zit->first < kk) ++zit;
-      const double zv =
-          (zit != zeta.end() && zit->first == kk) ? zit->second : 0.0;
-      const double a = s.sum_vals[row] - 2.0 * rho * zv;
-      if (a > 0) {
-        s.pos_keys.push_back(kk);
-        s.pos_a.push_back(a);
-        s.pos_sum.push_back(s.sum_vals[row]);
-      }
-    }
+  // zeta_rows covers every row a stored edge touches, ascending; a row no
+  // stored edge touches keeps its +0.0 sum and is never positive. Both
+  // compactions below are branch-free (write at the cursor, advance it
+  // only past kept entries): whether a row is positive is a coin flip.
+  s.pos_row.resize(zeta_count);
+  s.pos_a.resize(zeta_count);
+  s.pos_sum.resize(zeta_count);
+  std::size_t P = 0;
+  for (std::size_t j = 0; j < zeta_count; ++j) {
+    const std::uint32_t r = zeta_rows[j];
+    const double sum = s.row_sum[r];
+    const double a = sum - 2.0 * rho * zeta[j];
+    s.pos_row[P] = r;
+    s.pos_a[P] = a;
+    s.pos_sum[P] = sum;
+    P += static_cast<std::size_t>((sum > 0) & (a > 0));
   }
 
   // Run boundaries: one run per vertex with positive rows.
-  const std::size_t P = s.pos_keys.size();
-  s.run_start.clear();
+  s.run_start.resize(P + 1);
+  std::size_t R = 0;
   for (std::size_t j = 0; j < P; ++j) {
-    if (j == 0 || s.pos_keys[j] / Lu != s.pos_keys[j - 1] / Lu) {
-      s.run_start.push_back(j);
-    }
+    const Vertex v = row_vertex[s.pos_row[j]];
+    s.run_start[R] = j;
+    R += static_cast<std::size_t>(j == 0 ||
+                                  v != row_vertex[s.pos_row[j - 1]]);
   }
-  s.run_start.push_back(P);
-  const std::size_t R = s.run_start.empty() ? 0 : s.run_start.size() - 1;
+  s.run_start[R] = P;
 
   // ---- k*_i and Viol(V) (Steps 3-4), parallel over vertex runs. ----
   // The map path scans all L levels per vertex. Here: between two
@@ -288,8 +404,7 @@ MicroResult MicroOracle::run(const std::vector<StoredMultiplier>& us,
           double acc = 0;
           for (std::size_t j = lo; j < hi; ++j) {
             s.pref[j] = acc;
-            acc += lg.level_weight(
-                       static_cast<int>(s.pos_keys[j] % Lu)) * s.pos_a[j];
+            acc += lg.level_weight(row_level[s.pos_row[j]]) * s.pos_a[j];
           }
           s.run_pref_total[r] = acc;
           double sacc = 0;
@@ -297,11 +412,11 @@ MicroResult MicroOracle::run(const std::vector<StoredMultiplier>& us,
             sacc += s.pos_a[j];
             s.suf[j] = sacc;
           }
-          const auto i = static_cast<Vertex>(s.pos_keys[lo] / Lu);
+          const Vertex i = row_vertex[s.pos_row[lo]];
           const double bi = static_cast<double>(b[i]);
           const std::size_t len = hi - lo;
           auto level_at = [&](std::size_t t) {
-            return static_cast<int>(s.pos_keys[lo + t] % Lu);
+            return row_level[s.pos_row[lo + t]];
           };
           auto delta_at = [&](std::size_t t, int l) {
             const double wl = lg.level_weight(l);
@@ -340,14 +455,14 @@ MicroResult MicroOracle::run(const std::vector<StoredMultiplier>& us,
 
   // ---- Case A (Step 5-7): vertex duals absorb the violation mass. ----
   if (gamma_v >= eps * gamma / 24.0) {
+    result.x.xik.reserve(P);
     for (std::size_t r = 0; r < R; ++r) {
       if (s.viol[r].kstar < 0) continue;
       const int kstar = s.viol[r].kstar;
       for (std::size_t j = s.run_start[r]; j < s.run_start[r + 1]; ++j) {
-        const std::uint64_t kk = s.pos_keys[j];
-        const int k = static_cast<int>(kk % Lu);
-        const double w = lg.level_weight(std::min(k, kstar));
-        result.x.xik.append(kk, gamma * w / gamma_v);
+        const std::uint32_t row = s.pos_row[j];
+        const double w = lg.level_weight(std::min(row_level[row], kstar));
+        result.x.xik.append(row_key[row], gamma * w / gamma_v);
       }
     }
     return result;
@@ -361,71 +476,60 @@ MicroResult MicroOracle::run(const std::vector<StoredMultiplier>& us,
   }
 
   // ---- Step 9: raise zeta to zbar on violated (i, k <= k*). ----
-  // The violated rows (runs of pos_keys) and the zeta support are both
-  // key-sorted, so zbar materializes as one linear merge into a sparse
-  // overlay — no dense buffer and no copy of zeta.
+  // The violated rows (runs of pos_row) and zeta_rows are both ascending
+  // table positions, so zbar materializes as one linear merge into a
+  // sparse overlay — no dense buffer and no copy of zeta.
   s.repl.clear();
   for (std::size_t r = 0; r < R; ++r) {
     if (s.viol[r].kstar < 0) continue;
     const int kstar = s.viol[r].kstar;
     for (std::size_t j = s.run_start[r]; j < s.run_start[r + 1]; ++j) {
-      const std::uint64_t kk = s.pos_keys[j];
-      if (static_cast<int>(kk % Lu) > kstar) continue;
-      s.repl.emplace_back(kk, s.pos_sum[j] / (2.0 * rho));
+      const std::uint32_t row = s.pos_row[j];
+      if (row_level[row] > kstar) continue;
+      s.repl.emplace_back(row, s.pos_sum[j] / (2.0 * rho));
     }
   }
   double gamma_prime = gamma;
   s.zpairs.clear();
   {
-    auto zit = zeta.begin();
+    std::size_t zj = 0;
     std::size_t ri = 0;
-    while (zit != zeta.end() || ri < s.repl.size()) {
+    while (zj < zeta_count || ri < s.repl.size()) {
       if (ri == s.repl.size() ||
-          (zit != zeta.end() && zit->first < s.repl[ri].first)) {
-        s.zpairs.emplace_back(zit->first, zit->second);
-        ++zit;
-      } else if (zit == zeta.end() || s.repl[ri].first < zit->first) {
-        const auto [kk, replacement] = s.repl[ri];
+          (zj < zeta_count && zeta_rows[zj] < s.repl[ri].first)) {
+        s.zpairs.emplace_back(zeta_rows[zj], zeta[zj]);
+        ++zj;
+      } else if (zj == zeta_count || s.repl[ri].first < zeta_rows[zj]) {
+        const auto [row, replacement] = s.repl[ri];
         // Row absent from zeta: old value 0, replacement always raises.
         gamma_prime -=
-            3.0 * rho * lg.level_weight(static_cast<int>(kk % Lu)) *
-            replacement;
-        s.zpairs.emplace_back(kk, replacement);
+            3.0 * rho * lg.level_weight(row_level[row]) * replacement;
+        s.zpairs.emplace_back(row, replacement);
         ++ri;
       } else {
-        const auto [kk, replacement] = s.repl[ri];
-        const double old = zit->second;
+        const auto [row, replacement] = s.repl[ri];
+        const double old = zeta[zj];
         if (replacement > old) {
-          gamma_prime -=
-              3.0 * rho * lg.level_weight(static_cast<int>(kk % Lu)) *
-              (replacement - old);
-          s.zpairs.emplace_back(kk, replacement);
+          gamma_prime -= 3.0 * rho * lg.level_weight(row_level[row]) *
+                         (replacement - old);
+          s.zpairs.emplace_back(row, replacement);
         } else {
-          s.zpairs.emplace_back(kk, old);
+          s.zpairs.emplace_back(row, old);
         }
-        ++zit;
+        ++zj;
         ++ri;
       }
     }
   }
 
   // ---- Odd-set phase (Steps 11-19, with gap lumping). ----
-  // Active levels = levels holding stored edges, descending. K(l) is
-  // constant between consecutive active levels, so the per-level variables
-  // z_{U,l} of a gap are lumped at the gap's top (active) level with weight
-  // sum_{l in gap} wHat_l — exactly equivalent for every covering / outer
-  // packing row because no edge lives strictly inside a gap.
-  std::vector<int> active_levels;
-  {
-    std::fill(s.has_level.begin(), s.has_level.end(), 0);
-    for (const StoredMultiplier& sm : us) {
-      const int k = lg.level(sm.edge);
-      if (k >= 0 && sm.us > 0) s.has_level[k] = 1;
-    }
-    for (int k = L - 1; k >= 0; --k) {
-      if (s.has_level[k]) active_levels.push_back(k);
-    }
-  }
+  // Active levels = levels holding stored edges, descending (prepare()).
+  // K(l) is constant between consecutive active levels, so the per-level
+  // variables z_{U,l} of a gap are lumped at the gap's top (active) level
+  // with weight sum_{l in gap} wHat_l — exactly equivalent for every
+  // covering / outer packing row because no edge lives strictly inside a
+  // gap.
+  const std::vector<int>& active_levels = s.active_levels;
   // Restrict separation to the lowest few active levels (each costs a
   // Gomory-Hu tree). Lower levels include more edges, so they dominate.
   std::size_t first = 0;
@@ -441,36 +545,36 @@ MicroResult MicroOracle::run(const std::vector<StoredMultiplier>& us,
   // for every query. zsuffix only ever accumulates over zlevel, so zeroing
   // the previous invocation's support restores the all-zero invariant in
   // O(previous support).
-  for (const auto& [kk, z] : s.zlevel) s.zsuffix[kk / Lu] = 0.0;
+  for (const Scratch::ZbarEntry& ze : s.zlevel) s.zsuffix[ze.vertex] = 0.0;
   {
     std::vector<std::size_t>& koff = s.run_start;  // runs are done with it
     koff.assign(static_cast<std::size_t>(L) + 1, 0);
-    for (const auto& [kk, z] : s.zpairs) {
-      ++koff[(Lu - 1) - kk % Lu + 1];
+    for (const auto& [row, z] : s.zpairs) {
+      ++koff[static_cast<std::size_t>(L - 1 - row_level[row]) + 1];
     }
     for (int k = 0; k < L; ++k) koff[k + 1] += koff[k];
     s.zlevel.resize(s.zpairs.size());
-    for (const auto& p : s.zpairs) {
-      s.zlevel[koff[(Lu - 1) - p.first % Lu]++] = p;
+    for (const auto& [row, z] : s.zpairs) {
+      s.zlevel[koff[static_cast<std::size_t>(L - 1 - row_level[row])]++] =
+          Scratch::ZbarEntry{row_vertex[row], row_level[row], z};
     }
   }
   std::size_t zptr = 0;
   auto advance_suffix = [&](int l) {
-    while (zptr < s.zlevel.size() &&
-           static_cast<int>(s.zlevel[zptr].first % Lu) >= l) {
-      s.zsuffix[s.zlevel[zptr].first / Lu] += s.zlevel[zptr].second;
+    while (zptr < s.zlevel.size() && s.zlevel[zptr].level >= l) {
+      s.zsuffix[s.zlevel[zptr].vertex] += s.zlevel[zptr].value;
       ++zptr;
     }
   };
   // Point query sum_{k >= l} zbar_{v,k} from the key-sorted zbar overlay,
   // summed with levels DESCENDING — the exact accumulation order of the
   // suffix cursor, so per-vertex sums stay bitwise stable across probes.
-  auto zbar_suffix_at = [&s, Lu](Vertex v, int l) {
+  auto zbar_suffix_at = [&s, row_key, Lu](Vertex v, int l) {
     const std::uint64_t lo_key =
         static_cast<std::uint64_t>(v) * Lu + static_cast<std::uint64_t>(l);
     const std::uint64_t hi_key = static_cast<std::uint64_t>(v) * Lu + Lu;
-    auto cmp = [](const std::pair<std::uint64_t, double>& p,
-                  std::uint64_t k) { return p.first < k; };
+    auto cmp = [row_key](const std::pair<std::uint32_t, double>& p,
+                         std::uint64_t k) { return row_key[p.first] < k; };
     auto lo_it =
         std::lower_bound(s.zpairs.begin(), s.zpairs.end(), lo_key, cmp);
     auto hi_it = std::lower_bound(lo_it, s.zpairs.end(), hi_key, cmp);
@@ -483,6 +587,7 @@ MicroResult MicroOracle::run(const std::vector<StoredMultiplier>& us,
   };
 
   const double q_scale = (1.0 - eps / 4.0) * beta / gamma;
+  const std::size_t n = lg.graph().num_vertices();
 
   // A run() without a caller-provided cache behaves like a one-probe
   // Lagrangian search: same code path, locally scoped reuse.
@@ -509,11 +614,12 @@ MicroResult MicroOracle::run(const std::vector<StoredMultiplier>& us,
       }
       std::vector<OddSetQueryEdge>& q_edges = s.job_q[jobs];
       q_edges.clear();
-      for (const StoredMultiplier& sm : us) {
-        const int k = lg.level(sm.edge);
-        if (k < l || sm.us <= 0) continue;
-        const Edge& e = lg.graph().edge(sm.edge);
-        q_edges.push_back(OddSetQueryEdge{e.u, e.v, q_scale * sm.us});
+      for (std::size_t e = 0; e < edges; ++e) {
+        const double us = sample.us[e];
+        const std::uint32_t ru = sample.row_u[e];
+        if (row_level[ru] < l || !(us > 0)) continue;
+        q_edges.push_back(OddSetQueryEdge{
+            row_vertex[ru], row_vertex[sample.row_v[e]], q_scale * us});
       }
       if (q_edges.empty()) continue;
       // Separation reads q_hat only at this level's query-edge endpoints,
@@ -577,12 +683,14 @@ MicroResult MicroOracle::run(const std::vector<StoredMultiplier>& us,
           entry->bw[c] += b[v];
         }
       }
-      for (const StoredMultiplier& sm : us) {
-        const int k = lg.level(sm.edge);
-        if (k < l || sm.us <= 0) continue;
-        const Edge& e = lg.graph().edge(sm.edge);
-        const std::int32_t cu = s.set_of[e.u];
-        if (cu >= 0 && cu == s.set_of[e.v]) entry->us_mass[cu] += sm.us;
+      for (std::size_t e = 0; e < edges; ++e) {
+        const double us = sample.us[e];
+        const std::uint32_t ru = sample.row_u[e];
+        if (row_level[ru] < l || !(us > 0)) continue;
+        const std::int32_t cu = s.set_of[row_vertex[ru]];
+        if (cu >= 0 && cu == s.set_of[row_vertex[sample.row_v[e]]]) {
+          entry->us_mass[cu] += us;
+        }
       }
       for (std::size_t c = 0; c < nsets; ++c) {
         for (Vertex v : entry->sets[c]) s.set_of[v] = -1;
@@ -633,19 +741,21 @@ MicroResult MicroOracle::run(const std::vector<StoredMultiplier>& us,
 MicroResult MicroOracle::run_lagrangian(
     const std::vector<StoredMultiplier>& us, const ZetaMap& zeta, double beta,
     std::size_t* calls) const {
+  return run_lagrangian(row_form(us, zeta), beta, calls);
+}
+
+MicroResult MicroOracle::run_lagrangian(const RowSample& sample, double beta,
+                                        std::size_t* calls) const {
   const LevelGraph& lg = *lg_;
-  double usc = 0;
-  for (const StoredMultiplier& sm : us) {
-    const int k = lg.level(sm.edge);
-    if (k >= 0 && sm.us > 0) usc += lg.level_weight(k) * sm.us;
-  }
+  prepare(sample);
+  const double usc = scratch().usc;
   OddSetCache cache;  // one separation pass amortized over all rho probes
   auto invoke = [&](double rho) {
     if (calls != nullptr) ++(*calls);
-    return run(us, zeta, beta, rho, &cache);
+    return probe(sample, beta, rho, &cache);
   };
 
-  const double zq = weighted_qo(zeta);
+  const double zq = weighted_qo(sample);
   if (zq <= 0 || usc <= 0) {
     // No outer packing pressure: a single invocation suffices.
     return invoke(1.0);
@@ -657,7 +767,7 @@ MicroResult MicroOracle::run_lagrangian(
   double rho_lo = eps * usc / (16.0 * zq);
   MicroResult low = invoke(rho_lo);
   if (low.kind == MicroResult::Kind::kPrimal) return low;
-  double po_lo = weighted_po(low.x, zeta);
+  double po_lo = weighted_po(low.x, sample);
   if (po_lo <= upsilon) return low;
 
   // Grow rho until the outer packing constraint is met (x = 0 is returned
@@ -665,13 +775,13 @@ MicroResult MicroOracle::run_lagrangian(
   double rho_hi = rho0;
   MicroResult high = invoke(rho_hi);
   if (high.kind == MicroResult::Kind::kPrimal) return high;
-  double po_hi = weighted_po(high.x, zeta);
+  double po_hi = weighted_po(high.x, sample);
   int guard = 0;
   while (po_hi > upsilon && guard++ < 16) {
     rho_hi *= 2.0;
     high = invoke(rho_hi);
     if (high.kind == MicroResult::Kind::kPrimal) return high;
-    po_hi = weighted_po(high.x, zeta);
+    po_hi = weighted_po(high.x, sample);
   }
   if (po_hi > upsilon) return high;  // give up; still a LagInner point
 
@@ -681,7 +791,7 @@ MicroResult MicroOracle::run_lagrangian(
     const double mid = 0.5 * (rho_lo + rho_hi);
     MicroResult m = invoke(mid);
     if (m.kind == MicroResult::Kind::kPrimal) return m;
-    const double po_mid = weighted_po(m.x, zeta);
+    const double po_mid = weighted_po(m.x, sample);
     if (po_mid <= upsilon) {
       rho_hi = mid;
       high = std::move(m);

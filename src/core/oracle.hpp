@@ -14,17 +14,23 @@
 //        Lagrangian covering inequality LagInner, which the fractional
 //        covering loop blends into the dual state.
 //
-// This is the solver's hot path. All dual variables live in flat
-// level-indexed buffers (core/flat_duals.hpp): dense scratch is reused
-// across invocations, per-vertex indexes come from draining a bitset over
-// packed (i, k) keys instead of hashing, and the per-vertex sweep plus the
-// weighted_po membership scan run on a thread pool with FIXED chunk
-// boundaries, so results are bitwise identical for any thread count. The
-// seed's hash-map implementation is retained in core/oracle_ref.hpp as the
-// equivalence baseline for tests and benchmarks.
+// This is the solver's hot path. Its input is row-indexed (RowSample): the
+// sample's (vertex, level) rows form a key-sorted table, each stored edge
+// names its two endpoint rows by table position, and zeta is an array over
+// table positions. The round pipeline builds the table once per round, so
+// no iteration re-derives rows from edge ids or decodes packed keys. Step 1
+// (per-row us sums and sum wHat_k us) runs once per Lagrangian search;
+// every rho probe reuses it. Dense scratch is reused across invocations,
+// and the per-vertex sweep plus the weighted_po membership scan run on a
+// thread pool with FIXED chunk boundaries, so results are bitwise identical
+// for any thread count. The edge-id entry points (run, run_lagrangian on
+// StoredMultiplier lists and a ZetaMap) build the row form and feed the
+// same path; they serve tests, bench_micro and the comparisons against the
+// seed's hash-map implementation, retained in core/oracle_ref.hpp.
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/dual_state.hpp"
@@ -48,6 +54,69 @@ struct StoredMultiplier {
 /// (The name survives from the unordered_map era; the representation is a
 /// flat sorted vector now.)
 using ZetaMap = SparseDuals;
+
+/// Distinct (vertex, level) rows, key-sorted: row r has key
+/// vertex[r] * L + level[r]. Table positions therefore order rows exactly
+/// as their keys do.
+struct RowTable {
+  std::vector<std::uint64_t> key;
+  std::vector<Vertex> vertex;
+  std::vector<std::int32_t> level;
+
+  std::size_t size() const noexcept { return key.size(); }
+};
+
+/// Numbers (vertex, level) rows without a sort: mark packed keys in any
+/// order, then number() drains the key bitset over [0, n*L) into a fresh
+/// table in key order, and position() maps each marked key to its row.
+class RowIndex {
+ public:
+  /// Room for keys in [0, slots), slots = n * L.
+  void reserve(std::size_t slots) {
+    marks_.reserve(slots);
+    if (row_at_.size() < slots) row_at_.resize(slots);
+  }
+  void mark(std::uint64_t key) noexcept { marks_.mark(key); }
+  /// Replaces the table with the marked rows; the marks are cleared.
+  void number(std::uint64_t levels) {
+    table_.key.clear();
+    table_.vertex.clear();
+    table_.level.clear();
+    marks_.drain([this, levels](std::uint64_t key) {
+      row_at_[key] = static_cast<std::uint32_t>(table_.key.size());
+      table_.key.push_back(key);
+      table_.vertex.push_back(static_cast<Vertex>(key / levels));
+      table_.level.push_back(static_cast<std::int32_t>(key % levels));
+    });
+  }
+  /// Table position of a key marked before the last number().
+  std::uint32_t position(std::uint64_t key) const noexcept {
+    return row_at_[key];
+  }
+  const RowTable& table() const noexcept { return table_; }
+
+ private:
+  KeyBitset marks_;
+  std::vector<std::uint32_t> row_at_;  // key -> table position
+  RowTable table_;
+};
+
+/// One stored sample in the oracle's row-indexed form.
+///  - Stored edges, in sample order: the refined multiplier us and the
+///    table positions of the edge's (u, k) and (v, k) rows (u, v as the
+///    graph stores them). Edges with us <= 0 carry nothing.
+///  - zeta over ascending table positions `zeta_rows`, values aligned. The
+///    list must hold every row a stored edge with us > 0 touches; a row
+///    absent from the caller's zeta carries +0.0, which adds exactly
+///    nothing to any zeta sum.
+struct RowSample {
+  const RowTable* rows = nullptr;
+  std::span<const double> us;
+  std::span<const std::uint32_t> row_u;
+  std::span<const std::uint32_t> row_v;
+  std::span<const std::uint32_t> zeta_rows;
+  std::span<const double> zeta;
+};
 
 struct MicroResult {
   enum class Kind {
@@ -124,20 +193,28 @@ class MicroOracle {
   MicroOracle(MicroOracle&&) noexcept;
   MicroOracle& operator=(MicroOracle&&) noexcept;
 
-  /// One Algorithm-5 invocation at a fixed Lagrange multiplier rho (the
-  /// paper's varrho). `cache`, if given, amortizes odd-set separation
-  /// across invocations with the same stored multipliers.
-  MicroResult run(const std::vector<StoredMultiplier>& us,
-                  const ZetaMap& zeta, double beta, double rho,
-                  OddSetCache* cache = nullptr) const;
-
   /// Lemma 10 wrapper: binary search over rho; returns either a primal
   /// signal or a dual point additionally satisfying
   /// zeta^T Po x <= (13/12) zeta^T qo. `calls` (optional) accumulates the
-  /// number of MicroOracle invocations.
+  /// number of MicroOracle invocations. The sample must stay unchanged
+  /// for the duration of the call.
+  MicroResult run_lagrangian(const RowSample& sample, double beta,
+                             std::size_t* calls = nullptr) const;
+
+  /// The same search on stored edge ids and a key-sorted zeta: builds the
+  /// row form (edges off every level are dropped) and runs the overload
+  /// above, so results are bitwise those of the row-indexed path.
   MicroResult run_lagrangian(const std::vector<StoredMultiplier>& us,
                              const ZetaMap& zeta, double beta,
                              std::size_t* calls = nullptr) const;
+
+  /// One Algorithm-5 invocation at a fixed Lagrange multiplier rho (the
+  /// paper's varrho), through the same row form. `cache`, if given,
+  /// amortizes odd-set separation across invocations with the same stored
+  /// multipliers.
+  MicroResult run(const std::vector<StoredMultiplier>& us,
+                  const ZetaMap& zeta, double beta, double rho,
+                  OddSetCache* cache = nullptr) const;
 
   /// zeta-weighted outer packing value of a dual point:
   /// sum_{(i,k)} zeta_{ik} * (2 x_i(k) + sum_{l<=k} sum_{U ni i} z_{U,l}).
@@ -147,8 +224,8 @@ class MicroOracle {
   double weighted_qo(const ZetaMap& zeta) const;
 
   /// The oracle's lazily created worker pool (nullptr when
-  /// config.threads == 1). The solver shares it for its own sweeps
-  /// (lambda, covering_us) so one solve runs exactly one pool.
+  /// config.threads == 1). The round pipeline shares it for its own
+  /// sweeps so one solve runs exactly one pool.
   ThreadPool* worker_pool() const { return pool(); }
 
   /// Aggregate Gomory-Hu / max-flow counters of the per-level separation
@@ -161,6 +238,19 @@ class MicroOracle {
 
   Scratch& scratch() const;
   ThreadPool* pool() const;
+
+  /// Step 1, once per sample: per-row us sums into the scratch (indexed
+  /// by table position), sum wHat_k us and the active levels.
+  void prepare(const RowSample& sample) const;
+  /// One Algorithm-5 probe at rho on the sample prepare() last saw.
+  MicroResult probe(const RowSample& sample, double beta, double rho,
+                    OddSetCache* cache) const;
+  /// Builds the row form of an edge-id sample into the scratch.
+  RowSample row_form(const std::vector<StoredMultiplier>& us,
+                     const ZetaMap& zeta) const;
+  /// weighted_po / weighted_qo on the row form.
+  double weighted_po(const DualPoint& x, const RowSample& sample) const;
+  double weighted_qo(const RowSample& sample) const;
 
   const LevelGraph* lg_;
   const Capacities* b_;

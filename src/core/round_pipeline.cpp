@@ -11,40 +11,30 @@ namespace {
 
 /// The compute half of the Theorem 5 multiplier rule, shared by the full
 /// retained sweep and the stored-sample refinement: u_i =
-/// exp(-alpha (ratio_i - min_ratio)) / wHat_{level_at(i)} with an exact
-/// chunked max reduction, then the additive u_max eps / (4 count + 4)
-/// floor. `level_at(i)` must be pure per index.
-template <typename LevelAt>
-void exp_floor_multipliers(ThreadPool* pool, std::size_t grain,
-                           const LevelGraph& lg, double alpha,
-                           double min_ratio, const double* ratio,
-                           std::size_t count, const LevelAt& level_at,
-                           std::vector<double>& u,
-                           std::vector<double>& partial,
-                           std::vector<double>& divisor) {
+/// exp(-alpha (ratio_i - min_ratio)) / div_i (div_i = wHat of i's level)
+/// with an exact chunked max reduction, then the additive
+/// u_max eps / (4 count + 4) floor, handed to store(i, max(u_i, floor)).
+/// u_i lands in out[i]; out may be `ratio` itself.
+template <typename Store>
+void exp_floor_multipliers(ThreadPool* pool, std::size_t grain, double eps,
+                           double alpha, double min_ratio, const double* ratio,
+                           const double* div, std::size_t count, double* out,
+                           std::vector<double>& partial, const Store& store) {
   const std::size_t chunks = count == 0 ? 0 : (count + grain - 1) / grain;
-  u.assign(count, 0.0);
   partial.assign(chunks, 0.0);
-  divisor.resize(count);
-  double* out = u.data();
   double* part = partial.data();
-  double* div = divisor.data();
   // Three passes per chunk, every one a clones-dispatched elementwise
   // kernel (util/simd): argument fill, exp_batch_poly in place, then the
   // level-weight divide fused with the chunk max as a bit-pattern integer
-  // reduction (all quotients are positive). Only the divisor gather stays
-  // scalar — level_at is an indexed load the sweep cannot vectorize.
-  // Chunk results depend only on [lo, hi), so the fixed-grain determinism
-  // contract is untouched, and every kernel is bitwise identical to the
-  // scalar loop it replaced at any lane width.
+  // reduction (all quotients are positive). Chunk results depend only on
+  // [lo, hi), so the fixed-grain determinism contract is untouched, and
+  // every kernel is bitwise identical to the scalar loop it replaced at
+  // any lane width.
   run_chunks(pool, 0, count, grain,
              [&](std::size_t c, std::size_t lo, std::size_t hi) {
                simd::fill_scaled_shift(ratio + lo, out + lo, hi - lo, alpha,
                                        min_ratio);
                simd::exp_batch_poly(out + lo, out + lo, hi - lo);
-               for (std::size_t i = lo; i < hi; ++i) {
-                 div[i] = lg.level_weight(level_at(i));
-               }
                part[c] =
                    simd::divide_max_positive(out + lo, div + lo, hi - lo);
              });
@@ -53,8 +43,74 @@ void exp_floor_multipliers(ThreadPool* pool, std::size_t grain,
     u_max = std::max(u_max, part[c]);
   }
   const double floor_value =
-      u_max * lg.eps() / (4.0 * static_cast<double>(count) + 4.0);
-  for (double& value : u) value = std::max(value, floor_value);
+      u_max * eps / (4.0 * static_cast<double>(count) + 4.0);
+  run_chunks(pool, 0, count, grain,
+             [&](std::size_t, std::size_t lo, std::size_t hi) {
+               for (std::size_t i = lo; i < hi; ++i) {
+                 store(i, std::max(out[i], floor_value));
+               }
+             });
+}
+
+/// Resizes a buffer that is reused every round, growing its capacity to
+/// exactly n: a plain resize() may double it.
+template <typename T>
+void resize_exact(std::vector<T>& v, std::size_t n) {
+  v.reserve(n);
+  v.resize(n);
+}
+
+/// For every bit q < t, the indices i in [0, count) whose mask holds bit
+/// q, ascending, bit-major: out[start[q], start[q + 1]). A per-(chunk, q)
+/// count pass, an exclusive scan in (q, chunk) order and a fill pass, all
+/// on fixed-grain chunks, so the lists never depend on the thread count.
+void list_by_bit(ThreadPool* pool, std::size_t grain,
+                 const std::uint32_t* mask, std::size_t count, std::size_t t,
+                 std::vector<std::uint32_t>& counts,
+                 std::vector<std::size_t>& start,
+                 std::vector<std::uint32_t>& out) {
+  const std::size_t chunks = count == 0 ? 0 : (count + grain - 1) / grain;
+  counts.assign(chunks * t, 0);
+  std::uint32_t* cnt = counts.data();
+  // One bit plane at a time: a branch-free sum the compiler vectorizes.
+  run_chunks(pool, 0, count, grain,
+             [&](std::size_t c, std::size_t lo, std::size_t hi) {
+               for (std::size_t q = 0; q < t; ++q) {
+                 std::uint32_t n = 0;
+                 for (std::size_t i = lo; i < hi; ++i) {
+                   n += (mask[i] >> q) & 1u;
+                 }
+                 cnt[c * t + q] = n;
+               }
+             });
+  start.assign(t + 1, 0);
+  std::uint32_t total = 0;
+  for (std::size_t q = 0; q < t; ++q) {
+    start[q] = total;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const std::uint32_t n = cnt[c * t + q];
+      cnt[c * t + q] = total;
+      total += n;
+    }
+  }
+  start[t] = total;
+  resize_exact(out, total);
+  std::uint32_t* dst = out.data();
+  // Branch-free compaction: every index is written at the cursor, which
+  // advances only past selected ones. Stopping at the chunk's last
+  // selected index keeps every write inside the chunk's own slots.
+  run_chunks(pool, 0, count, grain,
+             [&](std::size_t c, std::size_t lo, std::size_t hi) {
+               for (std::size_t q = 0; q < t; ++q) {
+                 std::size_t end = hi;
+                 while (end > lo && ((mask[end - 1] >> q) & 1u) == 0) --end;
+                 std::uint32_t cur = cnt[c * t + q];
+                 for (std::size_t i = lo; i < end; ++i) {
+                   dst[cur] = static_cast<std::uint32_t>(i);
+                   cur += (mask[i] >> q) & 1u;
+                 }
+               }
+             });
 }
 
 }  // namespace
@@ -166,11 +222,20 @@ double RoundPipeline::stage_multipliers(double lambda, std::size_t round) {
   // Levels come from the level graph (solver state), not the attribute
   // table, so the sweep is identical on table-free backends.
   const EdgeId* rid = lg.retained().data();
+  resize_exact(ctx_.divisor, m);
+  resize_exact(ctx_.promise, m);
+  double* div = ctx_.divisor.data();
+  double* promise = ctx_.promise.data();
+  run_chunks(pool_, 0, m, options_.grain,
+             [&](std::size_t, std::size_t lo, std::size_t hi) {
+               for (std::size_t idx = lo; idx < hi; ++idx) {
+                 div[idx] = lg.level_weight(lg.level(rid[idx]));
+               }
+             });
   exp_floor_multipliers(
-      pool_, options_.grain, lg, alpha, staged_min_ratio_,
-      ctx_.cov_ratio.data(), m,
-      [&lg, rid](std::size_t idx) { return lg.level(rid[idx]); },
-      ctx_.promise, ctx_.cov_partial, ctx_.divisor);
+      pool_, options_.grain, lg.eps(), alpha, staged_min_ratio_,
+      ctx_.cov_ratio.data(), div, m, promise, ctx_.cov_partial,
+      [promise](std::size_t idx, double value) { promise[idx] = value; });
 
   // Inclusion probabilities (sparsify/deferred), gathering each weight
   // class's records through the substrate's batched fetch (a table-view
@@ -213,31 +278,48 @@ void RoundPipeline::stage_inner(const SamplingRound& draws, double alpha,
                                 DualState& state, Incumbent& inc,
                                 RoundReport& report) {
   const double eps = options_.eps;
+  index_round(draws);
+  const RowTable& rows = ctx_.rows.table();
+  resize_exact(ctx_.x_row, rows.size());
+  bool x_fresh = false;
   for (std::size_t q = 0; q < draws.num_sparsifiers(); ++q) {
     // Inner-iteration boundary: each completed iteration's blend is a
     // whole dual step, so stopping between iterations leaves a valid
     // iterate (run_round's catch joins the offline job before unwinding).
     options_.stop.throw_if_stopped("pipeline.inner");
     // Deferred refinement: evaluate the CURRENT multipliers on exactly the
-    // stored indices (no new data access). Sparsifier q's support is a
-    // bit-filtered extraction of the round's frozen union.
-    extract_sparsifier(draws, q);
-    if (ctx_.ids.empty()) continue;
-    gather_stored_attrs();
-    covering_us_stored(state, alpha, ctx_.u_now);
-    ctx_.us.resize(ctx_.ids.size());
-    run_chunks(pool_, 0, ctx_.ids.size(), options_.grain,
-               [&](std::size_t, std::size_t lo, std::size_t hi) {
-                 for (std::size_t i = lo; i < hi; ++i) {
-                   ctx_.us[i] = StoredMultiplier{
-                       ctx_.ids[i], ctx_.u_now[i] / ctx_.sample_prob[i]};
-                 }
-               });
-    build_zeta(state);
+    // stored indices (no new data access) — sparsifier q's union positions.
+    const std::size_t lo = ctx_.edge_start[q];
+    const std::size_t s = ctx_.edge_start[q + 1] - lo;
+    if (s == 0) continue;
+    if (!x_fresh) {
+      // x(i, k) on every union row, re-read after each blend: the sweeps
+      // below add these exact values, so they round as cover_row and
+      // po_row do.
+      double* xr = ctx_.x_row.data();
+      run_chunks(pool_, 0, ctx_.x_row.size(), options_.grain,
+                 [&](std::size_t, std::size_t rlo, std::size_t rhi) {
+                   for (std::size_t r = rlo; r < rhi; ++r) {
+                     xr[r] = state.x(rows.vertex[r], rows.level[r]);
+                   }
+                 });
+      x_fresh = true;
+    }
+    sample_multipliers(state, alpha, ctx_.sparsifier_edges.data() + lo, s);
+    const std::span<const std::uint32_t> zeta_rows(
+        ctx_.sparsifier_rows.data() + ctx_.row_start[q],
+        ctx_.row_start[q + 1] - ctx_.row_start[q]);
+    sample_zeta(state, zeta_rows);
 
-    const MicroResult mr = oracle_->run_lagrangian(ctx_.us, ctx_.zeta,
-                                                   inc.beta,
-                                                   &report.oracle_calls);
+    RowSample sample;
+    sample.rows = &rows;
+    sample.us = ctx_.us;
+    sample.row_u = ctx_.row_u;
+    sample.row_v = ctx_.row_v;
+    sample.zeta_rows = zeta_rows;
+    sample.zeta = ctx_.zeta;
+    const MicroResult mr =
+        oracle_->run_lagrangian(sample, inc.beta, &report.oracle_calls);
     ctx_.inner_meter.add_inner_iterations();
     if (mr.kind == MicroResult::Kind::kPrimal) {
       // The dual cannot make progress at this beta: the stored edges carry
@@ -249,6 +331,7 @@ void RoundPipeline::stage_inner(const SamplingRound& draws, double alpha,
     const double sigma =
         std::min(0.5, eps / (4.0 * alpha * 6.0));  // rho_o = 6 (LP4/LP5)
     state.blend(mr.x, sigma);
+    x_fresh = false;
   }
   ctx_.inner_meter.add_oracle_calls(report.oracle_calls);
   // Per-round separation flow-work delta. The oracle's counters are
@@ -338,41 +421,121 @@ void RoundPipeline::merge_offline(const OfflineSolution& sol,
   }
 }
 
-void RoundPipeline::gather_stored_attrs() {
-  const std::size_t s = ctx_.store_idx.size();
-  ctx_.store_attr.resize(s);
-  const std::uint32_t* idxs = ctx_.store_idx.data();
-  access::RetainedEdge* out = ctx_.store_attr.data();
-  // One batched fetch per fixed-grain chunk: a row copy on table-backed
-  // substrates, a merge walk of the per-round sample cache on the
-  // file-backed one (the extracted indices are ascending).
-  const access::Substrate* sub = substrate_;
-  run_chunks(pool_, 0, s, options_.grain,
+void RoundPipeline::index_round(const SamplingRound& draws) {
+  const LevelGraph& lg = *lg_;
+  const std::vector<std::uint32_t>& uni = draws.union_support();
+  const std::size_t u_size = uni.size();
+  const std::size_t grain = options_.grain;
+  const auto levels = static_cast<std::uint64_t>(lg.num_levels());
+  resize_exact(ctx_.edge_row_u, u_size);
+  resize_exact(ctx_.edge_row_v, u_size);
+  resize_exact(ctx_.edge_level, u_size);
+  resize_exact(ctx_.edge_prob, u_size);
+  resize_exact(ctx_.edge_mask, u_size);
+  std::uint32_t* eru = ctx_.edge_row_u.data();
+  std::uint32_t* erv = ctx_.edge_row_v.data();
+  std::int32_t* elevel = ctx_.edge_level.data();
+
+  // The union's attributes, one batched fetch per fixed-grain chunk (a row
+  // copy on table-backed substrates, a merge walk of the per-round sample
+  // cache on the file-backed one; the union ascends). Each edge keeps its
+  // endpoints and level, and both endpoint keys are marked in the row
+  // index, which numbers the rows in key order. Only that per-round
+  // numbering decodes keys into vertex and level.
+  RowIndex& index = ctx_.rows;
+  index.reserve(substrate_->num_vertices() * levels);
+  ctx_.attr_chunk.resize(std::min(grain, u_size));
+  access::RetainedEdge* attr = ctx_.attr_chunk.data();
+  for (std::size_t lo = 0; lo < u_size; lo += grain) {
+    const std::size_t hi = std::min(u_size, lo + grain);
+    substrate_->stored_attrs(uni.data() + lo, hi - lo, attr);
+    for (std::size_t i = lo; i < hi; ++i) {
+      const access::RetainedEdge& re = attr[i - lo];
+      const auto k = static_cast<std::uint64_t>(re.level);
+      eru[i] = re.u;
+      erv[i] = re.v;
+      elevel[i] = re.level;
+      index.mark(static_cast<std::uint64_t>(re.u) * levels + k);
+      index.mark(static_cast<std::uint64_t>(re.v) * levels + k);
+    }
+  }
+  index.number(levels);
+  const RowTable& rows = index.table();
+
+  // Per union edge, what the sweeps read: the endpoints become their row
+  // positions, next to the level, the inclusion probability and the
+  // sparsifiers holding the edge.
+  const std::size_t t = draws.num_sparsifiers();
+  const std::uint32_t* masks = draws.masks().data();
+  double* eprob = ctx_.edge_prob.data();
+  std::uint32_t* emask = ctx_.edge_mask.data();
+  const double* prob = ctx_.prob.data();
+  run_chunks(pool_, 0, u_size, grain,
              [&](std::size_t, std::size_t lo, std::size_t hi) {
-               sub->stored_attrs(idxs + lo, hi - lo, out + lo);
+               for (std::size_t i = lo; i < hi; ++i) {
+                 const auto k = static_cast<std::uint64_t>(elevel[i]);
+                 eru[i] = index.position(eru[i] * levels + k);
+                 erv[i] = index.position(erv[i] * levels + k);
+                 eprob[i] = prob[uni[i]];
+                 emask[i] = masks[uni[i]];
+               }
              });
+  // A row's mask: the sparsifiers with an edge on that row, so sparsifier
+  // q's zeta rows are the rows whose mask holds bit q.
+  ctx_.row_mask.assign(rows.size(), 0);
+  std::uint32_t* rmask = ctx_.row_mask.data();
+  for (std::size_t i = 0; i < u_size; ++i) {
+    rmask[eru[i]] |= emask[i];
+    rmask[erv[i]] |= emask[i];
+  }
+  list_by_bit(pool_, grain, emask, u_size, t, ctx_.chunk_counts,
+              ctx_.edge_start, ctx_.sparsifier_edges);
+  list_by_bit(pool_, grain, rmask, rows.size(), t, ctx_.chunk_counts,
+              ctx_.row_start, ctx_.sparsifier_rows);
 }
 
-void RoundPipeline::covering_us_stored(const DualState& state, double alpha,
-                                       std::vector<double>& u) {
+void RoundPipeline::sample_multipliers(const DualState& state, double alpha,
+                                       const std::uint32_t* sel,
+                                       std::size_t s) {
   const LevelGraph& lg = *lg_;
-  const access::RetainedEdge* attr = ctx_.store_attr.data();
-  const std::size_t s = ctx_.store_idx.size();
   const std::size_t grain = options_.grain;
-  const std::size_t chunks = s == 0 ? 0 : (s + grain - 1) / grain;
-  ctx_.u_now.resize(s);
+  const std::size_t chunks = (s + grain - 1) / grain;
+  const double* xr = ctx_.x_row.data();
+  const Vertex* vertex = ctx_.rows.table().vertex.data();
+  const std::uint32_t* eru = ctx_.edge_row_u.data();
+  const std::uint32_t* erv = ctx_.edge_row_v.data();
+  const std::int32_t* elevel = ctx_.edge_level.data();
+  const double* eprob = ctx_.edge_prob.data();
+  resize_exact(ctx_.row_u, s);
+  resize_exact(ctx_.row_v, s);
+  resize_exact(ctx_.us, s);
+  resize_exact(ctx_.divisor, s);
   ctx_.cov_partial.assign(chunks, 1e300);
+  std::uint32_t* row_u = ctx_.row_u.data();
+  std::uint32_t* row_v = ctx_.row_v.data();
+  double* div = ctx_.divisor.data();
   double* ratio = ctx_.cov_ratio.data();  // reuse; sized >= s (s <= m)
   double* partial = ctx_.cov_partial.data();
+  // Covering ratios: the x parts from the row cache, then (when the state
+  // holds odd sets) the odd-set terms exactly as cover_row adds them.
+  const bool odd_sets = state.odd_set_support() != 0;
   run_chunks(pool_, 0, s, grain,
              [&](std::size_t c, std::size_t lo, std::size_t hi) {
                double local_min = 1e300;
-               for (std::size_t i = lo; i < hi; ++i) {
-                 const access::RetainedEdge& re = attr[i];
-                 ratio[i] =
-                     state.cover_row(re.u, re.v, re.level) /
-                     lg.level_weight(re.level);
-                 local_min = std::min(local_min, ratio[i]);
+               for (std::size_t e = lo; e < hi; ++e) {
+                 const std::uint32_t i = sel[e];
+                 const std::uint32_t ru = eru[i];
+                 const std::uint32_t rv = erv[i];
+                 const int k = elevel[i];
+                 row_u[e] = ru;
+                 row_v[e] = rv;
+                 div[e] = lg.level_weight(k);
+                 double row = xr[ru] + xr[rv];
+                 if (odd_sets) {
+                   row = state.add_set_terms(row, vertex[ru], k, vertex[rv]);
+                 }
+                 ratio[e] = row / div[e];
+                 local_min = std::min(local_min, ratio[e]);
                }
                partial[c] = local_min;
              });
@@ -380,100 +543,48 @@ void RoundPipeline::covering_us_stored(const DualState& state, double alpha,
   for (std::size_t c = 0; c < chunks; ++c) {
     min_ratio = std::min(min_ratio, partial[c]);
   }
-  exp_floor_multipliers(
-      pool_, grain, lg, alpha, min_ratio, ratio, s,
-      [attr](std::size_t i) { return attr[i].level; }, u,
-      ctx_.cov_partial, ctx_.divisor);
+  double* us = ctx_.us.data();
+  exp_floor_multipliers(pool_, grain, lg.eps(), alpha, min_ratio, ratio, div,
+                        s, ratio, ctx_.cov_partial,
+                        [us, sel, eprob](std::size_t e, double value) {
+                          us[e] = value / eprob[sel[e]];
+                        });
 }
 
-void RoundPipeline::extract_sparsifier(const SamplingRound& draws,
-                                       std::size_t q) {
-  const std::vector<std::uint32_t>& uni = draws.union_support();
-  const std::uint32_t* masks = draws.masks().data();
-  const EdgeId* rid = lg_->retained().data();
-  const std::vector<double>& prob = ctx_.prob;
-  const std::size_t u_size = uni.size();
-  const std::size_t grain = options_.grain;
-  const std::size_t chunks =
-      u_size == 0 ? 0 : (u_size + grain - 1) / grain;
-  ctx_.chunk_cursor.assign(chunks, 0);
-  std::uint32_t* cursor = ctx_.chunk_cursor.data();
-  run_chunks(pool_, 0, u_size, grain,
-             [&](std::size_t c, std::size_t lo, std::size_t hi) {
-               std::uint32_t count = 0;
-               for (std::size_t i = lo; i < hi; ++i) {
-                 count += (masks[uni[i]] >> q) & 1u;
-               }
-               cursor[c] = count;
-             });
-  std::uint32_t total = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::uint32_t count = cursor[c];
-    cursor[c] = total;
-    total += count;
-  }
-  ctx_.store_idx.resize(total);
-  ctx_.ids.resize(total);
-  ctx_.sample_prob.resize(total);
-  std::uint32_t* sidx = ctx_.store_idx.data();
-  EdgeId* ids = ctx_.ids.data();
-  double* sp = ctx_.sample_prob.data();
-  run_chunks(pool_, 0, u_size, grain,
-             [&](std::size_t c, std::size_t lo, std::size_t hi) {
-               std::uint32_t cur = cursor[c];
-               for (std::size_t i = lo; i < hi; ++i) {
-                 const std::uint32_t idx = uni[i];
-                 if ((masks[idx] >> q) & 1u) {
-                   sidx[cur] = idx;
-                   ids[cur] = rid[idx];
-                   sp[cur] = prob[idx];
-                   ++cur;
-                 }
-               }
-             });
-}
-
-void RoundPipeline::build_zeta(const DualState& state) {
+void RoundPipeline::sample_zeta(const DualState& state,
+                                std::span<const std::uint32_t> zeta_rows) {
   const LevelGraph& lg = *lg_;
-  const access::RetainedEdge* attr = ctx_.store_attr.data();
   const double eps = options_.eps;
-  const auto levels = static_cast<std::uint64_t>(lg.num_levels());
-  const std::size_t s = ctx_.store_idx.size();
   const std::size_t grain = options_.grain;
+  const double* xr = ctx_.x_row.data();
+  const Vertex* vertex = ctx_.rows.table().vertex.data();
+  const std::int32_t* level = ctx_.rows.table().level.data();
+  const std::uint32_t* zr = zeta_rows.data();
 
-  // zeta: packing multipliers on the active outer rows (i, k), built flat:
-  // the stored edges' endpoint rows are marked in the (vertex, level)
-  // bitset, whose drain yields them sorted and unique; then two
-  // chunk-parallel exp sweeps (the max reduction is exact).
-  KeyBitset& marks = ctx_.row_marks;
-  marks.reserve(substrate_->num_vertices() * levels);
-  for (std::size_t i = 0; i < s; ++i) {
-    const access::RetainedEdge& re = attr[i];
-    const auto k = static_cast<std::uint64_t>(re.level);
-    marks.mark(static_cast<std::uint64_t>(re.u) * levels + k);
-    marks.mark(static_cast<std::uint64_t>(re.v) * levels + k);
-  }
-  ctx_.row_keys.clear();
-  marks.drain([this](std::uint64_t key) { ctx_.row_keys.push_back(key); });
-  const std::uint64_t* row_keys = ctx_.row_keys.data();
-
-  const std::size_t rows = ctx_.row_keys.size();
-  const std::size_t chunks = rows == 0 ? 0 : (rows + grain - 1) / grain;
-  ctx_.expos.resize(rows);
+  // zeta: packing multipliers on the active outer rows (i, k) — exactly
+  // the union rows the sample's edges touch, ascending (so key-sorted) —
+  // by two chunk-parallel exp sweeps (the max reduction is exact).
+  const std::size_t rows = zeta_rows.size();
+  const std::size_t chunks = (rows + grain - 1) / grain;
+  resize_exact(ctx_.zeta, rows);
   ctx_.cov_partial.assign(chunks, -1e300);
-  double* expos = ctx_.expos.data();
+  double* expos = ctx_.zeta.data();
   double* partial = ctx_.cov_partial.data();
   const double alpha_p =
       std::log(2.0 * (static_cast<double>(rows) + 1) / eps) * 6.0 / eps;
+  // po_row from the row cache: 2 x_i(k), then the odd-set terms.
+  const bool odd_sets = state.odd_set_support() != 0;
   run_chunks(pool_, 0, rows, grain,
              [&](std::size_t c, std::size_t lo, std::size_t hi) {
                double local_max = -1e300;
-               for (std::size_t r = lo; r < hi; ++r) {
-                 const auto i = static_cast<Vertex>(row_keys[r] / levels);
-                 const int k = static_cast<int>(row_keys[r] % levels);
+               for (std::size_t j = lo; j < hi; ++j) {
+                 const std::uint32_t r = zr[j];
+                 const int k = level[r];
                  const double q_val = 3.0 * lg.level_weight(k);
-                 expos[r] = alpha_p * state.po_row(i, k) / q_val;
-                 local_max = std::max(local_max, expos[r]);
+                 double po = 2.0 * xr[r];
+                 if (odd_sets) po = state.add_set_terms(po, vertex[r], k);
+                 expos[j] = alpha_p * po / q_val;
+                 local_max = std::max(local_max, expos[j]);
                }
                partial[c] = local_max;
              });
@@ -485,24 +596,18 @@ void RoundPipeline::build_zeta(const DualState& state) {
   // through the clones-dispatched kernels (util/simd): alpha = -1 turns the
   // fill into the plain shift (multiply by exactly 1.0), and the divisor
   // gather feeds divide_batch. Bitwise identical to the scalar loops.
-  ctx_.divisor.resize(rows);
+  resize_exact(ctx_.divisor, rows);
   double* div = ctx_.divisor.data();
   run_chunks(pool_, 0, rows, grain,
              [&](std::size_t, std::size_t lo, std::size_t hi) {
                simd::fill_scaled_shift(expos + lo, expos + lo, hi - lo,
                                        -1.0, max_expo);
                simd::exp_batch_poly(expos + lo, expos + lo, hi - lo);
-               for (std::size_t r = lo; r < hi; ++r) {
-                 const int k = static_cast<int>(row_keys[r] % levels);
-                 div[r] = 3.0 * lg.level_weight(k);
+               for (std::size_t j = lo; j < hi; ++j) {
+                 div[j] = 3.0 * lg.level_weight(level[zr[j]]);
                }
                simd::divide_batch(expos + lo, div + lo, hi - lo);
              });
-  ctx_.zeta.clear();
-  ctx_.zeta.reserve(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    ctx_.zeta.append(row_keys[r], expos[r]);
-  }
 }
 
 }  // namespace dp::core

@@ -30,7 +30,14 @@
 //  - InnerRefine: the t inner multiplicative-weight iterations on the
 //    stored samples (deferred refinement + MiniOracle + PST blend). Reads
 //    the frozen draw and mutates only the dual state and the incumbent's
-//    beta (Algorithm 3 step 5b raises).
+//    beta (Algorithm 3 step 5b raises). It first indexes the round once:
+//    the union's attributes in one pass of batched fetches, its (vertex,
+//    level) rows as a key-sorted table with two row positions per union
+//    edge, and every sparsifier as lists of its union positions and its
+//    rows. Each iteration then works on row positions: the covering sweep
+//    reads a per-row x cache, zeta lives on the rows the sparsifier
+//    touches, and the oracle takes the sample in that row-indexed form
+//    (core/oracle's RowSample).
 //  - Merge: the single join point. Joins the OfflineResolve future, folds
 //    the offline solution into the incumbent (best value + beta raise,
 //    Algorithm 2 step 6), aggregates the per-stage ResourceMeters into the
@@ -54,6 +61,7 @@
 // iterate, level metadata, and the stored samples' attributes.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "access/substrate.hpp"
@@ -163,18 +171,29 @@ class RoundPipeline {
     std::vector<double> promise;
     std::vector<double> prob;
     DeferredScratch deferred_scratch;
-    // InnerRefine stage.
-    std::vector<std::uint32_t> store_idx;  // retained indices, per q
-    std::vector<access::RetainedEdge> store_attr;  // attributes, parallel
-    std::vector<EdgeId> ids;               // full-graph ids, parallel
-    std::vector<double> sample_prob;
-    std::vector<double> u_now;
-    std::vector<StoredMultiplier> us;
-    KeyBitset row_marks;  // (vertex, level) rows of the stored edges
-    std::vector<std::uint64_t> row_keys;
-    std::vector<double> expos;
-    ZetaMap zeta;
-    std::vector<std::uint32_t> chunk_cursor;
+    // InnerRefine stage, indexed once per round (index_round).
+    std::vector<access::RetainedEdge> attr_chunk;  // one gather chunk
+    RowIndex rows;                       // the union's rows, key-sorted
+    std::vector<std::uint32_t> row_mask;    // per row: sparsifiers on it
+    std::vector<std::uint32_t> edge_row_u;  // per union edge: (u, k) row
+    std::vector<std::uint32_t> edge_row_v;  // (v, k) row
+    std::vector<std::int32_t> edge_level;
+    std::vector<double> edge_prob;          // inclusion probability
+    std::vector<std::uint32_t> edge_mask;   // sparsifiers holding it
+    // Per sparsifier q, bit-major: its union positions in
+    // sparsifier_edges[edge_start[q], edge_start[q + 1]) and its rows in
+    // sparsifier_rows[row_start[q], row_start[q + 1]), both ascending.
+    std::vector<std::uint32_t> sparsifier_edges;
+    std::vector<std::size_t> edge_start;
+    std::vector<std::uint32_t> sparsifier_rows;
+    std::vector<std::size_t> row_start;
+    std::vector<std::uint32_t> chunk_counts;  // chunk x q counts/cursors
+    // InnerRefine stage, per iteration.
+    std::vector<double> x_row;  // x(i, k) per union row, since last blend
+    std::vector<double> us;              // per sample edge
+    std::vector<std::uint32_t> row_u;    // per sample edge
+    std::vector<std::uint32_t> row_v;
+    std::vector<double> zeta;            // per zeta row of the sample
     // Per-stage meters, merged (in this order) at the Merge stage. The
     // draw's round/pass/store accounting lives on the substrate meter.
     ResourceMeter offline_meter;
@@ -197,23 +216,23 @@ class RoundPipeline {
   void stage_merge(Future<OfflineSolution>& offline, Incumbent& inc,
                    ResourceMeter& meter, std::size_t stored_total);
 
-  /// Exponent-shifted covering multipliers u_e (Theorem 5 rule) for the
-  /// stored sample in ctx_.store_idx into `u`, on fixed-grain chunks with
-  /// exact min/max reductions (bitwise thread-count-invariant). Reads only
-  /// stored-edge attributes (deferred refinement: no new data access).
-  void covering_us_stored(const DualState& state, double alpha,
-                          std::vector<double>& u);
-  /// Chunk-parallel extraction of sparsifier q's (store_idx, ids,
-  /// sample_prob) from the frozen draw (count + exclusive scan + fill).
-  void extract_sparsifier(const SamplingRound& draws, std::size_t q);
-  /// Gather the extracted sample's attribute records into ctx_.store_attr
-  /// — the one per-iteration stored-attribute access, through the
-  /// substrate's batched stored_attrs() (table rows, or the file-backed
-  /// backend's per-round sample cache).
-  void gather_stored_attrs();
-  /// zeta build: the stored edges' (vertex, level) rows, sorted and unique
-  /// through the row bitset, then exp sweeps with exact max reduction.
-  void build_zeta(const DualState& state);
+  /// InnerRefine's once-per-round index of the frozen draw: gathers the
+  /// union's attributes (the round's one stored-attribute access, through
+  /// the substrate's batched stored_attrs), numbers the union's (vertex,
+  /// level) rows through the n*L key bitset, gives every union edge its
+  /// two row positions, level and probability, and lists each
+  /// sparsifier's union positions and rows.
+  void index_round(const SamplingRound& draws);
+  /// Refined multipliers us_e = max(u_e, floor) / p_e (Theorem 5 rule on
+  /// the CURRENT duals) for the sample's `s` union positions `sel`, with
+  /// its row positions, on fixed-grain chunks with exact min/max
+  /// reductions (bitwise thread-count-invariant).
+  void sample_multipliers(const DualState& state, double alpha,
+                          const std::uint32_t* sel, std::size_t s);
+  /// zeta on the sample's rows `zeta_rows`: exp sweeps with an exact max
+  /// reduction.
+  void sample_zeta(const DualState& state,
+                   std::span<const std::uint32_t> zeta_rows);
 
   access::Substrate* substrate_;
   const LevelGraph* lg_;

@@ -463,6 +463,47 @@ TEST(Checkpoint, RejectsMeterRunningAbovePeak) {
   }
 }
 
+TEST(Checkpoint, RejectsAnOddSetCountBeyondThePayload) {
+  // A checksum-valid checkpoint whose odd-set count promises more sets than
+  // the remaining payload can hold is CheckpointCorrupt — never a
+  // length_error or bad_alloc from reserving that many sets.
+  const std::vector<std::uint8_t> bytes = sample_checkpoint().serialize();
+  EXPECT_NO_THROW(RoundCheckpoint::deserialize(bytes));
+  // Header 24 bytes; the payload reaches the odd-set count after identity
+  // 76, position 24, incumbent 24 + 16 per support entry, then scale 8,
+  // xik count 8 + 16 per pair and xi count 8 + 8 per entry.
+  const RoundCheckpoint ck = sample_checkpoint();
+  const std::size_t at = 24 + 76 + 24 + 24 + 16 * ck.best_support.size() +
+                         8 + 8 + 16 * ck.xik.size() + 8 + 8 * ck.xi.size();
+  auto u64_at = [&bytes](std::size_t pos) {
+    std::uint64_t x = 0;
+    for (int i = 0; i < 8; ++i) {
+      x |= static_cast<std::uint64_t>(bytes[pos + static_cast<std::size_t>(i)])
+           << (8 * i);
+    }
+    return x;
+  };
+  ASSERT_EQ(u64_at(at), ck.odd_sets.size());
+  for (const int bits : {61, 40}) {
+    std::vector<std::uint8_t> patched = bytes;
+    const std::uint64_t count = std::uint64_t{1} << bits;
+    for (int i = 0; i < 8; ++i) {
+      patched[at + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(count >> (8 * i));
+    }
+    // Re-seal: the checksum covers the payload that follows the header.
+    const std::vector<std::uint8_t> payload(patched.begin() + 24,
+                                            patched.end());
+    const std::uint64_t sum = fnv1a(payload);
+    for (int i = 0; i < 8; ++i) {
+      patched[16 + static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(sum >> (8 * i));
+    }
+    EXPECT_THROW(RoundCheckpoint::deserialize(patched), CheckpointCorrupt)
+        << "count 2^" << bits;
+  }
+}
+
 TEST(Checkpoint, SerializeReservesExactly) {
   // serialize() reserves the exact wire size up front, so it builds the
   // payload without ever regrowing (and copying) its buffer.

@@ -224,6 +224,14 @@ OracleInstance make_instance(std::uint64_t seed, bool b_matching) {
     row_keys.push_back(static_cast<std::uint64_t>(edge.u) * L + k);
     row_keys.push_back(static_cast<std::uint64_t>(edge.v) * L + k);
   }
+  // Rows in only one of the two supports: for odd seeds, zeta also gets
+  // rows no stored edge touches; every seed leaves some stored-edge rows
+  // without zeta.
+  if (seed % 2 == 1) {
+    for (int extra = 0; extra < 25; ++extra) {
+      row_keys.push_back(rng.uniform(n) * L + rng.uniform(L));
+    }
+  }
   std::sort(row_keys.begin(), row_keys.end());
   row_keys.erase(std::unique(row_keys.begin(), row_keys.end()),
                  row_keys.end());
@@ -337,10 +345,11 @@ TEST(OracleDeterminism, ResultsIndependentOfThreadCount) {
 }
 
 TEST(OracleScratch, ReuseAcrossSamplesMatchesFreshOracle) {
-  // The oracle's n*L row accumulator and row bitset persist across calls;
-  // a run on sample A, then on a different sample B of the same level
-  // graph, then on A again must reproduce the first run — and a fresh
-  // oracle's — bit for bit.
+  // The oracle's scratch persists across calls: the row form of the last
+  // sample, its per-row us sums (indexed by row-table position) and the
+  // zbar suffix sums. A run on sample A, then on a different sample B of
+  // the same level graph, then on A again must reproduce the first run —
+  // and a fresh oracle's — bit for bit.
   for (std::uint64_t seed = 41; seed <= 44; ++seed) {
     const OracleInstance a = make_instance(seed, seed % 2 == 0);
     Rng rng(seed + 100);

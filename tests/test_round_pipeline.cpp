@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -132,6 +133,55 @@ TEST(RoundPipeline, BitwiseIdenticalAcrossThreads) {
   // must leave the result exactly as the unarmed solve's.
   expect_bitwise_equal(capped, refs[3], "armed deadline vs unarmed");
   EXPECT_EQ(refs[3].checkpoint, nullptr);
+
+  // Odd sets in the dual state. None of the solves above ever holds one
+  // (the oracle's Case A fires every time), so resume the round cap input
+  // from its round-1 checkpoint with two overlapping odd-set variables
+  // added: the inner covering and zeta sweeps must add their terms
+  // exactly as cover_row and po_row do, at every thread count.
+  SolverOptions first_round = pipeline_options();
+  first_round.oracle.threads = 1;
+  first_round.on_checkpoint = [](const RoundCheckpoint& ck) {
+    return ck.next_round < 1;
+  };
+  const SolverResult cut_early = solve_matching(g, first_round);
+  ASSERT_NE(cut_early.checkpoint, nullptr);
+  RoundCheckpoint with_sets = *cut_early.checkpoint;
+  ASSERT_FALSE(with_sets.xik.empty());
+  std::vector<double> raw;
+  for (const auto& [key, value] : with_sets.xik) raw.push_back(value);
+  std::sort(raw.begin(), raw.end());
+  const double typical = raw[raw.size() / 2];  // comparable to x entries
+  with_sets.odd_sets.push_back(
+      OddSetVar{0, {0, 1, 2, 3, 4, 5, 6, 7, 8}, typical});
+  with_sets.odd_sets.push_back(OddSetVar{
+      with_sets.levels / 2, {4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14},
+      0.5 * typical});
+  const std::size_t thread_counts[] = {1, 2, 8};
+  std::vector<SolverResult> resumed;
+  std::vector<std::vector<std::vector<std::uint8_t>>> resumed_bytes;
+  for (const std::size_t threads : thread_counts) {
+    SolverOptions opt = pipeline_options();
+    opt.oracle.threads = threads;
+    opt.resume_from = &with_sets;
+    std::vector<std::vector<std::uint8_t>> bytes;
+    opt.on_checkpoint = [&bytes](const RoundCheckpoint& ck) {
+      bytes.push_back(ck.serialize());
+      return true;
+    };
+    resumed.push_back(solve_matching(g, opt));
+    resumed_bytes.push_back(std::move(bytes));
+  }
+  EXPECT_EQ(resumed[0].outer_rounds, 3u);
+  ASSERT_NE(resumed[0].warm, nullptr);
+  EXPECT_GE(resumed[0].warm->odd_sets.size(), 2u);
+  EXPECT_FALSE(resumed_bytes[0].empty());
+  for (std::size_t r = 1; r < resumed.size(); ++r) {
+    const std::string label =
+        "odd sets resumed threads=" + std::to_string(thread_counts[r]);
+    expect_bitwise_equal(resumed[0], resumed[r], label.c_str());
+    EXPECT_EQ(resumed_bytes[0], resumed_bytes[r]) << label;
+  }
 }
 
 TEST(RoundPipeline, BitwiseIdenticalForBMatching) {
