@@ -408,7 +408,6 @@ int main(int argc, char** argv) {
     for (const bool odd_sets : {false, true}) {
       OracleConfig config;
       config.use_odd_sets = odd_sets;
-      config.odd.eps = 0.15;
       std::size_t reps = quick ? 3 : (n >= 10000 ? 5 : 20);
       // odd_sets rows are separation-bound: cheap enough since the arena
       // rework to afford 3 quick reps (single-rep numbers were too noisy

@@ -1,14 +1,13 @@
 // MapReduce scenario: the paper's motivating setting. A large edge list is
 // distributed over simulated machines; per-vertex l0-sampling sketches are
 // computed in one MapReduce round (mappers emit per-endpoint records,
-// reducers build vertex sketches), then merged centrally — exactly the
-// two-round schema of Section 4.2. The spanning forest is then extracted
-// with zero further passes, and the dual-primal matcher runs END-TO-END on
-// the MapReduce access substrate (src/access/mapreduce): every sampling
-// round is one REAL simulator round — mappers evaluate the counter-based
-// masks over their shards, one reducer per sparsifier collects its support
-// under a memory cap that would reject any algorithm shipping all edges to
-// one place.
+// reducers build vertex sketches), the first round of Section 4.2's
+// schema, with shuffle volume and the largest reducer load reported. Then
+// the dual-primal matcher runs END-TO-END on the MapReduce access
+// substrate (src/access/mapreduce): every sampling round is one REAL
+// simulator round — mappers evaluate the counter-based masks over their
+// shards, one reducer per sparsifier collects its support under a memory
+// cap that would reject any algorithm shipping all edges to one place.
 
 #include <algorithm>
 #include <iostream>
@@ -16,11 +15,9 @@
 
 #include "access/mapreduce.hpp"
 #include "core/solver.hpp"
-#include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "mapreduce/mapreduce.hpp"
 #include "sketch/l0sampler.hpp"
-#include "sketch/spanning_forest.hpp"
 
 int main() {
   const std::size_t n = 400;
@@ -81,13 +78,6 @@ int main() {
   std::cout << "mapreduce: " << mr_meter.summary()
             << " max_reducer_load=" << max_reducer_load
             << " sketch_words=" << sketch_words << "\n";
-
-  // ---- Sketch-based connectivity (1 sampling round, log n uses). ----
-  dp::ResourceMeter sketch_meter;
-  const auto forest = dp::sketch_spanning_forest(g, 99, &sketch_meter);
-  std::cout << "sketch connectivity: components=" << forest.components
-            << " (true " << dp::num_components(g) << "), use_steps="
-            << forest.use_steps << ", " << sketch_meter.summary() << "\n";
 
   // ---- Dual-primal matching END-TO-END on the MapReduce substrate: each
   // sampling round is one genuine simulator round (map -> shuffle ->

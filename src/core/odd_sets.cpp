@@ -353,10 +353,7 @@ std::vector<std::vector<Vertex>> OddSetSeparator::find(
   if (q_edges.empty()) return {};
   ensure(n);
   const double eps = options.eps;
-  const std::int64_t max_b =
-      options.max_set_b > 0
-          ? options.max_set_b
-          : static_cast<std::int64_t>(std::ceil(4.0 / eps));
+  const auto max_b = static_cast<std::int64_t>(std::ceil(4.0 / eps));
 
   // Active vertices (sorted): endpoints of query edges. Dense when the
   // endpoints cover a good fraction of [0, n), so pick whichever of

@@ -36,9 +36,9 @@ struct OddSetQueryEdge {
 };
 
 struct OddSetOptions {
+  /// The level graph's eps: sets are capped at ||U||_b <= 4/eps and values
+  /// discretized by 8/eps^3.
   double eps = 0.1;
-  /// Max ||U||_b of a returned set (0 = use 4/eps).
-  std::int64_t max_set_b = 0;
   /// Use the exact Gomory-Hu search only when the number of active vertices
   /// is at most this; otherwise use the heuristic finder.
   std::size_t gomory_hu_limit = 1200;

@@ -533,9 +533,8 @@ MicroResult MicroOracle::probe(const RowSample& sample, double beta,
   // Restrict separation to the lowest few active levels (each costs a
   // Gomory-Hu tree). Lower levels include more edges, so they dominate.
   std::size_t first = 0;
-  if (config_.max_separation_levels > 0 &&
-      active_levels.size() > config_.max_separation_levels) {
-    first = active_levels.size() - config_.max_separation_levels;
+  if (active_levels.size() > kMaxSeparationLevels) {
+    first = active_levels.size() - kMaxSeparationLevels;
   }
 
   // Incremental per-vertex zbar suffix sums: the family loop visits levels
@@ -638,11 +637,12 @@ MicroResult MicroOracle::probe(const RowSample& sample, double beta,
       sep->by_level.back().level = l;
       ++jobs;
     }
+    const OddSetOptions odd{.eps = eps};
     run_chunks(pool(), 0, jobs, 1,
                [&](std::size_t, std::size_t jlo, std::size_t jhi) {
                  for (std::size_t j = jlo; j < jhi; ++j) {
                    sep->by_level[job_entry[j]].sets = s.separators[j].find(
-                       n, s.job_q[j], s.job_qhat[j], b, config_.odd);
+                       n, s.job_q[j], s.job_qhat[j], b, odd);
                  }
                });
     sep->populated = true;

@@ -128,11 +128,14 @@ struct MicroResult {
   double gamma = 0.0;   // diagnostic: the oracle's gamma value
 };
 
+/// Odd sets are separated on at most this many (lowest) active levels per
+/// call (each costs a Gomory-Hu tree).
+inline constexpr std::size_t kMaxSeparationLevels = 4;
+
+/// Oracle execution settings. The odd-set separator's eps is not one of
+/// them: both oracles pass OddSetOptions{.eps = lg.eps()}, so separation
+/// always runs at the level graph's eps.
 struct OracleConfig {
-  OddSetOptions odd;
-  /// Separate odd sets on at most this many (lowest) active levels per call
-  /// (each costs a Gomory-Hu tree). 0 = all active levels.
-  std::size_t max_separation_levels = 4;
   /// Disable odd-set separation entirely (bipartite mode).
   bool use_odd_sets = true;
   /// Worker threads for the per-vertex sweep and membership scans

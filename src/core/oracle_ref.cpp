@@ -260,9 +260,8 @@ MicroResult MicroOracleRef::run_map(const std::vector<StoredMultiplier>& us,
   // Restrict separation to the lowest few active levels (each costs a
   // Gomory-Hu tree). Lower levels include more edges, so they dominate.
   std::size_t first = 0;
-  if (config_.max_separation_levels > 0 &&
-      active_levels.size() > config_.max_separation_levels) {
-    first = active_levels.size() - config_.max_separation_levels;
+  if (active_levels.size() > kMaxSeparationLevels) {
+    first = active_levels.size() - kMaxSeparationLevels;
   }
 
   // Per-vertex zbar entries sorted by level for suffix sums.
@@ -328,7 +327,7 @@ MicroResult MicroOracleRef::run_map(const std::vector<StoredMultiplier>& us,
                        zbar_suffix(static_cast<Vertex>(v), l);
       }
       fresh = find_dense_odd_sets(lg.graph().num_vertices(), q_edges, q_hat,
-                                  b, config_.odd);
+                                  b, OddSetOptions{.eps = eps});
       if (cache != nullptr) {
         cache->by_level.emplace_back();
         cache->by_level.back().level = l;

@@ -156,7 +156,7 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
   // re-solves offline on the stored union every round and the dual
   // certificate (objective/lambda) is sound regardless of sparsifier
   // quality, so a coarse-but-cheap sparsifier only slows convergence.
-  // gamma enters deferred_probabilities squared; passing sqrt(gamma)
+  // gamma enters deferred_probabilities_into squared; passing sqrt(gamma)
   // yields linear-in-gamma oversampling — the measured multiplier drift
   // per round sits far below the worst-case gamma^2 (a deviation from the
   // paper, documented under "Probabilities" in src/core/README.md).

@@ -1,8 +1,8 @@
 #pragma once
 // Disjoint-set forest with union by rank and path halving. Used by the
-// streaming sparsifier (k parallel union-find structures per subsampling
-// level, Algorithm 6 of the paper), the sketch-based spanning forest, and
-// connectivity checks.
+// strength estimation (sparsify/strength): the nested spanning forests
+// packed per subsampling level (Algorithm 6 of the paper) and the
+// component split of level 0.
 
 #include <cstddef>
 #include <cstdint>

@@ -26,9 +26,10 @@ void deferred_probabilities_into(std::size_t n, std::size_t num_edges,
   prob.assign(num_edges, 0.0);
   if (num_edges == 0 || n == 0) return;
 
-  // Same per-class scheme as cut_sparsify, but probabilities computed from
-  // the promise weights and inflated by gamma^2 (Lemma 17: p' computed from
-  // sigma times O(chi^2) dominates the exact-weight probability).
+  // Benczur-Karger per weight class: within each power-of-two class of the
+  // promise weights, p_e = min(1, rho / strength_e), with rho inflated by
+  // gamma^2 (Lemma 17: p' computed from sigma times O(chi^2) dominates the
+  // exact-weight probability).
   //
   // Weight classes group by one stable counting pass over the class digit
   // instead of a std::map of vectors or a sort: edges are visited in
@@ -104,62 +105,6 @@ void deferred_probabilities_into(std::size_t n, const std::vector<Edge>& edges,
         for (std::size_t i = 0; i < count; ++i) out[i] = base[idxs[i]];
       },
       promise, options, seed, prob, scratch, pool);
-}
-
-std::vector<double> deferred_probabilities(std::size_t n,
-                                           const std::vector<Edge>& edges,
-                                           const std::vector<double>& promise,
-                                           const DeferredOptions& options,
-                                           std::uint64_t seed) {
-  std::vector<double> prob;
-  DeferredScratch scratch;
-  deferred_probabilities_into(n, edges, promise, options, seed, prob,
-                              scratch);
-  return prob;
-}
-
-DeferredSparsifier::DeferredSparsifier(std::size_t n,
-                                       const std::vector<Edge>& edges,
-                                       const std::vector<double>& promise,
-                                       const DeferredOptions& options,
-                                       std::uint64_t seed,
-                                       ResourceMeter* meter) {
-  Rng rng(seed);
-  const std::vector<double> prob =
-      deferred_probabilities(n, edges, promise, options, rng.next());
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    if (prob[e] <= 0) continue;
-    if (prob[e] >= 1.0 || rng.bernoulli(prob[e])) {
-      stored_.push_back(e);
-      prob_.push_back(prob[e]);
-    }
-  }
-  if (meter != nullptr) {
-    meter->add_round();
-    meter->store_edges(stored_.size());
-  }
-}
-
-std::vector<SparsifiedEdge> DeferredSparsifier::refine(
-    const std::vector<double>& exact_weights) const {
-  if (exact_weights.size() != stored_.size()) {
-    throw std::invalid_argument("DeferredSparsifier::refine: size mismatch");
-  }
-  std::vector<SparsifiedEdge> out;
-  out.reserve(stored_.size());
-  for (std::size_t i = 0; i < stored_.size(); ++i) {
-    if (!(exact_weights[i] > 0)) continue;
-    out.push_back(SparsifiedEdge{stored_[i], exact_weights[i] / prob_[i]});
-  }
-  return out;
-}
-
-std::vector<SparsifiedEdge> DeferredSparsifier::refine_from_full(
-    const std::vector<double>& full_exact_weights) const {
-  std::vector<double> local;
-  local.reserve(stored_.size());
-  for (std::size_t e : stored_) local.push_back(full_exact_weights[e]);
-  return refine(local);
 }
 
 }  // namespace dp

@@ -1,12 +1,13 @@
 #pragma once
-// Deferred cut sparsifiers — Definition 4 / Lemma 17 of the paper.
+// Deferred cut sparsifier probabilities — Definition 4 / Lemma 17 of the
+// paper.
 //
 // The exact multiplier u_e of an edge is NOT known at sampling time; only a
-// promise value sigma_e with sigma_e/gamma <= u_e <= sigma_e*gamma is. The
-// data structure D samples edge *indices* using the promise values with the
-// sampling probability inflated by gamma^2 (so it dominates the probability
-// the exact weights would have demanded), stores them, and later — once the
-// exact u values of the stored edges are revealed — produces a (1 +- xi)
+// promise value sigma_e with sigma_e/gamma <= u_e <= sigma_e*gamma is. Each
+// edge is therefore sampled with a probability computed from the promise
+// values and inflated by gamma^2, so it dominates the probability the exact
+// weights would have demanded; once the exact u values of the stored edges
+// are revealed, reweighting each stored edge by u_e / p_e gives a (1 +- xi)
 // cut sparsifier of the exact-weighted graph.
 //
 // This is the mechanism that lets Theorem 1 run O(eps^-1 log gamma)
@@ -14,15 +15,17 @@
 // multipliers drift by at most e^eps per iteration, so gamma =
 // e^{eps * iterations} bounds the drift and the oversampled structure covers
 // every intermediate weight vector.
+//
+// This file computes the per-edge probabilities only. The draw — t
+// sparsifiers per round from one probability vector — is core/sampling's
+// sampling_mask, shared by every access substrate.
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "sparsify/cut_sparsifier.hpp"
 #include "sparsify/strength.hpp"
-#include "util/accounting.hpp"
 
 namespace dp {
 
@@ -35,7 +38,6 @@ struct DeferredOptions {
   double gamma = 1.5;
   /// Oversampling constant (multiplies the gamma^2 factor).
   double sampling_constant = 12.0;
-  int forests_per_level = 0;
 };
 
 /// Reusable buffers for deferred_probabilities_into: weight-class grouping
@@ -49,24 +51,15 @@ struct DeferredScratch {
   StrengthScratch strength;
 };
 
-/// Per-edge inclusion probabilities for a deferred sparsifier built from
-/// promise weights (strength estimation + gamma^2 oversampling). Exposed so
-/// a caller constructing MANY independent sparsifiers from the SAME promise
-/// vector (the t per-round structures of Theorem 1) can amortize the
-/// strength computation and then draw cheap Bernoulli samples.
-std::vector<double> deferred_probabilities(std::size_t n,
-                                           const std::vector<Edge>& edges,
-                                           const std::vector<double>& promise,
-                                           const DeferredOptions& options,
-                                           std::uint64_t seed);
-
-/// The sampling engine's path: same probabilities as above, computed into a
+/// Per-edge inclusion probabilities from promise weights (strength
+/// estimation per weight class + gamma^2 oversampling), computed into a
 /// caller-owned vector with all working memory in `scratch` (steady-state
 /// rounds allocate nothing). Weight classes group by one stable counting
 /// pass, per-class seeds are counter-based (a pure function of (seed,
 /// class)), and the strength estimation inside each class runs its
-/// per-level jobs on `pool`
-/// — so the output is bitwise identical for any thread count.
+/// per-level jobs on `pool` — so the output is bitwise identical for any
+/// thread count and any scratch history. Throws std::invalid_argument if
+/// promise.size() differs from the edge count or gamma < 1.
 void deferred_probabilities_into(std::size_t n, const std::vector<Edge>& edges,
                                  const std::vector<double>& promise,
                                  const DeferredOptions& options,
@@ -95,40 +88,5 @@ void deferred_probabilities_into(std::size_t n, std::size_t num_edges,
                                  std::vector<double>& prob,
                                  DeferredScratch& scratch,
                                  ThreadPool* pool = nullptr);
-
-class DeferredSparsifier {
- public:
-  /// Sample-and-store phase: only `promise` (sigma) values are consulted.
-  /// Charges `meter` one adaptive round and the stored edge count.
-  DeferredSparsifier(std::size_t n, const std::vector<Edge>& edges,
-                     const std::vector<double>& promise,
-                     const DeferredOptions& options, std::uint64_t seed,
-                     ResourceMeter* meter = nullptr);
-
-  /// Indices (into the original edge array) held by the structure.
-  const std::vector<std::size_t>& stored_indices() const noexcept {
-    return stored_;
-  }
-  /// Inclusion probability used for stored edge i (parallel to
-  /// stored_indices()).
-  const std::vector<double>& probabilities() const noexcept { return prob_; }
-
-  std::size_t size() const noexcept { return stored_.size(); }
-
-  /// Refinement phase: exact weights for the stored edges are revealed
-  /// (parallel to stored_indices()); emits the reweighted sparsifier edges.
-  /// Edges whose exact weight is zero are dropped.
-  std::vector<SparsifiedEdge> refine(
-      const std::vector<double>& exact_weights) const;
-
-  /// Convenience: refine by looking up exact weights from a full per-edge
-  /// vector indexed like the original edge array.
-  std::vector<SparsifiedEdge> refine_from_full(
-      const std::vector<double>& full_exact_weights) const;
-
- private:
-  std::vector<std::size_t> stored_;
-  std::vector<double> prob_;
-};
 
 }  // namespace dp

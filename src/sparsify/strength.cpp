@@ -84,48 +84,6 @@ std::size_t build_level0_regions(std::size_t n,
 
 }  // namespace
 
-std::vector<double> estimate_strengths(std::size_t n,
-                                       const std::vector<Edge>& edges,
-                                       std::uint64_t seed,
-                                       int forests_per_level) {
-  (void)forests_per_level;  // retained for API stability; the packer grows
-                            // its forest list on demand.
-  const std::size_t m = edges.size();
-  std::vector<double> strength(m, 1.0);
-  if (m == 0 || n == 0) return strength;
-
-  const int levels = subsample_levels(m);
-
-  // Nested subsamples: edge e belongs to levels 0..level_cap[e]; surviving
-  // i halvings with placement index j certifies strength ~ j * 2^i.
-  Rng rng(seed);
-  std::vector<int> level_cap(m);
-  for (std::size_t e = 0; e < m; ++e) {
-    level_cap[e] = std::min(levels - 1, rng.coin_flips_until_tail());
-  }
-
-  const std::size_t k_min = strength_k_min(n);
-  detail::ForestPacker packer;
-  for (int i = 0; i < levels; ++i) {
-    packer.reset(n);
-    bool level_nonempty = false;
-    const double scale = std::pow(2.0, i);
-    for (std::size_t e = 0; e < m; ++e) {
-      if (level_cap[e] < i) continue;
-      level_nonempty = true;
-      const std::size_t j = packer.insert(edges[e].u, edges[e].v);
-      if (i == 0) {
-        strength[e] = std::max(strength[e], static_cast<double>(j));
-      } else if (j >= k_min) {
-        strength[e] =
-            std::max(strength[e], static_cast<double>(j) * scale);
-      }
-    }
-    if (!level_nonempty) break;
-  }
-  return strength;
-}
-
 void estimate_strengths_into(std::size_t n, const std::vector<Edge>& edges,
                              std::uint64_t seed,
                              std::vector<double>& strength,

@@ -10,21 +10,20 @@
 // Sampling each edge with probability ~ rho / strength then preserves all
 // cuts within 1 +- xi whp (Benczur-Karger).
 //
-// Two entry points:
-//  - estimate_strengths: the original sequential path (stateful Rng draws in
-//    edge order). Kept stable for the offline cut sparsifier and tests.
-//  - estimate_strengths_into: the sampling engine's path. Subsample depths
-//    come from a counter-based RNG (pure function of (seed, edge index)) and
-//    every subsampling level packs its forests as an independent job, so the
-//    output is bitwise identical for any thread count; all buffers live in a
-//    caller-owned StrengthScratch so steady-state rounds allocate nothing.
-//    Level 0 (which holds EVERY edge and used to serialize the whole pass)
-//    additionally splits into vertex-disjoint region jobs: connected
-//    components of the input are grouped into at most kStrengthRegions
-//    balanced buckets, and since forest packing never crosses a component
-//    boundary, packing each bucket independently (in ascending edge order)
-//    reproduces the serial placement indices exactly — the split depends
-//    only on the input, never on the thread count.
+// estimate_strengths_into is the one entry point; the deferred
+// probabilities (sparsify/deferred) call it once per weight class.
+// Subsample depths come from a counter-based RNG (pure function of (seed,
+// edge index)) and every subsampling level packs its forests as an
+// independent job, so the output is bitwise identical for any thread
+// count; all buffers live in a caller-owned StrengthScratch so
+// steady-state rounds allocate nothing. Level 0 (which holds EVERY edge
+// and would otherwise serialize the whole pass) additionally splits into
+// vertex-disjoint region jobs: connected components of the input are
+// grouped into at most kStrengthRegions balanced buckets, and since forest
+// packing never crosses a component boundary, packing each bucket
+// independently (in ascending edge order) reproduces the serial placement
+// indices exactly — the split depends only on the input, never on the
+// thread count.
 
 #include <cstdint>
 #include <vector>
@@ -114,17 +113,12 @@ struct StrengthScratch {
   std::vector<std::uint32_t> region_cursor;   // fill cursors, one per region
 };
 
-/// strength[e] >= 1 for every edge; larger = better connected.
-/// Runs in O(m log m alpha(n)) time and is deterministic in `seed`.
-std::vector<double> estimate_strengths(std::size_t n,
-                                       const std::vector<Edge>& edges,
-                                       std::uint64_t seed,
-                                       int forests_per_level = 0);
-
 /// Deterministic parallel strength estimation into a caller-owned output
-/// (resized to edges.size()). Subsample depths are counter-based draws and
-/// the per-level forest packings run as independent jobs on `pool`, so the
-/// result depends only on (n, edges, seed) — never on the thread count.
+/// (resized to edges.size()): strength[e] >= 1 for every edge, larger =
+/// better connected. Runs in O(m log m alpha(n)) time. Subsample depths
+/// are counter-based draws and the per-level forest packings run as
+/// independent jobs on `pool`, so the result depends only on (n, edges,
+/// seed) — never on the thread count.
 void estimate_strengths_into(std::size_t n, const std::vector<Edge>& edges,
                              std::uint64_t seed,
                              std::vector<double>& strength,

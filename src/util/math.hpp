@@ -1,7 +1,6 @@
 #pragma once
 // Numeric helpers shared across the library: geometric weight classes
-// (Definitions 2/3 of the paper), epsilon-safe comparisons, and small
-// statistics used by the benchmarks.
+// (Definitions 2/3 of the paper) and small statistics.
 
 #include <cmath>
 #include <cstdint>
@@ -46,20 +45,8 @@ class WeightClasses {
   double log_base_;
 };
 
-/// Relative error |a-b| / max(|b|, tiny).
-inline double rel_err(double a, double b) noexcept {
-  double denom = std::fabs(b);
-  if (denom < 1e-300) denom = 1e-300;
-  return std::fabs(a - b) / denom;
-}
-
-/// True if a >= b*(1 - tol): "a is at least b up to tolerance".
-inline bool geq_approx(double a, double b, double tol) noexcept {
-  return a >= b * (1.0 - tol) - 1e-12;
-}
-
-/// Least-squares slope of log(y) against log(x); used by the space/time
-/// scaling benchmarks to report measured exponents.
+/// Least-squares slope of log(y) against log(x); bench_runtime reports
+/// the measured time-vs-m exponent with it.
 double loglog_slope(const std::vector<double>& x, const std::vector<double>& y);
 
 /// Arithmetic mean.
@@ -67,12 +54,5 @@ double mean(const std::vector<double>& v);
 
 /// Population standard deviation.
 double stddev(const std::vector<double>& v);
-
-/// Integer power with overflow-free double result.
-inline double ipow(double base, int exp) noexcept {
-  double r = 1.0;
-  for (int i = 0; i < exp; ++i) r *= base;
-  return r;
-}
 
 }  // namespace dp

@@ -26,21 +26,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
                   uniform(static_cast<std::uint64_t>(hi - lo) + 1));
 }
 
-int Rng::coin_flips_until_tail() noexcept {
-  int count = 0;
-  // Consume 64-bit words; count leading run of 1-bits across words.
-  for (;;) {
-    std::uint64_t word = next();
-    if (word == ~0ULL) {
-      count += 64;
-      continue;
-    }
-    // Position of lowest 0 bit == number of heads in this word's low run.
-    count += __builtin_ctzll(~word);
-    return count;
-  }
-}
-
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
                                                          std::size_t k) {
   if (k >= n) {

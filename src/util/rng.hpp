@@ -63,8 +63,9 @@ class CounterRng {
   }
 
   /// Number of fair-coin heads before the first tail (geometric, capped at
-  /// 64) for the given counter — the stateless counterpart of
-  /// Rng::coin_flips_until_tail used by layered subsampling.
+  /// 64) for the given counter: the subsample depth of an edge in the
+  /// layered strength estimation (sparsify/strength), where each level
+  /// keeps an edge with probability 1/2.
   int coin_flips_until_tail(std::uint64_t a, std::uint64_t b) const noexcept {
     const std::uint64_t word = bits(a, b);
     return word == ~0ULL ? 64 : __builtin_ctzll(~word);
@@ -136,10 +137,6 @@ class Rng {
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept { return uniform_real() < p; }
-
-  /// Geometric-like: number of fair-coin heads before the first tail.
-  /// Used by layered subsampling (each level keeps an edge w.p. 1/2).
-  int coin_flips_until_tail() noexcept;
 
   /// Derive an independent child generator; deterministic in (state, salt).
   Rng fork(std::uint64_t salt) noexcept {

@@ -267,7 +267,6 @@ TEST(OracleEquivalence, RunMatchesMapReferenceRandomized) {
     const bool b_matching = seed % 3 == 0;
     const OracleInstance inst = make_instance(seed, b_matching);
     OracleConfig config;
-    config.odd.eps = 0.2;
     config.threads = 1;
     const MicroOracle flat(*inst.lg, inst.b, config);
     const ref::MicroOracleRef mapped(*inst.lg, inst.b, config);
@@ -291,7 +290,6 @@ TEST(OracleEquivalence, LagrangianMatchesMapReference) {
   for (std::uint64_t seed = 21; seed <= 26; ++seed) {
     const OracleInstance inst = make_instance(seed, seed % 2 == 0);
     OracleConfig config;
-    config.odd.eps = 0.2;
     config.threads = 1;
     const MicroOracle flat(*inst.lg, inst.b, config);
     const ref::MicroOracleRef mapped(*inst.lg, inst.b, config);
@@ -325,7 +323,6 @@ TEST(OracleDeterminism, ResultsIndependentOfThreadCount) {
   for (std::uint64_t seed = 31; seed <= 36; ++seed) {
     const OracleInstance inst = make_instance(seed, seed % 2 == 1);
     OracleConfig serial_config;
-    serial_config.odd.eps = 0.2;
     serial_config.threads = 1;
     OracleConfig parallel_config = serial_config;
     parallel_config.threads = 4;
@@ -364,7 +361,6 @@ TEST(OracleScratch, ReuseAcrossSamplesMatchesFreshOracle) {
       if (rng.uniform_real() < 0.5) zeta_b.append(key, 2.0 * value);
     }
     OracleConfig config;
-    config.odd.eps = 0.2;
     config.threads = 1;
     const MicroOracle reused(*a.lg, a.b, config);
     for (const double rho : {0.05, 1.0}) {
@@ -417,7 +413,6 @@ TEST(OracleDeterminism, OddSetSeparationIdenticalFor1_2_8Threads) {
   std::vector<MicroResult> results;
   for (const std::size_t threads : {1, 2, 8}) {
     OracleConfig config;
-    config.odd.eps = 0.2;
     config.threads = threads;
     config.parallel_grain = 4;  // force many chunks
     const MicroOracle oracle(*inst.lg, inst.b, config);
@@ -445,7 +440,6 @@ TEST(OracleDeterminism, OddSetSeparationIdenticalFor1_2_8Threads) {
   std::vector<MicroResult> lagrangian;
   for (const std::size_t threads : {1, 2, 8}) {
     OracleConfig config;
-    config.odd.eps = 0.2;
     config.threads = threads;
     config.parallel_grain = 4;
     const MicroOracle oracle(*inst.lg, inst.b, config);

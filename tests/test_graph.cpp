@@ -1,21 +1,24 @@
-// Tests for graph containers, generators, union-find, connectivity,
-// laminar families and I/O.
+// Tests for graph containers, generators, union-find and I/O.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
 
-#include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
-#include "graph/laminar.hpp"
 #include "graph/union_find.hpp"
 #include "matching/hungarian.hpp"
 
 namespace dp {
 namespace {
+
+std::size_t num_components(const Graph& g) {
+  UnionFind uf(g.num_vertices());
+  for (const Edge& e : g.edges()) uf.unite(e.u, e.v);
+  return uf.num_components();
+}
 
 TEST(Graph, BasicConstruction) {
   Graph g(5);
@@ -153,56 +156,6 @@ TEST(UnionFind, BasicOperations) {
   EXPECT_FALSE(uf.connected(0, 3));
   EXPECT_EQ(uf.num_components(), 4u);
   EXPECT_EQ(uf.component_size(1), 3u);
-}
-
-TEST(Connectivity, ComponentsAndForest) {
-  Graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(3, 4);
-  EXPECT_EQ(num_components(g), 3u);
-  const auto label = connected_components(g);
-  EXPECT_EQ(label[0], label[2]);
-  EXPECT_NE(label[0], label[3]);
-  EXPECT_EQ(spanning_forest(g).size(), 3u);
-}
-
-TEST(Connectivity, CutWeight) {
-  Graph g(4);
-  g.add_edge(0, 1, 2.0);
-  g.add_edge(1, 2, 3.0);
-  g.add_edge(2, 3, 5.0);
-  const std::vector<char> s{1, 1, 0, 0};
-  EXPECT_DOUBLE_EQ(cut_weight(g, s), 3.0);
-}
-
-TEST(Laminar, ClassifyRelations) {
-  const std::vector<Vertex> a{1, 2, 3}, b{2, 3}, c{4, 5}, d{3, 4};
-  EXPECT_EQ(classify_sets(a, b), SetRelation::kBSubsetA);
-  EXPECT_EQ(classify_sets(b, a), SetRelation::kASubsetB);
-  EXPECT_EQ(classify_sets(a, c), SetRelation::kDisjoint);
-  EXPECT_EQ(classify_sets(a, d), SetRelation::kCrossing);
-  EXPECT_EQ(classify_sets(a, a), SetRelation::kEqual);
-}
-
-TEST(Laminar, FamilyChecks) {
-  LaminarFamily fam;
-  fam.add({1, 2, 3, 4});
-  fam.add({1, 2});
-  fam.add({5, 6, 7});
-  EXPECT_TRUE(fam.is_laminar());
-  EXPECT_FALSE(fam.is_disjoint());
-  fam.add({4, 5});  // crosses both {1,2,3,4} and {5,6,7}
-  EXPECT_FALSE(fam.is_laminar());
-}
-
-TEST(Laminar, OrderByB) {
-  LaminarFamily fam;
-  fam.add({0, 1});
-  fam.add({2, 3, 4});
-  const Capacities b({5, 5, 1, 1, 1});
-  const auto order = fam.order_by_decreasing_b(b);
-  EXPECT_EQ(order[0], 0u);  // ||{0,1}||_b = 10 > 3
 }
 
 TEST(GraphIO, RoundTrip) {

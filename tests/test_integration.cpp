@@ -1,7 +1,7 @@
-// Cross-module integration tests: the full pipelines a user of the library
-// would compose — stream -> sparsify -> match, file round trip -> solver,
-// MapReduce sharding -> sketches -> connectivity, and the deferred
-// sparsifier driving the offline matcher.
+// Cross-module integration tests: pipelines a user of the library would
+// compose outside the solver's own round loop — file round trip -> solver,
+// a MapReduce round over the edge list, and the one-pass streaming
+// baselines sharing one stream.
 
 #include <gtest/gtest.h>
 
@@ -9,46 +9,12 @@
 
 #include "baselines/baselines.hpp"
 #include "core/solver.hpp"
-#include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "mapreduce/mapreduce.hpp"
-#include "matching/approx.hpp"
-#include "matching/blossom_weighted.hpp"
-#include "sketch/spanning_forest.hpp"
-#include "sparsify/cut_sparsifier.hpp"
-#include "sparsify/deferred.hpp"
-#include "stream/edge_stream.hpp"
 
 namespace dp {
 namespace {
-
-TEST(Integration, SparsifyThenMatchKeepsMostWeight) {
-  // Matching on a cut sparsifier is NOT guaranteed by theory (the paper
-  // stresses this!), but on random graphs the union of a few independent
-  // sparsifiers retains a near-optimal matching — which is what the driver
-  // exploits via its offline step. Verify the pipeline end to end.
-  Graph g = gen::gnm(100, 4000, 3);
-  gen::weight_uniform(g, 1.0, 8.0, 4);
-  const double opt = max_weight_matching(g).weight(g);
-
-  SparsifierOptions sopt;
-  sopt.xi = 0.7;
-  sopt.sampling_constant = 1.0;
-  // A single sparsifier must be genuinely sparse...
-  const auto one = cut_sparsify(g, sopt, 10);
-  ASSERT_LT(one.size(), g.num_edges());
-  // ... and the union of three still carries a near-optimal matching.
-  std::vector<char> keep(g.num_edges(), 0);
-  for (std::uint64_t s = 0; s < 3; ++s) {
-    for (const auto& kept : cut_sparsify(g, sopt, s + 10)) {
-      keep[kept.index] = 1;
-    }
-  }
-  const Graph sub = g.edge_subgraph(keep);
-  const double sub_match = max_weight_matching(sub).weight(sub);
-  EXPECT_GE(sub_match, 0.85 * opt);
-}
 
 TEST(Integration, FileRoundTripThenSolve) {
   Graph g = gen::gnm(40, 300, 5);
@@ -91,38 +57,6 @@ TEST(Integration, MapReduceDegreesMatchGraph) {
   }
 }
 
-TEST(Integration, SketchForestAgreesWithUnionFind) {
-  const Graph g = gen::gnm(200, 700, 9);
-  const auto sketch = sketch_spanning_forest(g, 10);
-  EXPECT_EQ(sketch.components, num_components(g));
-}
-
-TEST(Integration, DeferredSparsifierFeedsOfflineSolver) {
-  // The driver's core loop in miniature: deferred sample under promise
-  // weights, refine with "exact" multipliers, run the offline matcher on
-  // the stored subgraph; the result must be feasible on the full graph.
-  Graph g = gen::gnm(80, 1200, 11);
-  gen::weight_uniform(g, 1.0, 6.0, 12);
-  std::vector<double> promise(g.num_edges(), 1.0);
-  DeferredOptions opt;
-  opt.xi = 0.3;
-  opt.gamma = 1.5;
-  const DeferredSparsifier ds(g.num_vertices(), g.edges(), promise, opt, 13);
-  Graph sub(g.num_vertices());
-  std::vector<EdgeId> back;
-  for (std::size_t idx : ds.stored_indices()) {
-    sub.add_edge(g.edge(static_cast<EdgeId>(idx)).u,
-                 g.edge(static_cast<EdgeId>(idx)).v,
-                 g.edge(static_cast<EdgeId>(idx)).w);
-    back.push_back(static_cast<EdgeId>(idx));
-  }
-  const Matching local = approx_weighted_matching(sub);
-  Matching lifted;
-  for (EdgeId e : local.edges()) lifted.add(back[e]);
-  EXPECT_TRUE(lifted.is_valid(g));
-  EXPECT_GT(lifted.weight(g), 0.0);
-}
-
 TEST(Integration, StreamingBaselinesShareOneStream) {
   // All one-pass baselines observe the same stream order and meter exactly
   // one pass each.
@@ -138,28 +72,6 @@ TEST(Integration, StreamingBaselinesShareOneStream) {
   EXPECT_TRUE(c.is_valid(g));
   // Weighted-aware baselines should not lose to blind maximality here.
   EXPECT_GE(b.weight(g), 0.8 * a.weight(g));
-}
-
-TEST(Integration, SolverOnSparsifiedInputStaysSound) {
-  // Running the solver on a pre-sparsified graph (a common composition)
-  // keeps its certificate sound for THAT graph.
-  Graph g = gen::gnm(90, 2500, 16);
-  gen::weight_uniform(g, 1.0, 7.0, 17);
-  SparsifierOptions sopt;
-  sopt.xi = 0.3;
-  const auto kept = cut_sparsify(g, sopt, 18);
-  Graph sub(g.num_vertices());
-  for (const auto& s : kept) {
-    sub.add_edge(g.edge(s.index).u, g.edge(s.index).v, g.edge(s.index).w);
-  }
-  core::SolverOptions opt;
-  opt.eps = 0.2;
-  opt.seed = 19;
-  opt.max_outer_rounds = 6;
-  const auto result = core::solve_matching(sub, opt);
-  const double sub_opt = max_weight_matching(sub).weight(sub);
-  EXPECT_GE(result.dual_bound, sub_opt - 1e-6);
-  EXPECT_GE(result.value, 0.6 * sub_opt);
 }
 
 }  // namespace

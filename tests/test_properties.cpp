@@ -18,9 +18,7 @@
 #include "matching/blossom_weighted.hpp"
 #include "matching/greedy.hpp"
 #include "matching/verify.hpp"
-#include "sparsify/cut_eval.hpp"
 #include "sparsify/strength.hpp"
-#include "stream/reservoir.hpp"
 #include "test_helpers.hpp"
 
 namespace dp {
@@ -66,26 +64,10 @@ TEST_P(SeedSweep, WeightOrderingInvariants) {
 TEST_P(SeedSweep, StrengthsAtLeastOneAndBridgesWeak) {
   const std::uint64_t seed = GetParam();
   const Graph g = gen::gnm(40, 160, seed + 2000);
-  const auto strengths = estimate_strengths(40, g.edges(), seed);
+  std::vector<double> strengths;
+  StrengthScratch scratch;
+  estimate_strengths_into(40, g.edges(), seed, strengths, scratch);
   for (double s : strengths) EXPECT_GE(s, 1.0);
-}
-
-TEST_P(SeedSweep, ReservoirIsUniformSize) {
-  const std::uint64_t seed = GetParam();
-  const Graph g = gen::gnm(30, 200, seed + 3000);
-  EdgeReservoir reservoir(50, seed);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    reservoir.offer(e, g.edge(e));
-  }
-  EXPECT_EQ(reservoir.sample().size(), 50u);
-  EXPECT_EQ(reservoir.stream_length(), g.num_edges());
-  // All sampled ids distinct and in range.
-  std::vector<char> seen(g.num_edges(), 0);
-  for (const auto& [id, e] : reservoir.sample()) {
-    ASSERT_LT(id, g.num_edges());
-    EXPECT_FALSE(seen[id]);
-    seen[id] = 1;
-  }
 }
 
 TEST_P(SeedSweep, LevelGraphDiscretizationSandwich) {

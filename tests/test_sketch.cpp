@@ -1,18 +1,14 @@
-// Tests for the sketch substrate: 1-sparse recovery, l0-sampling, AGM graph
-// sketches and the sketch-based spanning forest (the paper's "1 sampling
-// round, O(log n) deferred uses" example).
+// Tests for the sketch substrate: 1-sparse recovery, l0-sampling and AGM
+// graph sketches (the mirror DynamicGraph keeps of its edge set).
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 
-#include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "sketch/agm.hpp"
 #include "sketch/l0sampler.hpp"
 #include "sketch/onesparse.hpp"
-#include "sketch/spanning_forest.hpp"
 #include "util/rng.hpp"
 
 namespace dp {
@@ -139,51 +135,6 @@ TEST(AgmSketch, WordsAccounted) {
   const AgmSketch sketch(g, seed, &meter);
   EXPECT_EQ(meter.sketch_words(), sketch.words());
   EXPECT_GT(sketch.words(), 0u);
-}
-
-class SketchForestParam : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SketchForestParam, FindsAllComponents) {
-  const std::uint64_t seed = GetParam();
-  // A few disconnected clusters.
-  const std::size_t k = 2 + seed % 3;
-  Graph g(k * 12);
-  Rng rng(seed);
-  for (std::size_t c = 0; c < k; ++c) {
-    const auto base = static_cast<Vertex>(c * 12);
-    for (Vertex i = 0; i < 12; ++i) {
-      for (Vertex j = i + 1; j < 12; ++j) {
-        if (rng.uniform_real() < 0.4) g.add_edge(base + i, base + j);
-      }
-    }
-    // Ensure each cluster is connected (a path).
-    for (Vertex i = 0; i + 1 < 12; ++i) g.add_edge(base + i, base + i + 1);
-  }
-  ResourceMeter meter;
-  const SketchForestResult result =
-      sketch_spanning_forest(g, seed * 97 + 11, &meter);
-  EXPECT_EQ(result.components, k);
-  EXPECT_EQ(result.sampling_rounds, 1u);
-  EXPECT_EQ(meter.rounds(), 1u);
-  EXPECT_GE(result.forest.size(), g.num_vertices() - k);
-  // Forest edges must be real edges of g.
-  std::set<std::pair<Vertex, Vertex>> edge_set;
-  for (const Edge& e : g.edges()) {
-    edge_set.emplace(std::min(e.u, e.v), std::max(e.u, e.v));
-  }
-  for (const Edge& e : result.forest) {
-    EXPECT_TRUE(edge_set.count({std::min(e.u, e.v), std::max(e.u, e.v)}));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Clusters, SketchForestParam,
-                         ::testing::Range<std::uint64_t>(0, 10));
-
-TEST(SketchForest, UseStepsLogarithmic) {
-  const Graph g = gen::gnm(128, 600, 21);
-  const SketchForestResult result = sketch_spanning_forest(g, 22);
-  // Boruvka over sketches: O(log n) deferred use steps.
-  EXPECT_LE(result.use_steps, 9u);
 }
 
 }  // namespace

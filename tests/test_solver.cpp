@@ -185,7 +185,7 @@ TEST(Solver, SpaceSublinearInM) {
   // Peak stored edges is a function of n*polylog (sparsifier size), not of
   // m: tripling the edge count at fixed n must grow peak storage by far
   // less than 3x. (Absolute peak < m only kicks in at larger n where the
-  // polylog factors are amortized — that scaling is bench E3's job.)
+  // polylog factors are amortized, which this small instance cannot show.)
   SolverOptions opt = fast_options(0.2);
   opt.sparsifiers_per_round = 3;
   opt.max_outer_rounds = 2;

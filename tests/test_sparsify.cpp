@@ -1,6 +1,7 @@
-// Tests for the sparsification substrate: strength estimation, weighted cut
-// sparsifiers, deferred sparsifiers (Definition 4 / Lemma 17) and the cut
-// evaluation utilities.
+// Tests for the sparsification substrate: strength estimation and the
+// deferred sparsifier probabilities (Definition 4 / Lemma 17), including
+// the lemma's cut guarantee for sparsifiers drawn by the solver's own
+// sampling masks (core/sampling).
 
 #include <gtest/gtest.h>
 
@@ -8,10 +9,9 @@
 #include <cmath>
 #include <map>
 
+#include "core/sampling.hpp"
 #include "graph/generators.hpp"
 #include "graph/union_find.hpp"
-#include "sparsify/cut_eval.hpp"
-#include "sparsify/cut_sparsifier.hpp"
 #include "sparsify/deferred.hpp"
 #include "sparsify/strength.hpp"
 #include "util/rng.hpp"
@@ -20,8 +20,17 @@
 namespace dp {
 namespace {
 
-std::vector<double> unit_weights(const Graph& g) {
-  return std::vector<double>(g.num_edges(), 1.0);
+/// deferred_probabilities_into on a fresh scratch with no pool: the
+/// reference every reuse and thread-count variant must match bitwise.
+std::vector<double> fresh_probabilities(const Graph& g,
+                                        const std::vector<double>& promise,
+                                        const DeferredOptions& options,
+                                        std::uint64_t seed) {
+  std::vector<double> prob;
+  DeferredScratch scratch;
+  deferred_probabilities_into(g.num_vertices(), g.edges(), promise, options,
+                              seed, prob, scratch);
+  return prob;
 }
 
 TEST(Strength, BridgeIsWeakCliqueIsStrong) {
@@ -34,7 +43,9 @@ TEST(Strength, BridgeIsWeakCliqueIsStrong) {
     }
   }
   g.add_edge(0, 8);  // bridge, last edge
-  const auto strength = estimate_strengths(16, g.edges(), 5);
+  std::vector<double> strength;
+  StrengthScratch scratch;
+  estimate_strengths_into(16, g.edges(), 5, strength, scratch);
   const double bridge = strength.back();
   double clique_avg = 0;
   for (std::size_t e = 0; e + 1 < strength.size(); ++e) {
@@ -127,78 +138,58 @@ TEST(Strength, IntoIsBitwiseThreadCountInvariant) {
   EXPECT_EQ(dense_out, dense_ref);
 }
 
-class SparsifierQualityParam
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SparsifierQualityParam, CutsPreserved) {
-  const std::uint64_t seed = GetParam();
-  const Graph g = gen::gnm(60, 500, seed * 7 + 1);
-  const auto w = unit_weights(g);
-  SparsifierOptions opt;
-  opt.xi = 0.2;
-  const auto kept = cut_sparsify(g.num_vertices(), g.edges(), w, opt,
-                                 seed * 13 + 5);
-  const double err =
-      max_cut_error(g.num_vertices(), g.edges(), w, kept, 200, seed);
-  // Allow modest slack over the target xi (finite-sample constants).
-  EXPECT_LT(err, 2.5 * opt.xi) << "seed " << seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomGraphs, SparsifierQualityParam,
-                         ::testing::Range<std::uint64_t>(0, 8));
-
-TEST(Sparsifier, WeightedClassesPreserved) {
-  Graph g = gen::gnm(50, 400, 3);
-  gen::weight_zipf(g, 1.0, 4);
-  std::vector<double> w(g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) w[e] = g.edge(e).w;
-  SparsifierOptions opt;
-  opt.xi = 0.2;
-  const auto kept = cut_sparsify(g, opt, 7);
-  const double err = max_cut_error(g.num_vertices(), g.edges(), w, kept,
-                                   200, 11);
-  EXPECT_LT(err, 2.5 * opt.xi);
-}
-
-TEST(Sparsifier, SparseOnDenseGraph) {
-  const Graph g = gen::gnm(120, 6000, 9);
-  SparsifierOptions opt;
-  opt.xi = 0.5;
-  opt.sampling_constant = 1.5;
-  const auto kept = cut_sparsify(g, opt, 10);
-  EXPECT_LT(kept.size(), g.num_edges());
-}
-
-TEST(Sparsifier, ZeroWeightEdgesDropped) {
-  Graph g(4);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 1.0);
-  g.add_edge(2, 3, 1.0);
-  std::vector<double> w{1.0, 0.0, 1.0};
-  const auto kept =
-      cut_sparsify(4, g.edges(), w, SparsifierOptions{}, 1);
-  for (const auto& s : kept) EXPECT_NE(s.index, 1u);
-}
-
-TEST(SparsifierToGraph, PreservesEndpoints) {
-  const Graph g = gen::gnm(30, 100, 12);
-  const auto kept = cut_sparsify(g, SparsifierOptions{}, 13);
-  const Graph h = sparsifier_to_graph(g.num_vertices(), g.edges(), kept);
-  EXPECT_EQ(h.num_edges(), kept.size());
-  EXPECT_EQ(h.num_vertices(), g.num_vertices());
+/// Largest relative error, over every vertex star and `random_cuts` random
+/// bipartitions, of the cuts weighted by `approx` (0 = edge not kept)
+/// against the same cuts weighted by `exact`. Cuts of exact weight 0 are
+/// skipped.
+double max_cut_error(const Graph& g, const std::vector<double>& exact,
+                     const std::vector<double>& approx,
+                     std::size_t random_cuts, std::uint64_t seed) {
+  double worst = 0;
+  auto record = [&](double cut, double approx_cut) {
+    if (cut > 0) worst = std::max(worst, std::fabs(approx_cut - cut) / cut);
+  };
+  // Vertex stars (the cuts Lemma 18 uses), all in one pass.
+  std::vector<double> star(g.num_vertices(), 0.0);
+  std::vector<double> approx_star(g.num_vertices(), 0.0);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    for (const Vertex v : {g.edge(e).u, g.edge(e).v}) {
+      star[v] += exact[e];
+      approx_star[v] += approx[e];
+    }
+  }
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    record(star[v], approx_star[v]);
+  }
+  Rng rng(seed);
+  std::vector<char> side(g.num_vertices());
+  for (std::size_t c = 0; c < random_cuts; ++c) {
+    for (char& s : side) s = static_cast<char>(rng.next() & 1);
+    double cut = 0, approx_cut = 0;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (side[g.edge(e).u] == side[g.edge(e).v]) continue;
+      cut += exact[e];
+      approx_cut += approx[e];
+    }
+    record(cut, approx_cut);
+  }
+  return worst;
 }
 
 class DeferredParam : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(DeferredParam, DistortedPromiseStillSparsifies) {
+  // Lemma 17 on the solver's path: probabilities from promise weights
+  // distorted by up to gamma each way, t sparsifiers drawn by
+  // core::sampling_mask, and each sparsifier reweighted by the EXACT
+  // weights as u_e / p_e must keep every probed cut within the bound.
   const std::uint64_t seed = GetParam();
-  const Graph g = gen::gnm(60, 500, seed + 31);
+  const Graph g = gen::gnm(200, 12000, seed + 31);
   Rng rng(seed);
-
-  // Exact weights u_e; promises sigma_e distorted by up to gamma each way.
   DeferredOptions opt;
   opt.xi = 0.2;
   opt.gamma = 2.0;
+  opt.sampling_constant = 0.01;
   std::vector<double> exact(g.num_edges()), promise(g.num_edges());
   for (std::size_t e = 0; e < g.num_edges(); ++e) {
     exact[e] = 1.0 + 4.0 * rng.uniform_real();
@@ -206,13 +197,27 @@ TEST_P(DeferredParam, DistortedPromiseStillSparsifies) {
         std::pow(opt.gamma, 2.0 * rng.uniform_real() - 1.0);
     promise[e] = exact[e] * distort;
   }
+  const std::vector<double> prob =
+      fresh_probabilities(g, promise, opt, seed * 3 + 2);
+  // Sampling must bite on most edges, or the cut bound holds trivially.
+  const auto sampled = static_cast<std::size_t>(std::count_if(
+      prob.begin(), prob.end(), [](double p) { return p < 1.0; }));
+  ASSERT_GE(2 * sampled, g.num_edges()) << "seed " << seed;
 
-  const DeferredSparsifier ds(g.num_vertices(), g.edges(), promise, opt,
-                              seed * 3 + 2);
-  const auto kept = ds.refine_from_full(exact);
-  const double err = max_cut_error(g.num_vertices(), g.edges(), exact, kept,
-                                   200, seed);
-  EXPECT_LT(err, 2.5 * opt.xi) << "seed " << seed;
+  constexpr std::size_t kSparsifiers = 4;
+  const CounterRng round_rng = core::sampling_round_rng(seed * 5 + 1, 0);
+  std::vector<std::uint32_t> mask(g.num_edges());
+  for (std::size_t e = 0; e < g.num_edges(); ++e) {
+    mask[e] = core::sampling_mask(round_rng, kSparsifiers, e, prob[e]);
+  }
+  std::vector<double> kept(g.num_edges());
+  for (std::size_t q = 0; q < kSparsifiers; ++q) {
+    for (std::size_t e = 0; e < g.num_edges(); ++e) {
+      kept[e] = ((mask[e] >> q) & 1) != 0 ? exact[e] / prob[e] : 0.0;
+    }
+    const double err = max_cut_error(g, exact, kept, 200, seed);
+    EXPECT_LT(err, 2.5 * opt.xi) << "seed " << seed << ", sparsifier " << q;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, DeferredParam,
@@ -229,10 +234,8 @@ TEST(Deferred, StoresMoreWithLargerGamma) {
   small.sampling_constant = large.sampling_constant = 1.0;
   small.gamma = 1.0;
   large.gamma = 3.0;
-  const auto pa = deferred_probabilities(g.num_vertices(), g.edges(),
-                                         promise, small, 1);
-  const auto pb = deferred_probabilities(g.num_vertices(), g.edges(),
-                                         promise, large, 1);
+  const auto pa = fresh_probabilities(g, promise, small, 1);
+  const auto pb = fresh_probabilities(g, promise, large, 1);
   double sum_a = 0, sum_b = 0;
   for (double p : pa) sum_a += p;
   for (double p : pb) sum_b += p;
@@ -243,32 +246,21 @@ TEST(Deferred, StoresMoreWithLargerGamma) {
   }
 }
 
-TEST(Deferred, MeterChargedOnceAndStored) {
-  const Graph g = gen::gnm(40, 300, 42);
-  std::vector<double> promise(g.num_edges(), 1.0);
-  ResourceMeter meter;
-  const DeferredSparsifier ds(g.num_vertices(), g.edges(), promise,
-                              DeferredOptions{}, 2, &meter);
-  EXPECT_EQ(meter.rounds(), 1u);
-  EXPECT_EQ(meter.peak_edges(), ds.size());
-}
-
-TEST(Deferred, RefineRejectsSizeMismatch) {
+TEST(Deferred, RejectsPromiseSizeMismatch) {
   const Graph g = gen::gnm(10, 20, 43);
-  std::vector<double> promise(g.num_edges(), 1.0);
-  const DeferredSparsifier ds(g.num_vertices(), g.edges(), promise,
-                              DeferredOptions{}, 3);
-  EXPECT_THROW(ds.refine({}), std::invalid_argument);
-  EXPECT_THROW(
-      (DeferredSparsifier{g.num_vertices(), g.edges(),
-                          std::vector<double>(3, 1.0), DeferredOptions{}, 4}),
-      std::invalid_argument);
+  std::vector<double> prob;
+  DeferredScratch scratch;
+  EXPECT_THROW(deferred_probabilities_into(g.num_vertices(), g.edges(),
+                                           std::vector<double>(3, 1.0),
+                                           DeferredOptions{}, 4, prob,
+                                           scratch),
+               std::invalid_argument);
 }
 
 TEST(Deferred, ProbabilitiesThreadCountInvariantAndScratchReusable) {
   // The chunk-parallel path must be bitwise identical for any pool size,
-  // equal to the allocating wrapper, and stable when one scratch serves
-  // many rounds.
+  // equal to a fresh scratch with no pool, and stable when one scratch
+  // serves many rounds.
   Graph g = gen::gnm(80, 900, 45);
   gen::weight_zipf(g, 0.8, 46);
   std::vector<double> promise(g.num_edges());
@@ -277,8 +269,7 @@ TEST(Deferred, ProbabilitiesThreadCountInvariantAndScratchReusable) {
   opt.xi = 0.4;
   opt.sampling_constant = 0.3;
 
-  const auto reference = deferred_probabilities(g.num_vertices(), g.edges(),
-                                                promise, opt, 11);
+  const auto reference = fresh_probabilities(g, promise, opt, 11);
   DeferredScratch scratch;
   std::vector<double> prob;
   for (std::size_t threads : {1, 2, 8}) {
@@ -329,8 +320,7 @@ TEST(Deferred, ScratchReuseAcrossClassRangesMatchesFresh) {
     const std::uint64_t seed = 60 + c;
     deferred_probabilities_into(g.num_vertices(), g.edges(), cases[c], opt,
                                 seed, prob, scratch);
-    EXPECT_EQ(prob, deferred_probabilities(g.num_vertices(), g.edges(),
-                                           cases[c], opt, seed))
+    EXPECT_EQ(prob, fresh_probabilities(g, cases[c], opt, seed))
         << "case " << c;
     // The grouped members are the index halves of the sorted packed
     // (biased class, index) keys.
@@ -357,41 +347,12 @@ TEST(Deferred, ScratchReuseAcrossClassRangesMatchesFresh) {
 TEST(Deferred, ProbabilitiesSharedAcrossDraws) {
   const Graph g = gen::gnm(50, 400, 44);
   std::vector<double> promise(g.num_edges(), 1.0);
-  const auto prob = deferred_probabilities(g.num_vertices(), g.edges(),
-                                           promise, DeferredOptions{}, 5);
+  const auto prob = fresh_probabilities(g, promise, DeferredOptions{}, 5);
   ASSERT_EQ(prob.size(), g.num_edges());
   for (double p : prob) {
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, 1.0);
   }
-}
-
-TEST(CutEval, WeightedCutBasics) {
-  Graph g(4);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 2.0);
-  g.add_edge(2, 3, 4.0);
-  const std::vector<double> w{1.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(weighted_cut(g.edges(), w, {1, 0, 0, 0}), 1.0);
-  EXPECT_DOUBLE_EQ(weighted_cut(g.edges(), w, {1, 1, 0, 0}), 2.0);
-}
-
-TEST(StoerWagner, KnownMinCut) {
-  // Two triangles joined by a single light edge.
-  Graph g(6);
-  g.add_edge(0, 1, 3.0);
-  g.add_edge(1, 2, 3.0);
-  g.add_edge(0, 2, 3.0);
-  g.add_edge(3, 4, 3.0);
-  g.add_edge(4, 5, 3.0);
-  g.add_edge(3, 5, 3.0);
-  g.add_edge(2, 3, 1.0);
-  std::vector<double> w;
-  for (const Edge& e : g.edges()) w.push_back(e.w);
-  std::vector<char> side;
-  const double cut = stoer_wagner_min_cut(6, g.edges(), w, &side);
-  EXPECT_DOUBLE_EQ(cut, 1.0);
-  EXPECT_NE(side[0], side[5]);
 }
 
 }  // namespace

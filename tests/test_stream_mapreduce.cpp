@@ -147,8 +147,11 @@ std::vector<double> sampling_probabilities(const Graph& g) {
   dopt.xi = 0.5;
   dopt.gamma = 1.5;
   dopt.sampling_constant = 0.05;
-  return deferred_probabilities(g.num_vertices(), g.edges(), promise, dopt,
-                                123);
+  std::vector<double> prob;
+  DeferredScratch scratch;
+  deferred_probabilities_into(g.num_vertices(), g.edges(), promise, dopt, 123,
+                              prob, scratch);
+  return prob;
 }
 
 TEST(SamplingEngine, ThreadCountInvariantDraws) {

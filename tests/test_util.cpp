@@ -71,20 +71,6 @@ TEST(Rng, UniformRealInUnitInterval) {
   EXPECT_NEAR(sum / 10000, 0.5, 0.02);
 }
 
-TEST(Rng, CoinFlipsGeometric) {
-  Rng rng(5);
-  std::vector<int> counts(4, 0);
-  const int trials = 40000;
-  for (int i = 0; i < trials; ++i) {
-    const int flips = rng.coin_flips_until_tail();
-    if (flips < 4) ++counts[flips];
-  }
-  // P(flips = k) = 2^-(k+1).
-  EXPECT_NEAR(counts[0], trials / 2, trials / 25);
-  EXPECT_NEAR(counts[1], trials / 4, trials / 25);
-  EXPECT_NEAR(counts[2], trials / 8, trials / 25);
-}
-
 TEST(Rng, SampleWithoutReplacementDistinct) {
   Rng rng(9);
   for (std::size_t k : {1u, 5u, 50u, 99u}) {
