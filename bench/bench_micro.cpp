@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "graph/flow_arena.hpp"
 #include "graph/generators.hpp"
 #include "graph/gomory_hu.hpp"
+#include "matching/greedy.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
 #include "util/timer.hpp"
@@ -106,12 +108,15 @@ Measurement time_lagrangian(const Oracle& oracle, const Workload& w,
 /// stamped replay), 3 = the non-exp sweep body (scalar fill/divide/max
 /// loops vs the clones-dispatched fill_scaled_shift + divide_max_positive
 /// with the bit-pattern integer max reduction; bitwise-equality asserted
-/// before timing).
+/// before timing), 4 = the offline re-solve's weight order (comparator
+/// std::stable_sort vs edges_by_weight_desc's radix sort; equal
+/// permutations asserted before timing).
 void bench_kernels(bool quick) {
   bench::header("micro kernels (hot-path round 2)",
                 "isolated kernel speedups: vectorized exp batch, SIMD-ized "
                 "multiplier sweep, incremental Gusfield after contraction, "
-                "clones-dispatched fill/divide-max sweep body");
+                "clones-dispatched fill/divide-max sweep body, radix weight "
+                "order");
   bench::BenchReport report("micro_kernels",
                             {"kernel", "n", "reps", "base_per_sec",
                              "fast_per_sec", "speedup"});
@@ -374,6 +379,47 @@ void bench_kernels(bool quick) {
     std::printf("%-10s %-9zu %-6zu %16.3e %16.3e %8.2fx\n", "fill_divmax",
                 n, reps, base_rate, fast_rate, fast_rate / base_rate);
     report.add({3.0, static_cast<double>(n), static_cast<double>(reps),
+                base_rate, fast_rate, fast_rate / base_rate});
+  }
+  // ---- Kernel 4: the weight order every greedy and local-search routine
+  // scans, on the ram_dense union size with U[1, 16] weights, edges/sec.
+  // Baseline: an indirect std::stable_sort with a weight comparator, which
+  // gives the same permutation. Fast: edges_by_weight_desc's stable LSD
+  // radix sort. ----
+  {
+    const std::size_t n = 28700;
+    const std::size_t reps = quick ? 100 : 300;
+    Graph g = gen::gnm(450, n, 4243);
+    gen::weight_uniform(g, 1.0, 16.0, 4244);
+    const auto comparator_order = [&g] {
+      std::vector<EdgeId> order(g.num_edges());
+      std::iota(order.begin(), order.end(), EdgeId{0});
+      std::stable_sort(order.begin(), order.end(), [&g](EdgeId a, EdgeId b) {
+        return g.edge(a).w > g.edge(b).w;
+      });
+      return order;
+    };
+    if (comparator_order() != edges_by_weight_desc(g)) {
+      std::fprintf(stderr,
+                   "FATAL: radix weight order differs from the stable sort\n");
+      std::exit(1);
+    }
+    WallTimer t_sort;
+    for (std::size_t r = 0; r < reps; ++r) {
+      sink += static_cast<double>(comparator_order()[r % n]);
+    }
+    const double sort_s = t_sort.seconds();
+    WallTimer t_radix;
+    for (std::size_t r = 0; r < reps; ++r) {
+      sink += static_cast<double>(edges_by_weight_desc(g)[r % n]);
+    }
+    const double radix_s = t_radix.seconds();
+    const double total = static_cast<double>(n) * static_cast<double>(reps);
+    const double base_rate = total / sort_s;
+    const double fast_rate = total / radix_s;
+    std::printf("%-10s %-9zu %-6zu %16.3e %16.3e %8.2fx\n", "weight_ord",
+                n, reps, base_rate, fast_rate, fast_rate / base_rate);
+    report.add({4.0, static_cast<double>(n), static_cast<double>(reps),
                 base_rate, fast_rate, fast_rate / base_rate});
   }
   if (sink == 12345.6789) std::printf("sink %f\n", sink);

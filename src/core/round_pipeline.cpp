@@ -269,7 +269,7 @@ Future<OfflineSolution> RoundPipeline::stage_offline(
     std::vector<EdgeId> ids;
     std::vector<Edge> edges;
     substrate_->materialize_union(frozen->union_support(), ids, edges);
-    return solve_offline(ids, edges);
+    return solve_offline(ids, std::move(edges));
   };
   return submit_job(pool_, std::move(job));
 }
@@ -367,12 +367,9 @@ void RoundPipeline::stage_merge(Future<OfflineSolution>& offline,
   substrate_->release_stored(stored_total);
 }
 
-OfflineSolution RoundPipeline::solve_offline(
-    const std::vector<EdgeId>& ids, const std::vector<Edge>& edges) const {
-  Graph sub(substrate_->num_vertices());
-  for (const Edge& edge : edges) {
-    sub.add_edge(edge.u, edge.v, edge.w);
-  }
+OfflineSolution RoundPipeline::solve_offline(const std::vector<EdgeId>& ids,
+                                            std::vector<Edge> edges) const {
+  const Graph sub(substrate_->num_vertices(), std::move(edges));
   OfflineSolution out;
   out.bm = BMatching(lg_->graph().num_edges());
   if (unit_caps_) {

@@ -150,11 +150,11 @@ class RoundPipeline {
                         Incumbent& inc, ResourceMeter& meter);
 
   /// Offline re-solve on an explicit stored subgraph: full-graph edge ids
-  /// plus their attributes (parallel arrays). The initial support and the
-  /// per-round union both route through here; only stored-edge data is
-  /// read.
+  /// plus their attributes (parallel arrays; the attributes become the
+  /// subgraph's edge list). The initial support and the per-round union
+  /// both route through here; only stored-edge data is read.
   OfflineSolution solve_offline(const std::vector<EdgeId>& ids,
-                                const std::vector<Edge>& edges) const;
+                                std::vector<Edge> edges) const;
 
   /// Algorithm 2 step 6: fold an offline solution into the incumbent —
   /// remember the best integral solution and raise beta when the

@@ -229,11 +229,12 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
     std::vector<Edge> retained_edges;
     retained_edges.reserve(retained.size());
     for (EdgeId e : retained) retained_edges.push_back(g.edge(e));
+    const std::size_t stored = retained_edges.size();
     result.meter.add_pass();
-    result.meter.store_edges(retained_edges.size());
-    pipeline.merge_offline(pipeline.solve_offline(retained, retained_edges),
-                           inc);
-    result.meter.release_edges(retained_edges.size());
+    result.meter.store_edges(stored);
+    pipeline.merge_offline(
+        pipeline.solve_offline(retained, std::move(retained_edges)), inc);
+    result.meter.release_edges(stored);
     result.warm_resolve = true;
   } else if (resume == nullptr) {
     // ---- Initial dual solution (Lemma 12) and best primal so far:
@@ -246,8 +247,8 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
     std::vector<Edge> init_edges;
     init_edges.reserve(init.support.size());
     for (EdgeId e : init.support) init_edges.push_back(g.edge(e));
-    pipeline.merge_offline(pipeline.solve_offline(init.support, init_edges),
-                           inc);
+    pipeline.merge_offline(
+        pipeline.solve_offline(init.support, std::move(init_edges)), inc);
   } else {
     // ---- Resume: the checkpoint replaces the initial solution AND every
     // completed round. Identity first — resuming under a different

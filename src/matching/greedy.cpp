@@ -1,16 +1,67 @@
 #include "matching/greedy.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 namespace dp {
 
+namespace {
+
+/// A key whose unsigned ascending order is the weight's descending order.
+/// Positive weights keep their magnitude bits inverted under a clear sign
+/// bit; negative ones keep their bits as they are (sign set, larger
+/// magnitude later). -0.0 is keyed as +0.0, so the two tie as they do
+/// under operator>.
+std::uint64_t descending_key(double w) {
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  const auto bits = std::bit_cast<std::uint64_t>(w == 0.0 ? 0.0 : w);
+  return (bits & kSign) != 0 ? bits : bits ^ (kSign - 1);
+}
+
+}  // namespace
+
 std::vector<EdgeId> edges_by_weight_desc(const Graph& g) {
-  std::vector<EdgeId> order(g.num_edges());
-  std::iota(order.begin(), order.end(), EdgeId{0});
-  std::stable_sort(order.begin(), order.end(), [&](EdgeId a, EdgeId b) {
-    return g.edge(a).w > g.edge(b).w;
-  });
+  // Stable LSD radix sort on descending_key: passes run from the lowest
+  // digit up and each keeps the previous order within a bucket, so ties
+  // stay in id order; the last pass writes the ids out.
+  constexpr unsigned kDigitBits = 11;
+  constexpr unsigned kDigits = (64 + kDigitBits - 1) / kDigitBits;
+  constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
+  const auto digit = [](std::uint64_t key, unsigned d) {
+    return static_cast<std::size_t>(key >> (d * kDigitBits)) & (kBuckets - 1);
+  };
+  struct Item {
+    std::uint64_t key;
+    EdgeId id;
+  };
+  const std::size_t m = g.num_edges();
+  std::vector<Item> items;
+  items.reserve(m);
+  std::vector<std::size_t> count(kDigits * kBuckets, 0);
+  for (std::size_t e = 0; e < m; ++e) {
+    const std::uint64_t key = descending_key(g.edge(static_cast<EdgeId>(e)).w);
+    items.push_back(Item{key, static_cast<EdgeId>(e)});
+    for (unsigned d = 0; d < kDigits; ++d) {
+      ++count[d * kBuckets + digit(key, d)];
+    }
+  }
+  std::vector<Item> next(m);
+  std::vector<EdgeId> order(m);
+  for (unsigned d = 0; d < kDigits; ++d) {
+    std::size_t* bucket = count.data() + d * kBuckets;
+    std::exclusive_scan(bucket, bucket + kBuckets, bucket, std::size_t{0});
+    if (d + 1 == kDigits) {
+      for (const Item& item : items) {
+        order[bucket[digit(item.key, d)]++] = item.id;
+      }
+    } else {
+      for (const Item& item : items) {
+        next[bucket[digit(item.key, d)]++] = item;
+      }
+      items.swap(next);
+    }
+  }
   return order;
 }
 

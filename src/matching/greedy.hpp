@@ -16,9 +16,14 @@
 
 namespace dp {
 
-/// Edge ids by weight descending, ties in id order (a stable sort): the
-/// one weight order that every greedy and local-search routine scans, so
-/// a caller running several of them sorts once.
+/// Edge ids by weight descending, ties in id order: the one weight order
+/// that every greedy and local-search routine scans, so a caller running
+/// several of them sorts once. It is the permutation a stable comparator
+/// sort on `>` gives, computed by a stable LSD radix sort over 64-bit keys
+/// that preserve weight order (six passes of 11-bit digits), so it costs
+/// a few linear passes at any size. -0.0 ties with +0.0. NaN weights have
+/// no defined position; LevelGraph and DynamicGraph reject non-finite
+/// weights with ConfigError.
 std::vector<EdgeId> edges_by_weight_desc(const Graph& g);
 
 /// Weight-sorted greedy matching (>= 1/2 of optimal weight):

@@ -339,6 +339,10 @@ TEST(Dynamic, ResolveMatchesScratchBitwiseAcrossThreadsAndSubstrates) {
       EXPECT_LT(warm.outer_rounds, scratch.outer_rounds) << label;
       EXPECT_GT(warm.meter.saved_rounds(), 0u) << label;
       EXPECT_GT(warm.meter.repaired_rows(), 0u) << label;
+      // The re-anchor stores the retained set for its offline solve and
+      // releases exactly what it stored.
+      EXPECT_EQ(warm.meter.stored_edges(), 0u) << label;
+      EXPECT_GT(warm.meter.peak_edges(), 0u) << label;
     }
   }
 }

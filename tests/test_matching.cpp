@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "graph/generators.hpp"
 #include "matching/approx.hpp"
 #include "matching/blossom_unweighted.hpp"
@@ -28,21 +31,48 @@ TEST(Greedy, ValidAndHalfApprox) {
 
 TEST(Greedy, InOrderOnWeightOrderMatchesGreedy) {
   // Weights in {1, 2, 3}: most edges tie, so the order's tie rule (edge id
-  // ascending, as a stable sort leaves it) decides which edges greedy takes.
+  // ascending) decides which edges greedy takes.
+  std::vector<Graph> graphs;
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    const Graph g = test::small_random_int_graph(20, 0.5, 3, seed);
+    graphs.push_back(test::small_random_int_graph(20, 0.5, 3, seed));
+  }
+  // U[1, 16] reals at the offline re-solve's union size: every radix
+  // digit of the key varies, so every pass reorders.
+  graphs.push_back(gen::gnm(450, 30000, 5));
+  gen::weight_uniform(graphs.back(), 1.0, 16.0, 6);
+  // Every branch of the key map: -0.0 and +0.0 on several ids (they tie),
+  // negative weights, the smallest subnormal, 1e300 and both infinities.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> mixed = {
+      -0.0, 1.0,  0.0, -2.5,      4.9e-324, -0.0,     1e300,
+      inf,  -inf, 0.0, -4.9e-324, -1e300,   -0.0,     1.0,
+      inf,  -2.5, 0.0, 1e300,     -inf,     4.9e-324, -0.0};
+  Graph signs(7);
+  std::size_t next = 0;
+  for (Vertex u = 0; u < 7; ++u) {
+    for (Vertex v = u + 1; v < 7; ++v) signs.add_edge(u, v, mixed[next++]);
+  }
+  graphs.push_back(std::move(signs));
+  graphs.emplace_back(5);  // m = 0
+  graphs.emplace_back(2);  // m = 1
+  graphs.back().add_edge(0, 1, 3.5);
+
+  for (std::size_t k = 0; k < graphs.size(); ++k) {
+    const Graph& g = graphs[k];
     const std::vector<EdgeId> order = edges_by_weight_desc(g);
-    ASSERT_EQ(order.size(), g.num_edges());
+    ASSERT_EQ(order.size(), g.num_edges()) << "graph " << k;
+    // Weight descending, ties by id ascending: the one valid permutation.
     for (std::size_t i = 1; i < order.size(); ++i) {
       const double wa = g.edge(order[i - 1]).w;
       const double wb = g.edge(order[i]).w;
-      EXPECT_TRUE(wa > wb || (wa == wb && order[i - 1] < order[i]));
+      ASSERT_TRUE(wa > wb || (wa == wb && order[i - 1] < order[i]))
+          << "graph " << k << " position " << i;
     }
     EXPECT_EQ(greedy_matching(g).edges(),
               greedy_matching_in_order(g, order).edges());
     std::vector<std::int64_t> caps(g.num_vertices());
     for (std::size_t v = 0; v < caps.size(); ++v) {
-      caps[v] = 1 + static_cast<std::int64_t>((v + seed) % 3);
+      caps[v] = 1 + static_cast<std::int64_t>((v + k) % 3);
     }
     const Capacities b(std::move(caps));
     const BMatching by_weight = greedy_b_matching(g, b);
