@@ -7,10 +7,13 @@
 //  (a) The warm re-solve's value AND certified ratio are bitwise-equal to
 //      the from-scratch solve on the post-delta graph, at every thread
 //      count.
-//  (b) The warm path takes >= 5x fewer MW rounds and >= 5x fewer substrate
-//      passes than from-scratch ((x+1)/(y+1) ratios, so a zero-round warm
-//      path still gates), and meters the saving first-class
-//      (saved_rounds > 0, repaired_rows > 0).
+//  (b) The warm path takes >= 5x fewer MW rounds than from-scratch (an
+//      (x+1)/(y+1) ratio, so a zero-round warm path still gates), runs
+//      zero MW rounds in at most 2 substrate passes, and meters the saving
+//      first-class (saved_rounds > 0, repaired_rows > 0). The pass bound
+//      is absolute: a from-scratch solve that certifies in a few rounds
+//      takes only a few passes, so a pass ratio measures the scratch
+//      solve's speed, not the warm path's cost.
 //
 // Columns: rounds_ratio / pass_ratio are deterministic resource ratios
 // (scratch+1)/(resolve+1) — the CI-gated o(full-solve) signal. speedup is
@@ -99,8 +102,9 @@ int main(int argc, char** argv) {
       "A k-edge delta (k <= 1% of m) against Solver::resolve seeded from "
       "the pre-delta warm handle: value and certified ratio must be "
       "bitwise-equal to the from-scratch solve on the post-delta graph at "
-      "1/2/8 threads, with >= 5x fewer MW rounds and substrate passes "
-      "(rounds_ratio / pass_ratio) and the saving metered first-class.");
+      "1/2/8 threads, with >= 5x fewer MW rounds (rounds_ratio), zero MW "
+      "rounds in at most 2 substrate passes, and the saving metered "
+      "first-class.");
 
   dyn::DynamicGraph dg(bench_graph());
   const auto pre = dg.materialize();
@@ -160,7 +164,8 @@ int main(int argc, char** argv) {
     gate(warm.certified_ratio == scratch.certified_ratio,
          label + ": warm certified ratio diverged from from-scratch");
 
-    // Gate (b): >= 5x fewer rounds and passes, metered first-class.
+    // Gate (b): >= 5x fewer rounds, zero rounds in <= 2 passes, metered
+    // first-class.
     const double rounds_ratio =
         static_cast<double>(scratch.outer_rounds + 1) /
         static_cast<double>(warm.outer_rounds + 1);
@@ -168,7 +173,8 @@ int main(int argc, char** argv) {
         static_cast<double>(scratch.meter.passes() + 1) /
         static_cast<double>(warm.meter.passes() + 1);
     gate(rounds_ratio >= 5.0, label + ": rounds_ratio below 5x");
-    gate(pass_ratio >= 5.0, label + ": pass_ratio below 5x");
+    gate(warm.outer_rounds == 0 && warm.meter.passes() <= 2,
+         label + ": warm path ran MW rounds or more than 2 passes");
     gate(warm.meter.saved_rounds() > 0, label + ": saved_rounds not metered");
     gate(warm.meter.saved_passes() > 0, label + ": saved_passes not metered");
     gate(warm.meter.repaired_rows() > 0,

@@ -52,7 +52,7 @@ core::SolverOptions file_options() {
 
 core::SolverOptions mapreduce_options() {
   core::SolverOptions opts;
-  opts.eps = 0.25;
+  opts.eps = 0.1;
   opts.p = 2.0;
   opts.seed = 101;
   opts.max_outer_rounds = 3;

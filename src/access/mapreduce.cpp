@@ -80,6 +80,10 @@ void MapReduceSubstrate::multiplier_sweep(const SweepKernel& kernel) {
   }
 }
 
+void MapReduceSubstrate::end_solve() noexcept {
+  if (sim_ != nullptr) sim_->release_buffers();
+}
+
 void MapReduceSubstrate::charge_shard_draw() {
   const std::vector<std::size_t>& emissions = sim_->last_map_emissions();
   const std::size_t shards =

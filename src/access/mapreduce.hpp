@@ -93,6 +93,13 @@ class MapReduceSubstrate final : public Substrate {
                                   std::size_t t, std::uint64_t round,
                                   std::uint64_t seed) override;
 
+  /// Frees the simulator's shuffle buffers. A solve keeps them across its
+  /// simulator rounds, so a later batch pre-draw refills the memory the
+  /// first one took instead of stacking on the round pipeline's scratch:
+  /// the solve's peak memory is the same whether it runs one batch or
+  /// several.
+  void end_solve() noexcept override;
+
   /// The reducer cap in force after bind() (derived or configured).
   std::size_t reducer_memory() const noexcept { return reducer_memory_; }
 

@@ -197,6 +197,12 @@ class Substrate {
   /// backend also drops its stored-attribute cache here.
   virtual void release_stored(std::size_t k) { meter_.release_edges(k); }
 
+  /// The solve bind() attached is returning: drop working memory kept
+  /// across its rounds (the MapReduce backend's shuffle buffers). The
+  /// meter and the backend's getters stay readable. A solve that throws
+  /// skips this; the next bind() or the destructor frees that memory.
+  virtual void end_solve() noexcept {}
+
   /// Install the fault-tolerance plan for subsequent solves. Injection is
   /// a backend concern: the streaming backend wires mid-pass failures, the
   /// MapReduce backend wires mapper/reducer task failures, and the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "matching/greedy.hpp"
@@ -73,18 +74,31 @@ OddSetDual incident_witness_dual(const Graph& g) {
   return dual;
 }
 
-double best_dual_bound(const DualState& state, const LevelGraph& lg,
-                       const Capacities& b) {
+DualBound best_dual_bound(const DualState& state, const LevelGraph& lg,
+                          const Capacities& b) {
   const Graph& g = lg.graph();
-  double best = g.total_weight();  // trivial fallback
+  DualBound best;
   const CertificateReport report = extract_certificate(state, lg, b);
-  if (report.feasible) best = std::min(best, report.bound);
-  for (const OddSetDual& witness :
-       {greedy_witness_dual(g), incident_witness_dual(g)}) {
-    if (dual_feasible(g, witness, 1e-9 * (1.0 + lg.w_star()))) {
-      best = std::min(best, dual_objective(b, witness));
+  if (report.feasible) best.mw_bound = report.bound;
+  // Candidates in BoundSource order; strict < keeps the earlier on a tie.
+  const auto consider = [&best](BoundSource source, double bound) {
+    if (bound < best.bound) {
+      best.bound = bound;
+      best.source = source;
     }
+  };
+  best.bound = std::numeric_limits<double>::infinity();
+  if (report.feasible) consider(BoundSource::kMw, report.bound);
+  const double tol = 1e-9 * (1.0 + lg.w_star());
+  const OddSetDual greedy = greedy_witness_dual(g);
+  if (dual_feasible(g, greedy, tol)) {
+    consider(BoundSource::kGreedyWitness, dual_objective(b, greedy));
   }
+  const OddSetDual incident = incident_witness_dual(g);
+  if (dual_feasible(g, incident, tol)) {
+    consider(BoundSource::kIncidentWitness, dual_objective(b, incident));
+  }
+  consider(BoundSource::kTrivial, g.total_weight());
   return best;
 }
 

@@ -43,9 +43,26 @@ OddSetDual greedy_witness_dual(const Graph& g);
 ///   (i,j) satisfies x_i + x_j >= (w_ij + w_ij)/2 = w_ij.
 OddSetDual incident_witness_dual(const Graph& g);
 
-/// Best (smallest) verified dual bound among the state certificate and the
-/// witnesses.
-double best_dual_bound(const DualState& state, const LevelGraph& lg,
-                       const Capacities& b);
+/// Which dual won best_dual_bound.
+enum class BoundSource {
+  kMw,               // the multiplicative-weights state's certificate
+  kGreedyWitness,
+  kIncidentWitness,
+  kTrivial,          // the total edge weight
+};
+
+struct DualBound {
+  double bound = 0;  // the smallest verified bound
+  BoundSource source = BoundSource::kTrivial;
+  /// The MW certificate's bound, won or not; 0 when its extraction is
+  /// infeasible (no usable lambda yet).
+  double mw_bound = 0;
+};
+
+/// Best (smallest) verified dual bound among the state certificate, the
+/// witnesses and the trivial bound; on a tie the earlier one in
+/// BoundSource order wins.
+DualBound best_dual_bound(const DualState& state, const LevelGraph& lg,
+                          const Capacities& b);
 
 }  // namespace dp::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/simd.hpp"
 
@@ -126,7 +127,8 @@ RoundPipeline::RoundPipeline(access::Substrate& substrate,
       oracle_(&oracle),
       pool_(oracle.worker_pool()),
       options_(std::move(options)),
-      sample_rng_(options_.sample_seed) {
+      sample_rng_(options_.sample_seed),
+      point_(lg.graph().num_vertices(), lg.num_levels()) {
   if (options_.grain == 0) options_.grain = 1;
   options_.sparsifiers =
       std::min(options_.sparsifiers, kMaxSparsifiersPerRound);
@@ -282,6 +284,7 @@ void RoundPipeline::stage_inner(const SamplingRound& draws, double alpha,
   const RowTable& rows = ctx_.rows.table();
   resize_exact(ctx_.x_row, rows.size());
   bool x_fresh = false;
+  double sigma = 0.0;  // the round's last step; 0 = none yet
   for (std::size_t q = 0; q < draws.num_sparsifiers(); ++q) {
     // Inner-iteration boundary: each completed iteration's blend is a
     // whole dual step, so stopping between iterations leaves a valid
@@ -328,8 +331,13 @@ void RoundPipeline::stage_inner(const SamplingRound& draws, double alpha,
       inc.beta *= (1.0 + eps);
       continue;
     }
-    const double sigma =
+    // Theorem 5's fixed step is only the floor of the search. The warm
+    // start is the previous step of THIS round: nothing of the search
+    // outlives the round, so checkpoints resume bitwise.
+    const double sigma_pst =
         std::min(0.5, eps / (4.0 * alpha * 6.0));  // rho_o = 6 (LP4/LP5)
+    sigma = step_size(mr.x, alpha, sigma_pst, std::max(sigma, sigma_pst),
+                      ctx_.sparsifier_edges.data() + lo, s);
     state.blend(mr.x, sigma);
     x_fresh = false;
   }
@@ -396,8 +404,8 @@ OfflineSolution RoundPipeline::solve_offline(const std::vector<EdgeId>& ids,
   return out;
 }
 
-void RoundPipeline::merge_offline(const OfflineSolution& sol,
-                                  Incumbent& inc) const {
+double RoundPipeline::merge_offline(const OfflineSolution& sol,
+                                    Incumbent& inc) const {
   const double eps = options_.eps;
   if (sol.value > inc.value) {
     inc.value = sol.value;
@@ -416,6 +424,7 @@ void RoundPipeline::merge_offline(const OfflineSolution& sol,
   if (norm > inc.beta * (1.0 - eps) / (1.0 + eps)) {
     inc.beta = norm * (1.0 + eps) / (1.0 - eps);
   }
+  return norm;
 }
 
 void RoundPipeline::index_round(const SamplingRound& draws) {
@@ -505,13 +514,14 @@ void RoundPipeline::sample_multipliers(const DualState& state, double alpha,
   const double* eprob = ctx_.edge_prob.data();
   resize_exact(ctx_.row_u, s);
   resize_exact(ctx_.row_v, s);
+  resize_exact(ctx_.ratio, s);
   resize_exact(ctx_.us, s);
   resize_exact(ctx_.divisor, s);
   ctx_.cov_partial.assign(chunks, 1e300);
   std::uint32_t* row_u = ctx_.row_u.data();
   std::uint32_t* row_v = ctx_.row_v.data();
   double* div = ctx_.divisor.data();
-  double* ratio = ctx_.cov_ratio.data();  // reuse; sized >= s (s <= m)
+  double* ratio = ctx_.ratio.data();  // kept for the step search
   double* partial = ctx_.cov_partial.data();
   // Covering ratios: the x parts from the row cache, then (when the state
   // holds odd sets) the odd-set terms exactly as cover_row adds them.
@@ -540,9 +550,11 @@ void RoundPipeline::sample_multipliers(const DualState& state, double alpha,
   for (std::size_t c = 0; c < chunks; ++c) {
     min_ratio = std::min(min_ratio, partial[c]);
   }
+  // The exp pass writes into us itself (store reads and writes index e
+  // only), so the ratios survive for the step search.
   double* us = ctx_.us.data();
   exp_floor_multipliers(pool_, grain, lg.eps(), alpha, min_ratio, ratio, div,
-                        s, ratio, ctx_.cov_partial,
+                        s, us, ctx_.cov_partial,
                         [us, sel, eprob](std::size_t e, double value) {
                           us[e] = value / eprob[sel[e]];
                         });
@@ -605,6 +617,143 @@ void RoundPipeline::sample_zeta(const DualState& state,
                }
                simd::divide_batch(expos + lo, div + lo, hi - lo);
              });
+}
+
+double RoundPipeline::step_size(const DualPoint& point, double alpha,
+                                double sigma_pst, double warm,
+                                const std::uint32_t* sel, std::size_t s) {
+  const LevelGraph& lg = *lg_;
+  const RowTable& rows = ctx_.rows.table();
+  // The point as a dual state, so its covering rows add up exactly as the
+  // state's do (sample_multipliers): x from a per-row cache, then the
+  // point's odd-set terms.
+  point_.assign(point);
+  const bool odd_sets = point_.odd_set_support() != 0;
+  resize_exact(ctx_.point_row, rows.size());
+  double* xp = ctx_.point_row.data();
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    xp[r] = point_.x(rows.vertex[r], rows.level[r]);
+  }
+
+  // Per sample edge, the exponent -alpha ((1 - sigma) r_e + sigma r'_e)
+  // is sigma * slope_e - alpha r_e, and Phi' weighs each term by
+  // slope_e / p_e.
+  resize_exact(ctx_.slope, s);
+  resize_exact(ctx_.weighted, s);
+  resize_exact(ctx_.expo, s);
+  double* slope = ctx_.slope.data();
+  double* weighted = ctx_.weighted.data();
+  const double* ratio = ctx_.ratio.data();
+  const std::uint32_t* row_u = ctx_.row_u.data();
+  const std::uint32_t* row_v = ctx_.row_v.data();
+  const Vertex* vertex = rows.vertex.data();
+  const std::int32_t* elevel = ctx_.edge_level.data();
+  const double* eprob = ctx_.edge_prob.data();
+  run_chunks(pool_, 0, s, options_.grain,
+             [&](std::size_t, std::size_t lo, std::size_t hi) {
+               for (std::size_t e = lo; e < hi; ++e) {
+                 const int k = elevel[sel[e]];
+                 double row = xp[row_u[e]] + xp[row_v[e]];
+                 if (odd_sets) {
+                   row = point_.add_set_terms(row, vertex[row_u[e]], k,
+                                              vertex[row_v[e]]);
+                 }
+                 slope[e] = -alpha * (row / lg.level_weight(k) - ratio[e]);
+                 weighted[e] = slope[e] / eprob[sel[e]];
+               }
+             });
+
+  // Safeguarded Newton over [sigma_pst, 1/2]. Each evaluation narrows the
+  // bracket by the sign of Phi' (Phi is convex). Phi' = P - N, with P and
+  // N the sums of its positive and negative terms, each a positive sum of
+  // exponentials in sigma; Newton runs on h = ln(P / N), which has the
+  // sign of Phi' and, unlike Phi', is close to linear, so it needs about 3
+  // evaluations where Newton on Phi' needs 5 (perfbench's ram_dense). A
+  // Newton point outside the bracket, or one that does not at least halve
+  // the step before last, is replaced by the bracket end not yet evaluated
+  // or else by the geometric midpoint (sigma spans decades).
+  constexpr double kCap = 0.5;
+  constexpr double kTolerance = 1e-3;  // on the last step, relative
+  constexpr int kMaxEvaluations = 12;
+  double lo = sigma_pst;
+  double hi = kCap;
+  bool lo_seen = false;
+  bool hi_seen = false;
+  double sigma = std::clamp(warm, sigma_pst, kCap);
+  double prev_step = kCap;
+  double step = kCap;
+  for (int eval = 0; eval < kMaxEvaluations; ++eval) {
+    const PotentialSlope d = potential_slope(alpha, sigma, s);
+    // With one part empty, Phi' keeps its sign on the whole bracket.
+    if (d.pos == 0) return kCap;
+    if (d.neg == 0) return sigma_pst;
+    const double h = std::log(d.pos / -d.neg);
+    if (h == 0) return sigma;
+    if (h > 0) {
+      if (sigma == sigma_pst) return sigma_pst;
+      hi = sigma;
+      hi_seen = true;
+    } else {
+      if (sigma == kCap) return kCap;
+      lo = sigma;
+      lo_seen = true;
+    }
+    double next =
+        sigma - h / (d.pos_second / d.pos + d.neg_second / -d.neg);
+    if (!(next > lo && next < hi) ||
+        std::abs(next - sigma) > 0.5 * prev_step) {
+      if (!lo_seen && !(next > lo)) {
+        next = lo;
+      } else if (!hi_seen && !(next < hi)) {
+        next = hi;
+      } else {
+        next = std::sqrt(lo * hi);
+      }
+    }
+    prev_step = step;
+    step = std::abs(next - sigma);
+    sigma = next;
+    if (step <= kTolerance * sigma) break;
+  }
+  return sigma;
+}
+
+RoundPipeline::PotentialSlope RoundPipeline::potential_slope(
+    double alpha, double sigma, std::size_t s) {
+  const std::size_t grain = options_.grain;
+  const std::size_t chunks = (s + grain - 1) / grain;
+  const double* ratio = ctx_.ratio.data();
+  const double* slope = ctx_.slope.data();
+  const double* weighted = ctx_.weighted.data();
+  double* expo = ctx_.expo.data();
+  // Per chunk: its largest exponent, then its four sums relative to it.
+  resize_exact(ctx_.cov_partial, 5 * chunks);
+  double* top = ctx_.cov_partial.data();
+  double* sums = top + chunks;
+  run_chunks(pool_, 0, s, grain,
+             [&](std::size_t c, std::size_t lo, std::size_t hi) {
+               const std::size_t len = hi - lo;
+               top[c] = simd::fill_line_max(ratio + lo, slope + lo, alpha,
+                                            sigma, expo + lo, len);
+               simd::fill_scaled_shift(expo + lo, expo + lo, len, -1.0,
+                                       top[c]);
+               simd::exp_batch_poly(expo + lo, expo + lo, len);
+               simd::split_weighted_sums(weighted + lo, expo + lo,
+                                         slope + lo, len, sums + 4 * c);
+             });
+  // Rescale every chunk to the largest exponent overall, in chunk order.
+  double max_top = -std::numeric_limits<double>::infinity();
+  for (std::size_t c = 0; c < chunks; ++c) max_top = std::max(max_top, top[c]);
+  simd::fill_scaled_shift(top, top, chunks, -1.0, max_top);
+  simd::exp_batch_poly(top, top, chunks);
+  PotentialSlope d;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    d.pos += top[c] * sums[4 * c];
+    d.neg += top[c] * sums[4 * c + 1];
+    d.pos_second += top[c] * sums[4 * c + 2];
+    d.neg_second += top[c] * sums[4 * c + 3];
+  }
+  return d;
 }
 
 }  // namespace dp::core

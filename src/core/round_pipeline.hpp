@@ -28,16 +28,19 @@
 //    attributes — so it runs as a one-shot pool job CONCURRENTLY with
 //    InnerRefine.
 //  - InnerRefine: the t inner multiplicative-weight iterations on the
-//    stored samples (deferred refinement + MiniOracle + PST blend). Reads
-//    the frozen draw and mutates only the dual state and the incumbent's
-//    beta (Algorithm 3 step 5b raises). It first indexes the round once:
-//    the union's attributes in one pass of batched fetches, its (vertex,
-//    level) rows as a key-sorted table with two row positions per union
-//    edge, and every sparsifier as lists of its union positions and its
-//    rows. Each iteration then works on row positions: the covering sweep
-//    reads a per-row x cache, zeta lives on the rows the sparsifier
-//    touches, and the oracle takes the sample in that row-indexed form
-//    (core/oracle's RowSample).
+//    stored samples (deferred refinement + MiniOracle + line-searched
+//    blend). Reads the frozen draw and mutates only the dual state and the
+//    incumbent's beta (Algorithm 3 step 5b raises). It first indexes the
+//    round once: the union's attributes in one pass of batched fetches,
+//    its (vertex, level) rows as a key-sorted table with two row positions
+//    per union edge, and every sparsifier as lists of its union positions
+//    and its rows. Each iteration then works on row positions: the
+//    covering sweep reads a per-row x cache, zeta lives on the rows the
+//    sparsifier touches, and the oracle takes the sample in that
+//    row-indexed form (core/oracle's RowSample). The blend's step sigma
+//    minimizes the sample's importance-weighted soft-min potential over
+//    [PST step, 1/2] (step_size; a deviation from Theorem 5's fixed step,
+//    see src/core/README.md).
 //  - Merge: the single join point. Joins the OfflineResolve future, folds
 //    the offline solution into the incumbent (best value + beta raise,
 //    Algorithm 2 step 6), aggregates the per-stage ResourceMeters into the
@@ -158,15 +161,16 @@ class RoundPipeline {
 
   /// Algorithm 2 step 6: fold an offline solution into the incumbent —
   /// remember the best integral solution and raise beta when the
-  /// normalized value (over the solution's support) beats it.
-  void merge_offline(const OfflineSolution& sol, Incumbent& inc) const;
+  /// normalized value (over the solution's support) beats it. Returns
+  /// that normalized (level-weight) value.
+  double merge_offline(const OfflineSolution& sol, Incumbent& inc) const;
 
  private:
   /// Reusable per-round scratch; every stage writes only its own buffers.
   struct RoundContext {
     // open_round / Multipliers stage.
     std::vector<double> cov_ratio;    // staged covering ratios
-    std::vector<double> cov_partial;  // chunked exact reductions
+    std::vector<double> cov_partial;  // chunked reductions
     std::vector<double> divisor;      // level-weight gather for the sweeps
     std::vector<double> promise;
     std::vector<double> prob;
@@ -190,10 +194,18 @@ class RoundPipeline {
     std::vector<std::uint32_t> chunk_counts;  // chunk x q counts/cursors
     // InnerRefine stage, per iteration.
     std::vector<double> x_row;  // x(i, k) per union row, since last blend
+    std::vector<double> ratio;           // per sample edge, under the state
     std::vector<double> us;              // per sample edge
     std::vector<std::uint32_t> row_u;    // per sample edge
     std::vector<std::uint32_t> row_v;
     std::vector<double> zeta;            // per zeta row of the sample
+    // The step search, per sample edge: the potential's exponent at sigma
+    // is sigma * slope - alpha * ratio; weighted = slope / p_e; expo is
+    // scratch.
+    std::vector<double> point_row;  // the point's x per union row
+    std::vector<double> slope;
+    std::vector<double> weighted;
+    std::vector<double> expo;
     // Per-stage meters, merged (in this order) at the Merge stage. The
     // draw's round/pass/store accounting lives on the substrate meter.
     ResourceMeter offline_meter;
@@ -233,6 +245,27 @@ class RoundPipeline {
   /// reduction.
   void sample_zeta(const DualState& state,
                    std::span<const std::uint32_t> zeta_rows);
+  /// The blend step for `point` on the sample `sel` of `s` edges whose
+  /// state ratios sample_multipliers left in ctx_.ratio: the minimizer
+  /// over [sigma_pst, 1/2] of the potential
+  ///   Phi(sigma) = sum_e (1/p_e) exp(-alpha ((1 - sigma) r_e + sigma r'_e)),
+  /// r'_e the ratio under the point, odd-set terms included. Safeguarded
+  /// Newton from `warm`, bracketed by the sign of Phi'; sigma_pst whenever
+  /// Phi'(sigma_pst) >= 0. Sums run on fixed-grain chunks, so the step is
+  /// bitwise thread-count-invariant.
+  double step_size(const DualPoint& point, double alpha, double sigma_pst,
+                   double warm, const std::uint32_t* sel, std::size_t s);
+  /// Phi' and Phi'' at sigma on the terms step_size prepared, each split
+  /// into the sums of its positive and its negative terms (Phi'' = the two
+  /// second sums), all divided by the same positive factor: exp of the
+  /// largest exponent.
+  struct PotentialSlope {
+    double pos = 0;
+    double neg = 0;
+    double pos_second = 0;
+    double neg_second = 0;
+  };
+  PotentialSlope potential_slope(double alpha, double sigma, std::size_t s);
 
   access::Substrate* substrate_;
   const LevelGraph* lg_;
@@ -247,6 +280,7 @@ class RoundPipeline {
   // this snapshot to charge each round's max-flow work to its own meter.
   ResourceMeter sep_seen_;
   RoundContext ctx_;
+  DualState point_;  // step_size's oracle point, as a state
 };
 
 }  // namespace dp::core

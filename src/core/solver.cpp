@@ -19,6 +19,48 @@
 
 namespace dp::core {
 
+namespace {
+
+/// Lemma 12's start at the lemma's own budget. build_initial gives every
+/// saturated (v, k) the value r wHat_k with r = eps/256; this rescales r to
+/// r0 = max(eps/256, norm0 / (2 S)), S = sum_v b_v max{wHat_k : v
+/// saturated at level k}. norm0 is a b-matching's level-weight value, so
+/// norm0 <= beta* and b^T x0 = r0 S <= beta*/2, while every retained edge
+/// keeps a saturated endpoint at its level, so A x0 >= r0 c still holds.
+DualPoint lemma12_start(const DualPoint& x0, const LevelGraph& lg,
+                        const Capacities& b, double norm0) {
+  const auto levels = static_cast<std::uint64_t>(lg.num_levels());
+  // S over the point's vertex-major keys: one run of levels per vertex.
+  double budget = 0;
+  std::uint64_t run_vertex = 0;
+  double run_max = 0;
+  const auto flush = [&] {
+    if (run_max > 0) {
+      budget += static_cast<double>(b[static_cast<Vertex>(run_vertex)]) *
+                run_max;
+    }
+    run_max = 0;
+  };
+  for (const auto& [key, value] : x0.xik) {
+    if (key / levels != run_vertex) flush();
+    run_vertex = key / levels;
+    run_max = std::max(run_max,
+                       lg.level_weight(static_cast<int>(key % levels)));
+  }
+  flush();
+  const double r0 = norm0 / (2.0 * budget);
+  if (!(budget > 0) || !(r0 > lg.eps() / 256.0)) return x0;
+  DualPoint start;
+  start.xik.reserve(x0.xik.size());
+  for (const auto& [key, value] : x0.xik) {
+    start.xik.append(key,
+                     r0 * lg.level_weight(static_cast<int>(key % levels)));
+  }
+  return start;
+}
+
+}  // namespace
+
 Solver::Solver(const Graph& g, const Capacities& b, SolverOptions options)
     : g_(&g), b_(b), options_(std::move(options)) {}
 
@@ -242,13 +284,15 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
     Rng rng(options_.seed);
     const InitialSolution init =
         build_initial(lg, b_, p, rng.next(), &result.meter);
-    state.assign(init.x0);
     inc.beta = std::max(init.beta0, 1e-12);
     std::vector<Edge> init_edges;
     init_edges.reserve(init.support.size());
     for (EdgeId e : init.support) init_edges.push_back(g.edge(e));
-    pipeline.merge_offline(
+    const double norm0 = pipeline.merge_offline(
         pipeline.solve_offline(init.support, std::move(init_edges)), inc);
+    // Start MW where Lemma 12 allows, not at eps/256 of it: the rounds to
+    // the certificate follow how far the start is from optimal.
+    state.assign(lemma12_start(init.x0, lg, b_, norm0));
   } else {
     // ---- Resume: the checkpoint replaces the initial solution AND every
     // completed round. Identity first — resuming under a different
@@ -492,8 +536,10 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
   // Best verified bound among the multiplicative-weights certificate and
   // the cheap witness duals (the latter floor the guarantee while the dual
   // is still converging).
-  result.dual_bound = best_dual_bound(state, lg, b_);
-  result.dual_bound = std::max(result.dual_bound, result.value);
+  const DualBound bound = best_dual_bound(state, lg, b_);
+  result.dual_bound = std::max(bound.bound, result.value);
+  result.bound_source = bound.source;
+  result.mw_bound = bound.mw_bound;
   result.certified_ratio =
       result.dual_bound > 0 ? result.value / result.dual_bound : 1.0;
 
@@ -501,6 +547,9 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
   // shuffle volume) folds into the solve meter; per-substrate inspection
   // stays available on the substrate itself.
   result.meter.merge(substrate->meter());
+  // The solve is done with the substrate: it drops what it kept across
+  // rounds.
+  substrate->end_solve();
 
   // Warm-path savings, measured against the cost of the solve that
   // produced the handle — the o(full-solve) claim as first-class counters.

@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "core/certificate.hpp"
 #include "core/dual_state.hpp"
 #include "core/oracle.hpp"
 #include "core/weight_levels.hpp"
@@ -199,6 +200,11 @@ struct SolverResult {
   double value = 0;
   /// Rigorous dual upper bound on the optimum (original weights).
   double dual_bound = 0;
+  /// Which dual gave dual_bound, and the MW certificate's own bound (0
+  /// when its extraction is infeasible). Computed once, at the end of the
+  /// solve.
+  BoundSource bound_source = BoundSource::kTrivial;
+  double mw_bound = 0;
   /// value / dual_bound (certified approximation factor).
   double certified_ratio = 0;
   double lambda = 0;

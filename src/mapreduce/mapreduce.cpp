@@ -51,7 +51,10 @@ std::vector<KeyValue> Simulator::round(
   const std::size_t shards = config_.machines;
   const std::size_t shard_size = (input.size() + shards - 1) / shards;
   const std::uint64_t round_ord = rounds_;
-  std::vector<std::vector<KeyValue>> mapped(shards);
+  // The shuffle buffers outlive the round (see release_buffers): each
+  // round refills the capacity an earlier one left.
+  mapped_.resize(shards);
+  for (std::vector<KeyValue>& out : mapped_) out.clear();
   std::vector<std::size_t> map_wasted(shards, 0);
   std::vector<std::size_t> map_faults(shards, 0);
   std::vector<std::exception_ptr> map_errors(shards);
@@ -62,9 +65,9 @@ std::vector<KeyValue> Simulator::round(
     std::vector<KeyValue> shard(input.begin() + static_cast<long>(lo),
                                 input.begin() + static_cast<long>(hi));
     for (std::uint64_t attempt = 0;; ++attempt) {
-      mapped[s].clear();
+      mapped_[s].clear();
       try {
-        mapper(shard, mapped[s]);
+        mapper(shard, mapped_[s]);
       } catch (...) {
         // The mapper's own exception is deterministic user code, not a
         // transient fault: surface it without retrying.
@@ -79,9 +82,9 @@ std::vector<KeyValue> Simulator::round(
       // fabric: the spilled messages are wasted work, the output is
       // discarded and the task re-executes.
       ++map_faults[s];
-      map_wasted[s] += mapped[s].size();
+      map_wasted[s] += mapped_[s].size();
       if (attempt + 1 >= retry_.max_attempts) {
-        mapped[s].clear();
+        mapped_[s].clear();
         map_errors[s] = std::make_exception_ptr(SubstrateFault(
             "mapper shard task failed; retry budget exhausted",
             {fault_site_name(FaultSite::kMapperShard), round_ord, attempt}));
@@ -93,7 +96,7 @@ std::vector<KeyValue> Simulator::round(
   });
   last_map_emissions_.assign(shards, 0);
   for (std::size_t s = 0; s < shards; ++s) {
-    last_map_emissions_[s] = mapped[s].size();
+    last_map_emissions_[s] = mapped_[s].size();
   }
   if (meter_ != nullptr) {
     std::size_t wasted = 0;
@@ -112,11 +115,15 @@ std::vector<KeyValue> Simulator::round(
 
   // ---- Shuffle: group by key (single-threaded; metered as messages). ----
   std::size_t shuffle_volume = 0;
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> grouped;
-  for (const auto& out : mapped) {
+  for (auto& entry : grouped_) entry.second.clear();
+  for (const auto& out : mapped_) {
     shuffle_volume += out.size();
-    for (const KeyValue& kv : out) grouped[kv.key].push_back(kv.value);
+    for (const KeyValue& kv : out) grouped_[kv.key].push_back(kv.value);
   }
+  // A key this round did not use gives its buffer back, so keys of past
+  // rounds never pile up.
+  std::erase_if(grouped_,
+                [](const auto& entry) { return entry.second.empty(); });
   if (meter_ != nullptr) {
     meter_->add_messages(shuffle_volume);
     meter_->add_shuffle_bytes(shuffle_volume * sizeof(KeyValue));
@@ -126,12 +133,12 @@ std::vector<KeyValue> Simulator::round(
   // too — so a violation names the smallest offending key whatever order
   // the hash table yields them in.
   std::vector<std::uint64_t> keys;
-  keys.reserve(grouped.size());
-  for (const auto& [key, values] : grouped) keys.push_back(key);
+  keys.reserve(grouped_.size());
+  for (const auto& [key, values] : grouped_) keys.push_back(key);
   std::sort(keys.begin(), keys.end());
   if (config_.reducer_memory > 0) {
     for (const std::uint64_t key : keys) {
-      const std::size_t got = grouped.at(key).size();
+      const std::size_t got = grouped_.at(key).size();
       if (got > config_.reducer_memory) {
         throw ReducerMemoryExceeded(key, got, config_.reducer_memory);
       }
@@ -149,7 +156,7 @@ std::vector<KeyValue> Simulator::round(
   std::vector<std::exception_ptr> red_errors(keys.size());
   pool_.parallel_for(0, keys.size(), [&](std::size_t i) {
     const std::uint64_t key = keys[i];
-    const std::vector<std::uint64_t>& values = grouped.at(key);
+    const std::vector<std::uint64_t>& values = grouped_.at(key);
     for (std::uint64_t attempt = 0;; ++attempt) {
       reduced[i].clear();
       try {
@@ -198,6 +205,12 @@ std::vector<KeyValue> Simulator::round(
     output.insert(output.end(), r.begin(), r.end());
   }
   return output;
+}
+
+void Simulator::release_buffers() noexcept {
+  std::vector<std::vector<KeyValue>>().swap(mapped_);
+  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>().swap(
+      grouped_);
 }
 
 void emit_support_words(std::uint64_t group,

@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <unordered_map>
 #include <vector>
 
 #include "util/accounting.hpp"
@@ -83,13 +84,21 @@ class Simulator {
   /// round and |shuffle| messages (plus the same volume in bytes — each
   /// shuffled record is one fixed 16-byte KeyValue — via
   /// add_shuffle_bytes, including wasted and re-fetched fault traffic).
-  /// Reducer emissions are not metered.
+  /// Reducer emissions are not metered. The map outputs and per-key value
+  /// lists stay allocated after the round, and the next round refills
+  /// them, until release_buffers().
   std::vector<KeyValue> round(
       const std::vector<KeyValue>& input,
       const std::function<void(const std::vector<KeyValue>&,
                                std::vector<KeyValue>&)>& mapper,
       const std::function<void(std::uint64_t, const std::vector<std::uint64_t>&,
                                std::vector<KeyValue>&)>& reducer);
+
+  /// Free the buffers round() keeps. Until then every round reuses them,
+  /// so memory the caller allocates between rounds never forces a later
+  /// round's shuffle into fresh memory: a job's peak stays that of its
+  /// largest round, however many rounds it runs.
+  void release_buffers() noexcept;
 
   std::size_t rounds_executed() const noexcept { return rounds_; }
 
@@ -108,6 +117,9 @@ class Simulator {
   std::vector<std::size_t> last_map_emissions_;
   FaultInjector injector_;  // disabled unless config.faults is set
   RetryPolicy retry_;
+  // The last round's shuffle: per-shard map outputs, per-key values.
+  std::vector<std::vector<KeyValue>> mapped_;
+  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> grouped_;
 };
 
 /// One decoded support word: the members of `group`'s support among the

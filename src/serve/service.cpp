@@ -332,6 +332,7 @@ Response MatchingService::execute_solve(
     r.value = result.value;
     r.certified_ratio = result.certified_ratio;
     r.lambda = result.lambda;
+    r.bound_source = result.bound_source;
     r.rounds_executed = result.outer_rounds;
     r.checkpoint = result.checkpoint;
     r.detail = result.fault_detail;

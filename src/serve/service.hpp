@@ -136,6 +136,9 @@ struct Response {
   double value = 0;
   double certified_ratio = 0;
   double lambda = 0;
+  /// Solve-class answers: which dual certified the ratio (kTrivial on
+  /// probes and rejections).
+  core::BoundSource bound_source = core::BoundSource::kTrivial;
   std::size_t rounds_executed = 0;
   bool edge_in_matching = false;
   /// Snapshot generation the answer applies to (kApplyDelta: the new

@@ -3,6 +3,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 
 namespace dp::simd {
 
@@ -117,6 +119,79 @@ double divide_max_positive(double* out, const double* div, std::size_t n) {
     mx = mx > b ? mx : b;
   }
   return std::bit_cast<double>(static_cast<std::uint64_t>(mx));
+}
+
+namespace {
+
+/// Order-preserving signed key of a non-NaN double's bit pattern (an
+/// involution): non-negative doubles keep their pattern, negative ones
+/// flip the magnitude bits.
+inline std::int64_t order_key(std::int64_t bits) {
+  return bits ^ ((bits >> 63) & INT64_MAX);
+}
+
+}  // namespace
+
+DP_SIMD_CLONES
+double fill_line_max(const double* r, const double* slope, double alpha,
+                     double t, double* out, std::size_t n) {
+  std::int64_t mx = order_key(static_cast<std::int64_t>(
+      std::bit_cast<std::uint64_t>(-std::numeric_limits<double>::infinity())));
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = t * slope[i] - alpha * r[i];
+    const std::int64_t key = order_key(
+        static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(out[i])));
+    mx = mx > key ? mx : key;
+  }
+  return std::bit_cast<double>(static_cast<std::uint64_t>(order_key(mx)));
+}
+
+DP_SIMD_CLONES
+void split_weighted_sums(const double* w, const double* x, const double* y,
+                         std::size_t n, double sums[4]) {
+  // GCC vector extensions: one 8-wide value per partial-sum set, lowered to
+  // whatever the clone's ISA offers (one zmm, two ymm or four xmm) with
+  // the element order unchanged.
+  using Lanes = double __attribute__((vector_size(8 * sizeof(double))));
+  constexpr std::size_t kLanes = 8;
+  Lanes pos = {};
+  Lanes neg = {};
+  Lanes pos_y = {};
+  Lanes neg_y = {};
+  const Lanes zero = {};
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    Lanes wv = {};
+    Lanes xv = {};
+    Lanes yv = {};
+    std::memcpy(&wv, w + i, sizeof(Lanes));
+    std::memcpy(&xv, x + i, sizeof(Lanes));
+    std::memcpy(&yv, y + i, sizeof(Lanes));
+    const Lanes t = wv * xv;
+    const Lanes ty = t * yv;
+    pos += t > zero ? t : zero;
+    neg += t < zero ? t : zero;
+    pos_y += t > zero ? ty : zero;
+    neg_y += t < zero ? ty : zero;
+  }
+  for (std::size_t j = 0; i + j < n; ++j) {
+    const double t = w[i + j] * x[i + j];
+    const double ty = t * y[i + j];
+    if (t > 0) {
+      pos[j] += t;
+      pos_y[j] += ty;
+    } else if (t < 0) {
+      neg[j] += t;
+      neg_y[j] += ty;
+    }
+  }
+  const auto fold = [](const Lanes& a) {
+    return ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
+  };
+  sums[0] = fold(pos);
+  sums[1] = fold(neg);
+  sums[2] = fold(pos_y);
+  sums[3] = fold(neg_y);
 }
 
 }  // namespace dp::simd

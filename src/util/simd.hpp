@@ -59,4 +59,23 @@ void divide_batch(double* out, const double* div, std::size_t n);
 /// identical across lane widths, but vectorizable without -ffast-math.
 double divide_max_positive(double* out, const double* div, std::size_t n);
 
+// --- Step-search bodies (core/round_pipeline's line search) ---------------
+
+/// out[i] = t * slope[i] - alpha * r[i], returning the largest out[i]
+/// (-inf for n = 0; no NaN inputs). The max is a signed integer reduction
+/// over order-preserving keys of the bit patterns (a negative double's
+/// magnitude bits flipped), which orders all non-NaN doubles (-0.0 below
+/// +0.0), so it vectorizes under strict FP semantics and does not depend
+/// on the lane width.
+double fill_line_max(const double* r, const double* slope, double alpha,
+                     double t, double* out, std::size_t n);
+
+/// The sums of t_i = w[i] x[i] and of t_i y[i], split by the sign of t_i:
+/// sums[0] = sum_{t > 0} t, sums[1] = sum_{t < 0} t, sums[2] = sum_{t > 0}
+/// t y, sums[3] = sum_{t < 0} t y. Element i adds into partial sum i mod
+/// 8, and the 8 partials fold in one fixed tree, so the summation order is
+/// explicit and every lane width gives the same bits.
+void split_weighted_sums(const double* w, const double* x, const double* y,
+                         std::size_t n, double sums[4]);
+
 }  // namespace dp::simd

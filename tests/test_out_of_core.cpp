@@ -517,7 +517,7 @@ TEST(OutOfCore, RoundCompressionExecutesFewerSimulatorRounds) {
 
   access::MapReduceSubstrate plain;
   SolverOptions plain_opt = base_options();
-  plain_opt.eps = 0.25;
+  plain_opt.eps = 0.1;
   plain_opt.substrate = &plain;
   const SolverResult uncompressed = solve_matching(g, plain_opt);
   ASSERT_GT(uncompressed.outer_rounds, 1u);
@@ -528,7 +528,7 @@ TEST(OutOfCore, RoundCompressionExecutesFewerSimulatorRounds) {
     config.round_compression = 3;
     access::MapReduceSubstrate compressed(config);
     SolverOptions opt = base_options();
-    opt.eps = 0.25;
+    opt.eps = 0.1;
     opt.oracle.threads = threads;
     opt.substrate = &compressed;
     const SolverResult run = solve_matching(g, opt);
@@ -573,29 +573,31 @@ TEST(OutOfCore, RoundCompressionExecutesFewerSimulatorRounds) {
 // The model's accounting of one fixed compressed solve, pinned: shuffle
 // traffic is what the mappers emit (plus fault re-fetches), never what the
 // reducers return, so no change to the reducer output format may move
-// these counts. Boost 1.3 keeps the envelopes below 1 (so the supports
-// are genuinely sampled), and one round outgrows its envelope: the solve
-// runs cached rounds and an early fresh batch. The counts follow the
-// solve's trajectory, so a libm that moves the trajectory moves them too.
+// these counts. Boost 1.5 keeps the envelopes below 1 (so the supports
+// are genuinely sampled), and most rounds outgrow their envelopes: the
+// solve runs two cached rounds (4 and 5) between early fresh batches. At
+// boost 1.3 every round of this solve outgrows its envelope, and nothing
+// is compressed. The counts follow the solve's trajectory, so a libm that
+// moves the trajectory moves them too.
 TEST(OutOfCore, CompressedSolveModelAccountingIsPinned) {
   const Graph g = dense_graph();
   access::MapReduceSubstrate::Config config;
   config.round_compression = 3;
-  config.compression_boost = 1.3;
+  config.compression_boost = 1.5;
   access::MapReduceSubstrate compressed(config);
   SolverOptions opt = base_options();
-  opt.eps = 0.25;
+  opt.eps = 0.1;
   opt.max_outer_rounds = 8;
   opt.substrate = &compressed;
   const SolverResult run = solve_matching(g, opt);
   const ResourceMeter& meter = compressed.meter();
   ASSERT_EQ(run.outer_rounds, 8u);
-  EXPECT_EQ(meter.messages(), 739071u);
-  EXPECT_EQ(meter.shuffle_bytes(), 11825136u);
-  EXPECT_EQ(meter.rounds(), 4u);
-  EXPECT_EQ(meter.passes(), 4u);
-  EXPECT_EQ(meter.saved_rounds(), 4u);
-  EXPECT_EQ(meter.saved_passes(), 4u);
+  EXPECT_EQ(meter.messages(), 1259891u);
+  EXPECT_EQ(meter.shuffle_bytes(), 20158256u);
+  EXPECT_EQ(meter.rounds(), 6u);
+  EXPECT_EQ(meter.passes(), 6u);
+  EXPECT_EQ(meter.saved_rounds(), 2u);
+  EXPECT_EQ(meter.saved_passes(), 2u);
 }
 
 }  // namespace

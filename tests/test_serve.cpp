@@ -210,6 +210,7 @@ TEST(Serve, SolveThenProbeEndToEnd) {
   EXPECT_TRUE(solved.certified);
   EXPECT_EQ(solved.value, direct.value);
   EXPECT_EQ(solved.certified_ratio, direct.certified_ratio);
+  EXPECT_EQ(solved.bound_source, direct.bound_source);
   EXPECT_EQ(solved.checkpoint, nullptr);
 
   // Probe an edge of the certified matching (the service's solve is

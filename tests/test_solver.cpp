@@ -7,6 +7,7 @@
 
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/baselines.hpp"
@@ -247,6 +248,92 @@ TEST(Solver, HistoryMonotoneBest) {
   for (const RoundStats& rs : result.history) {
     EXPECT_GE(rs.best_value, prev - 1e-12);
     prev = rs.best_value;
+  }
+}
+
+// --- Convergence: the line-searched step and the Lemma 12 start --------
+// The step search and the start at Lemma 12's budget must bring these
+// solves to the 1 - 3 eps bar well inside the default round budget.
+
+/// 133 disjoint unit triangles: OPT is 133, and every vertex-only dual is
+/// at least 1.5 OPT, so only the odd-set duals of the MW state can
+/// certify close to OPT.
+Graph disjoint_triangles() {
+  Graph g = gen::triangle_rich(133, 0, 7);
+  gen::weight_unit(g);
+  return g;
+}
+
+Graph power_law_instance() {
+  Graph g = gen::power_law(400, 2.1, 10, 11);
+  gen::weight_uniform(g, 1.0, 12.0, 12);
+  return g;
+}
+
+SolverOptions convergence_options(double eps) {
+  SolverOptions opt;  // default round budget and sparsifier count
+  opt.eps = eps;
+  opt.oracle.threads = 1;
+  return opt;
+}
+
+TEST(Convergence, DisjointTrianglesCertifyThroughOddSets) {
+  const Graph g = disjoint_triangles();
+  const SolverResult result = solve_matching(g, convergence_options(0.1));
+  const double opt_value =
+      static_cast<double>(max_cardinality_matching(g).size());
+  ASSERT_EQ(opt_value, 133.0);
+  EXPECT_GE(result.lambda, 1.0 - 3.0 * 0.1);
+  EXPECT_EQ(result.bound_source, BoundSource::kMw);
+  EXPECT_EQ(result.mw_bound, result.dual_bound);
+  EXPECT_LE(result.dual_bound, 1.01 * opt_value);
+  EXPECT_GE(result.dual_bound, opt_value - 1e-6);
+  EXPECT_GT(result.meter.max_flows(), 0u);
+}
+
+TEST(Convergence, PowerLawReachesTheBarBeforeTheCap) {
+  const Graph g = power_law_instance();
+  const SolverResult result = solve_matching(g, convergence_options(0.2));
+  // The default budget at eps 0.2, p 2: 4 ceil(p / eps) + 4 = 44 rounds.
+  EXPECT_LT(result.outer_rounds, 44u);
+  EXPECT_GE(result.lambda, 1.0 - 3.0 * 0.2);
+  EXPECT_GT(result.mw_bound, 0.0);
+  EXPECT_GE(result.dual_bound, max_weight_matching(g).weight(g) - 1e-6);
+}
+
+TEST(Convergence, StepSearchIsThreadCountInvariant) {
+  // A grain of 64 splits every sample into many chunks, so the search's
+  // chunked Phi' / Phi'' sums run on the pool.
+  const std::pair<Graph, double> cases[] = {{disjoint_triangles(), 0.1},
+                                            {power_law_instance(), 0.2}};
+  for (const auto& [g, eps] : cases) {
+    std::vector<SolverResult> results;
+    for (const std::size_t threads : {1, 2, 8}) {
+      SolverOptions opt = convergence_options(eps);
+      opt.oracle.threads = threads;
+      opt.oracle.parallel_grain = 64;
+      results.push_back(solve_matching(g, opt));
+    }
+    for (std::size_t i = 1; i < results.size(); ++i) {
+      const SolverResult& a = results[0];
+      const SolverResult& b = results[i];
+      const std::string label = "eps " + std::to_string(eps) + " run " +
+                                std::to_string(i);
+      EXPECT_EQ(a.value, b.value) << label;
+      EXPECT_EQ(a.dual_bound, b.dual_bound) << label;
+      EXPECT_EQ(a.mw_bound, b.mw_bound) << label;
+      EXPECT_EQ(a.bound_source, b.bound_source) << label;
+      EXPECT_EQ(a.certified_ratio, b.certified_ratio) << label;
+      EXPECT_EQ(a.lambda, b.lambda) << label;
+      EXPECT_EQ(a.beta, b.beta) << label;
+      EXPECT_EQ(a.outer_rounds, b.outer_rounds) << label;
+      EXPECT_EQ(a.meter.summary(), b.meter.summary()) << label;
+      ASSERT_EQ(a.history.size(), b.history.size()) << label;
+      for (std::size_t r = 0; r < a.history.size(); ++r) {
+        EXPECT_EQ(a.history[r].lambda, b.history[r].lambda) << label;
+        EXPECT_EQ(a.history[r].beta, b.history[r].beta) << label;
+      }
+    }
   }
 }
 

@@ -417,6 +417,47 @@ TEST(MapReduce, MultipleRoundsCounted) {
   EXPECT_EQ(data.size(), 2u);
 }
 
+TEST(MapReduce, KeptShuffleBuffersCarryNothingIntoTheNextRound) {
+  // round() keeps its shuffle buffers between rounds; a round must still
+  // see only its own messages, released buffers or not.
+  using mapreduce::KeyValue;
+  const auto identity_map = [](const std::vector<KeyValue>& shard,
+                               std::vector<KeyValue>& emit) {
+    for (const KeyValue& kv : shard) emit.push_back(kv);
+  };
+  // Per key: the number of values and their sum.
+  const auto count_sum = [](std::uint64_t key,
+                            const std::vector<std::uint64_t>& values,
+                            std::vector<KeyValue>& emit) {
+    std::uint64_t sum = 0;
+    for (std::uint64_t v : values) sum += v;
+    emit.push_back({key, values.size()});
+    emit.push_back({key, sum});
+  };
+  const auto same = [](const std::vector<KeyValue>& a,
+                       const std::vector<KeyValue>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i].key != b[i].key || a[i].value != b[i].value) return false;
+    }
+    return true;
+  };
+  const std::vector<KeyValue> first{{1, 10}, {2, 20}, {1, 30}, {3, 40},
+                                    {2, 50}, {3, 60}, {1, 70}};
+  const std::vector<KeyValue> second{{3, 5}, {4, 6}, {3, 7}};
+
+  mapreduce::Simulator fresh(mapreduce::Config{.machines = 3});
+  const auto expected = fresh.round(second, identity_map, count_sum);
+  ASSERT_TRUE(same(expected, {{3, 2}, {3, 12}, {4, 1}, {4, 6}}));
+
+  mapreduce::Simulator sim(mapreduce::Config{.machines = 3});
+  sim.round(first, identity_map, count_sum);
+  EXPECT_TRUE(same(sim.round(second, identity_map, count_sum), expected));
+  sim.release_buffers();
+  EXPECT_TRUE(same(sim.round(second, identity_map, count_sum), expected));
+  EXPECT_EQ(sim.rounds_executed(), 3u);
+}
+
 TEST(MapReduce, EmptyInputProducesEmptyOutput) {
   using mapreduce::KeyValue;
   mapreduce::Simulator sim(mapreduce::Config{});

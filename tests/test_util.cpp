@@ -523,5 +523,58 @@ TEST(Simd, SweepBodiesMatchScalarLoops) {
   }
 }
 
+TEST(Simd, StepSearchBodiesMatchScalarLoops) {
+  Rng rng(0x5ea);
+  const double alpha = 312.5;
+  const double t = 0.0137;
+  for (const std::size_t n : {0, 1, 7, 8, 1024, 1031}) {
+    std::vector<double> r(n);
+    std::vector<double> slope(n);
+    std::vector<double> w(n);
+    std::vector<double> x(n);
+    std::vector<double> line_ref(n);
+    double max_ref = -std::numeric_limits<double>::infinity();
+    // The fold the kernel documents: element i into partial sum i mod 8,
+    // split by the sign of w x, partials folded in one fixed tree.
+    double part[4][8] = {};
+    for (std::size_t i = 0; i < n; ++i) {
+      r[i] = rng.uniform_real(0.0, 3.0);
+      slope[i] = rng.uniform_real(-400.0, 400.0);
+      w[i] = slope[i] * rng.uniform_real(1.0, 4.0);
+      x[i] = rng.uniform_real(0.0, 1.0);
+      line_ref[i] = t * slope[i] - alpha * r[i];
+      max_ref = std::max(max_ref, line_ref[i]);
+      const double term = w[i] * x[i];
+      const int side = term > 0 ? 0 : 1;
+      if (term != 0) {
+        part[side][i % 8] += term;
+        part[side + 2][i % 8] += term * slope[i];
+      }
+    }
+    std::vector<double> line(n);
+    const double max =
+        simd::fill_line_max(r.data(), slope.data(), alpha, t, line.data(), n);
+    EXPECT_EQ(bit_patterns(line), bit_patterns(line_ref)) << "n=" << n;
+    EXPECT_EQ(bit_patterns({max}), bit_patterns({max_ref})) << "n=" << n;
+    double sums[4];
+    simd::split_weighted_sums(w.data(), x.data(), slope.data(), n, sums);
+    for (int j = 0; j < 4; ++j) {
+      const double* a = part[j];
+      const double ref =
+          ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
+      EXPECT_EQ(bit_patterns({sums[j]}), bit_patterns({ref}))
+          << "n=" << n << " sum " << j;
+    }
+  }
+  // Negative lines order below zero and -0.0 below +0.0.
+  const std::vector<double> zero_r = {0.0, 0.0};
+  const std::vector<double> signed_zero = {-0.0, 0.0};
+  std::vector<double> out(2);
+  EXPECT_EQ(bit_patterns({simd::fill_line_max(zero_r.data(),
+                                              signed_zero.data(), 0.0, 1.0,
+                                              out.data(), 2)}),
+            bit_patterns({0.0}));
+}
+
 }  // namespace
 }  // namespace dp
