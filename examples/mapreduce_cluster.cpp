@@ -47,10 +47,10 @@ int main() {
   std::mutex reducer_mutex;
   sim.round(
       edge_records,
-      [](const std::vector<KeyValue>& shard, std::vector<KeyValue>& emit) {
+      [](std::span<const KeyValue> shard, dp::mapreduce::Emitter& emit) {
         for (const KeyValue& kv : shard) emit.push_back(kv);
       },
-      [&](std::uint64_t vertex, const std::vector<std::uint64_t>& values,
+      [&](std::uint64_t vertex, const dp::mapreduce::Values& values,
           std::vector<KeyValue>& emit) {
         // Each reducer owns one vertex: build its l0 incidence sketch from
         // the whole delivered batch in ONE update_batch call (rep-major

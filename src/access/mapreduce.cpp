@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <span>
 
 #include "util/thread_pool.hpp"
 
@@ -139,8 +140,8 @@ bool MapReduceSubstrate::predraw_batch(const std::vector<double>& prob,
   try {
     output = sim_->round(
         input,
-        [&](const std::vector<mapreduce::KeyValue>& shard,
-            std::vector<mapreduce::KeyValue>& emit) {
+        [&](std::span<const mapreduce::KeyValue> shard,
+            mapreduce::Emitter& emit) {
           for (const mapreduce::KeyValue& kv : shard) {
             const double env = std::bit_cast<double>(kv.value);
             for (std::size_t j = 0; j < k; ++j) {

@@ -26,6 +26,15 @@
 // or a batch's candidate bitmaps (below). Results, meters and checkpoints
 // do not depend on it.
 //
+// Map output: the mappers read their shard of the round's input in place
+// and the simulator partitions their emissions by key as they are made
+// (mapreduce::Emitter), so each shuffled (sparsifier, edge) record is held
+// once, as the 8-byte edge index in machine s's run for its reducer key.
+// The meters still charge every record as one 16-byte message — the
+// shuffle the model counts — along with fault waste and re-fetches, and
+// the per-machine emission counts in shard_meters(). The runs stay
+// allocated between the solve's simulator rounds until end_solve().
+//
 // Round compression (paper Section 4.2): with Config::round_compression =
 // k > 1, ONE simulator round pre-draws the counter-based masks of the next
 // k sampling rounds at an ENVELOPE probability min(1, boost * p). Because

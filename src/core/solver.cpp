@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <optional>
+#include <utility>
 
 #include "access/in_memory.hpp"
 #include "core/certificate.hpp"
@@ -132,12 +134,13 @@ SolverResult Solver::resolve(const WarmStart& prev,
     }
   }
   if (!shape_ok) return fallback("malformed warm-start handle");
-  return solve_impl(nullptr, &prev, &delta);
+  return solve_impl(nullptr, &prev, &delta, &lg);
 }
 
 SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
                                 const WarmStart* warm,
-                                const dyn::EdgeDelta* delta) {
+                                const dyn::EdgeDelta* delta,
+                                const LevelGraph* levels) {
   const Graph& g = *g_;
   SolverResult result;
   result.b_matching = BMatching(g.num_edges());
@@ -157,7 +160,9 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
   }
 
   // ---- Discretize weights into levels (Definitions 2/3). ----
-  const LevelGraph lg(g, b_, eps);
+  std::optional<LevelGraph> own_levels;
+  const LevelGraph& lg =
+      levels != nullptr ? *levels : own_levels.emplace(g, b_, eps);
   const std::vector<EdgeId>& retained = lg.retained();
   if (retained.empty()) {
     result.certified_ratio = 1.0;
@@ -247,17 +252,36 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
     // round loop's FIRST opening sweep — zero MW rounds, one pass. ----
     state.restore_raw(warm->dual_scale, warm->xik, warm->xi,
                       warm->odd_sets);
+    // Locate the inserted edges in the post-delta graph with one scan of
+    // the edge list (the inserts are sorted by edge key), with no
+    // adjacency build. Rows are raised insert by insert, ids ascending
+    // within one (the order Graph::neighbors lists them in): the raise
+    // order fixes the repaired values and the warm handle's activation
+    // order.
+    const std::vector<dyn::EdgeInsert> inserts =
+        dyn::normalize(*delta).inserts;
+    std::vector<std::pair<std::size_t, EdgeId>> located;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const std::uint64_t key = dyn::edge_key(g.edge(e).u, g.edge(e).v);
+      const auto it = std::lower_bound(
+          inserts.begin(), inserts.end(), key,
+          [](const dyn::EdgeInsert& ins, std::uint64_t k) {
+            return dyn::edge_key(ins.u, ins.v) < k;
+          });
+      if (it != inserts.end() && dyn::edge_key(it->u, it->v) == key) {
+        located.emplace_back(static_cast<std::size_t>(it - inserts.begin()),
+                             e);
+      }
+    }
+    std::sort(located.begin(), located.end());
     std::size_t repaired = 0;
-    for (const dyn::EdgeInsert& ins : dyn::normalize(*delta).inserts) {
-      // Locate the inserted edge(s) in the post-delta graph; edges the
-      // discretization dropped (level < 0) have no covering row.
-      for (const Graph::Incidence& inc_edge : g.neighbors(ins.u)) {
-        if (inc_edge.neighbor != ins.v) continue;
-        const int k = lg.level(inc_edge.edge);
-        if (k < 0) continue;
-        if (state.raise_cover(ins.u, ins.v, k, lg.level_weight(k))) {
-          ++repaired;
-        }
+    for (const auto& [i, e] : located) {
+      // Edges the discretization dropped (level < 0) have no covering row.
+      const int k = lg.level(e);
+      if (k < 0) continue;
+      if (state.raise_cover(inserts[i].u, inserts[i].v, k,
+                            lg.level_weight(k))) {
+        ++repaired;
       }
     }
     result.meter.add_repaired_rows(repaired);

@@ -266,9 +266,12 @@ class Solver {
   SolverResult resolve(const WarmStart& prev, const dyn::EdgeDelta& delta);
 
  private:
+  /// `levels`, when given, is this solve's level graph, already built
+  /// (resolve() validates the warm handle against it).
   SolverResult solve_impl(const RoundCheckpoint* resume,
                           const WarmStart* warm = nullptr,
-                          const dyn::EdgeDelta* delta = nullptr);
+                          const dyn::EdgeDelta* delta = nullptr,
+                          const LevelGraph* levels = nullptr);
 
   const Graph* g_;
   Capacities b_;

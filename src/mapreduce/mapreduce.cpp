@@ -4,7 +4,6 @@
 #include <bit>
 #include <exception>
 #include <sstream>
-#include <unordered_map>
 
 #include "core/sampling.hpp"
 #include "util/rng.hpp"
@@ -22,6 +21,43 @@ ReducerMemoryExceeded::ReducerMemoryExceeded(std::size_t key, std::size_t got,
           }(),
           ErrorContext{fault_site_name(FaultSite::kReducerTask)}) {}
 
+std::vector<std::uint64_t>& Emitter::run(std::uint64_t key) {
+  std::size_t i = probe(key);
+  if (!slots_[i].used) {
+    // A new key. Load at most 1/2 keeps probe chains short.
+    if (2 * (keys_ + 1) > slots_.size()) {
+      std::vector<Slot> old(2 * slots_.size());
+      old.swap(slots_);
+      --shift_;
+      for (Slot& slot : old) {
+        if (slot.used) slots_[probe(slot.key)] = std::move(slot);
+      }
+      i = probe(key);
+    }
+    slots_[i].used = true;
+    slots_[i].key = key;
+    ++keys_;
+  }
+  return slots_[i].run;
+}
+
+std::size_t Emitter::probe(std::uint64_t key) const noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(key);
+  while (slots_[i].used && slots_[i].key != key) i = (i + 1) & mask;
+  return i;
+}
+
+std::size_t Emitter::size() const noexcept {
+  std::size_t total = 0;
+  for (const Slot& slot : slots_) total += slot.run.size();
+  return total;
+}
+
+void Emitter::clear() noexcept {
+  for (Slot& slot : slots_) slot.run.clear();
+}
+
 Simulator::Simulator(Config config, ResourceMeter* meter)
     : config_(config), meter_(meter), pool_(config.threads) {
   if (config_.machines == 0) config_.machines = 1;
@@ -33,9 +69,8 @@ Simulator::Simulator(Config config, ResourceMeter* meter)
 
 std::vector<KeyValue> Simulator::round(
     const std::vector<KeyValue>& input,
-    const std::function<void(const std::vector<KeyValue>&,
-                             std::vector<KeyValue>&)>& mapper,
-    const std::function<void(std::uint64_t, const std::vector<std::uint64_t>&,
+    const std::function<void(std::span<const KeyValue>, Emitter&)>& mapper,
+    const std::function<void(std::uint64_t, const Values&,
                              std::vector<KeyValue>&)>& reducer) {
   ++rounds_;
   if (meter_ != nullptr) {
@@ -54,7 +89,7 @@ std::vector<KeyValue> Simulator::round(
   // The shuffle buffers outlive the round (see release_buffers): each
   // round refills the capacity an earlier one left.
   mapped_.resize(shards);
-  for (std::vector<KeyValue>& out : mapped_) out.clear();
+  for (Emitter& out : mapped_) out.clear();
   std::vector<std::size_t> map_wasted(shards, 0);
   std::vector<std::size_t> map_faults(shards, 0);
   std::vector<std::exception_ptr> map_errors(shards);
@@ -62,8 +97,7 @@ std::vector<KeyValue> Simulator::round(
     const std::size_t lo = s * shard_size;
     const std::size_t hi = std::min(input.size(), lo + shard_size);
     if (lo >= hi && !(s == 0 && input.empty())) return;
-    std::vector<KeyValue> shard(input.begin() + static_cast<long>(lo),
-                                input.begin() + static_cast<long>(hi));
+    const std::span<const KeyValue> shard(input.data() + lo, hi - lo);
     for (std::uint64_t attempt = 0;; ++attempt) {
       mapped_[s].clear();
       try {
@@ -113,34 +147,56 @@ std::vector<KeyValue> Simulator::round(
     if (map_errors[s] != nullptr) std::rethrow_exception(map_errors[s]);
   }
 
-  // ---- Shuffle: group by key (single-threaded; metered as messages). ----
-  std::size_t shuffle_volume = 0;
-  for (auto& entry : grouped_) entry.second.clear();
-  for (const auto& out : mapped_) {
-    shuffle_volume += out.size();
-    for (const KeyValue& kv : out) grouped_[kv.key].push_back(kv.value);
+  // ---- Shuffle (metered as messages): the mappers already partitioned
+  // their output by key, so reducer k's input is k's runs in shard order.
+  struct Part {
+    std::uint64_t key;
+    std::span<const std::uint64_t> run;
+  };
+  std::vector<Part> parts;
+  for (Emitter& out : mapped_) {
+    for (Emitter::Slot& slot : out.slots_) {
+      if (!slot.used) continue;
+      if (slot.run.empty()) {
+        // A key this round did not emit here gives its run's memory back,
+        // and stays out of the reducers' input: Values' iterator requires
+        // every run to be non-empty.
+        std::vector<std::uint64_t>().swap(slot.run);
+      } else {
+        parts.push_back({slot.key, slot.run});
+      }
+    }
   }
-  // A key this round did not use gives its buffer back, so keys of past
-  // rounds never pile up.
-  std::erase_if(grouped_,
-                [](const auto& entry) { return entry.second.empty(); });
+  // Keys ascending: the reducers' deterministic order, and the cap check's
+  // too — so a violation names the smallest offending key whatever order
+  // the shards emitted them in. Stable, so each key's runs keep shard
+  // order.
+  std::stable_sort(parts.begin(), parts.end(),
+                   [](const Part& a, const Part& b) { return a.key < b.key; });
+  std::vector<std::span<const std::uint64_t>> runs;
+  runs.reserve(parts.size());
+  for (const Part& part : parts) runs.push_back(part.run);
+  std::vector<std::uint64_t> keys;
+  std::vector<Values> inputs;
+  std::size_t shuffle_volume = 0;
+  for (std::size_t lo = 0, hi = 0; lo < parts.size(); lo = hi) {
+    std::size_t got = 0;
+    for (hi = lo; hi < parts.size() && parts[hi].key == parts[lo].key; ++hi) {
+      got += parts[hi].run.size();
+    }
+    keys.push_back(parts[lo].key);
+    inputs.push_back(Values({runs.data() + lo, hi - lo}, got));
+    shuffle_volume += got;
+  }
   if (meter_ != nullptr) {
     meter_->add_messages(shuffle_volume);
     meter_->add_shuffle_bytes(shuffle_volume * sizeof(KeyValue));
   }
-
-  // Keys ascending: the reducers' deterministic order, and the cap check's
-  // too — so a violation names the smallest offending key whatever order
-  // the hash table yields them in.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(grouped_.size());
-  for (const auto& [key, values] : grouped_) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
   if (config_.reducer_memory > 0) {
-    for (const std::uint64_t key : keys) {
-      const std::size_t got = grouped_.at(key).size();
-      if (got > config_.reducer_memory) {
-        throw ReducerMemoryExceeded(key, got, config_.reducer_memory);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (inputs[i].size() > config_.reducer_memory) {
+        throw ReducerMemoryExceeded(keys[i], inputs[i].size(),
+                                    config_.reducer_memory);
       }
     }
   }
@@ -156,7 +212,7 @@ std::vector<KeyValue> Simulator::round(
   std::vector<std::exception_ptr> red_errors(keys.size());
   pool_.parallel_for(0, keys.size(), [&](std::size_t i) {
     const std::uint64_t key = keys[i];
-    const std::vector<std::uint64_t>& values = grouped_.at(key);
+    const Values& values = inputs[i];
     for (std::uint64_t attempt = 0;; ++attempt) {
       reduced[i].clear();
       try {
@@ -208,13 +264,10 @@ std::vector<KeyValue> Simulator::round(
 }
 
 void Simulator::release_buffers() noexcept {
-  std::vector<std::vector<KeyValue>>().swap(mapped_);
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>().swap(
-      grouped_);
+  std::vector<Emitter>().swap(mapped_);
 }
 
-void emit_support_words(std::uint64_t group,
-                        const std::vector<std::uint64_t>& indices,
+void emit_support_words(std::uint64_t group, const Values& indices,
                         std::vector<KeyValue>& emit) {
   std::uint64_t word = 0;
   std::uint64_t bits = 0;
@@ -248,7 +301,7 @@ std::vector<std::vector<std::uint32_t>> sample_round(
   const CounterRng round_rng = core::sampling_round_rng(seed, round);
   const auto output = sim.round(
       input,
-      [&](const std::vector<KeyValue>& shard, std::vector<KeyValue>& emit) {
+      [&](std::span<const KeyValue> shard, Emitter& emit) {
         for (const KeyValue& kv : shard) {
           std::uint64_t mask = core::sampling_mask(
               round_rng, t, kv.key, std::bit_cast<double>(kv.value));

@@ -44,10 +44,10 @@ TEST(Integration, MapReduceDegreesMatchGraph) {
   }
   const auto out = sim.round(
       input,
-      [](const std::vector<KeyValue>& shard, std::vector<KeyValue>& emit) {
+      [](std::span<const KeyValue> shard, mapreduce::Emitter& emit) {
         for (const KeyValue& kv : shard) emit.push_back(kv);
       },
-      [](std::uint64_t key, const std::vector<std::uint64_t>& values,
+      [](std::uint64_t key, const mapreduce::Values& values,
          std::vector<KeyValue>& emit) {
         emit.push_back({key, values.size()});
       });

@@ -266,7 +266,9 @@ TEST(OutOfCore, FileBackedSolveIsBitwiseIdenticalToInMemory) {
       EXPECT_EQ(meter.passes(), run.outer_rounds + 1) << label;
       EXPECT_TRUE(sub.table().empty()) << label;
       EXPECT_GT(meter.io_stalls() + meter.prefetch_hits(), 0u) << label;
-      if (!prefetch) EXPECT_EQ(meter.prefetch_hits(), 0u) << label;
+      if (!prefetch) {
+        EXPECT_EQ(meter.prefetch_hits(), 0u) << label;
+      }
       // Resident edge state: the block buffers, charged for the whole
       // solve, plus the per-round sample cache — bounded by the model's
       // own stored-edge peak, never the file. (On this deliberately tiny

@@ -5,8 +5,10 @@
 
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "access/mapreduce.hpp"
@@ -319,10 +321,10 @@ TEST(MapReduce, WordCountStyleRound) {
   }
   const auto output = sim.round(
       input,
-      [](const std::vector<KeyValue>& shard, std::vector<KeyValue>& emit) {
+      [](std::span<const KeyValue> shard, mapreduce::Emitter& emit) {
         for (const KeyValue& kv : shard) emit.push_back(kv);
       },
-      [](std::uint64_t key, const std::vector<std::uint64_t>& values,
+      [](std::uint64_t key, const mapreduce::Values& values,
          std::vector<KeyValue>& emit) {
         std::uint64_t sum = 0;
         for (std::uint64_t v : values) sum += v;
@@ -348,10 +350,10 @@ TEST(MapReduce, ReducerMemoryCapEnforced) {
   try {
     sim.round(
         input,
-        [](const std::vector<KeyValue>& shard, std::vector<KeyValue>& emit) {
+        [](std::span<const KeyValue> shard, mapreduce::Emitter& emit) {
           for (const KeyValue& kv : shard) emit.push_back(kv);
         },
-        [](std::uint64_t, const std::vector<std::uint64_t>&,
+        [](std::uint64_t, const mapreduce::Values&,
            std::vector<KeyValue>&) {});
     FAIL() << "expected ReducerMemoryExceeded";
   } catch (const mapreduce::ReducerMemoryExceeded& err) {
@@ -383,10 +385,10 @@ TEST(MapReduce, ReducerCapErrorNamesTheSmallestViolatingKey) {
     try {
       sim.round(
           input,
-          [](const std::vector<KeyValue>& shard, std::vector<KeyValue>& emit) {
+          [](std::span<const KeyValue> shard, mapreduce::Emitter& emit) {
             for (const KeyValue& kv : shard) emit.push_back(kv);
           },
-          [](std::uint64_t, const std::vector<std::uint64_t>&,
+          [](std::uint64_t, const mapreduce::Values&,
              std::vector<KeyValue>&) {});
       ADD_FAILURE() << "expected ReducerMemoryExceeded, " << label;
     } catch (const mapreduce::ReducerMemoryExceeded& err) {
@@ -401,12 +403,12 @@ TEST(MapReduce, MultipleRoundsCounted) {
   using mapreduce::KeyValue;
   mapreduce::Simulator sim(mapreduce::Config{});
   std::vector<KeyValue> data{{1, 1}, {2, 2}};
-  auto identity_map = [](const std::vector<KeyValue>& shard,
-                         std::vector<KeyValue>& emit) {
+  auto identity_map = [](std::span<const KeyValue> shard,
+                         mapreduce::Emitter& emit) {
     for (const KeyValue& kv : shard) emit.push_back(kv);
   };
   auto identity_reduce = [](std::uint64_t key,
-                            const std::vector<std::uint64_t>& values,
+                            const mapreduce::Values& values,
                             std::vector<KeyValue>& emit) {
     for (std::uint64_t v : values) emit.push_back({key, v});
   };
@@ -421,13 +423,13 @@ TEST(MapReduce, KeptShuffleBuffersCarryNothingIntoTheNextRound) {
   // round() keeps its shuffle buffers between rounds; a round must still
   // see only its own messages, released buffers or not.
   using mapreduce::KeyValue;
-  const auto identity_map = [](const std::vector<KeyValue>& shard,
-                               std::vector<KeyValue>& emit) {
+  const auto identity_map = [](std::span<const KeyValue> shard,
+                               mapreduce::Emitter& emit) {
     for (const KeyValue& kv : shard) emit.push_back(kv);
   };
   // Per key: the number of values and their sum.
   const auto count_sum = [](std::uint64_t key,
-                            const std::vector<std::uint64_t>& values,
+                            const mapreduce::Values& values,
                             std::vector<KeyValue>& emit) {
     std::uint64_t sum = 0;
     for (std::uint64_t v : values) sum += v;
@@ -458,13 +460,131 @@ TEST(MapReduce, KeptShuffleBuffersCarryNothingIntoTheNextRound) {
   EXPECT_EQ(sim.rounds_executed(), 3u);
 }
 
+// A round's output as (key, value) pairs, comparable with EXPECT_EQ.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs(
+    const std::vector<mapreduce::KeyValue>& output) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  for (const mapreduce::KeyValue& kv : output) {
+    out.emplace_back(kv.key, kv.value);
+  }
+  return out;
+}
+
+// Reducer that returns its input: the value count, then every value.
+void list_values(std::uint64_t key, const mapreduce::Values& values,
+                 std::vector<mapreduce::KeyValue>& emit) {
+  emit.push_back({key, values.size()});
+  for (const std::uint64_t v : values) emit.push_back({key, v});
+}
+
+TEST(MapReduce, InterleavedKeysReachReducersInShardThenEmissionOrder) {
+  // Keys cycle A, B, A, C, B through the input (A = 7, B = 2, C = 5), so
+  // every shard emits them interleaved, and each mapper walks its shard
+  // backwards, so emission order is not input order.
+  using mapreduce::KeyValue;
+  const std::uint64_t cycle[] = {7, 2, 7, 5, 2};
+  std::vector<KeyValue> input;
+  for (std::uint64_t pos = 0; pos < 16; ++pos) {
+    input.push_back({cycle[pos % 5], pos});
+  }
+  ResourceMeter meter;
+  mapreduce::Simulator sim(mapreduce::Config{.machines = 3, .threads = 3},
+                           &meter);
+  const auto output = sim.round(
+      input,
+      [](std::span<const KeyValue> shard, mapreduce::Emitter& emit) {
+        for (auto it = shard.rbegin(); it != shard.rend(); ++it) {
+          emit.push_back(*it);
+        }
+      },
+      list_values);
+  // Shards [0, 6), [6, 12) and [12, 16). Each key's values come shard by
+  // shard, each shard's in its (reversed) emission order; keys ascend.
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected{
+      {2, 6},  {2, 4}, {2, 1},  {2, 11}, {2, 9}, {2, 6}, {2, 14},
+      {5, 3},  {5, 3}, {5, 8},  {5, 13},
+      {7, 7},  {7, 5}, {7, 2},  {7, 0},  {7, 10}, {7, 7}, {7, 15}, {7, 12}};
+  EXPECT_EQ(pairs(output), expected);
+  EXPECT_EQ(meter.messages(), input.size());
+  EXPECT_EQ(sim.last_map_emissions(), (std::vector<std::size_t>{6, 6, 4}));
+}
+
+TEST(MapReduce, RetriedMapperShardKeepsOnlyItsLastAttempt) {
+  // Shard 1's first attempt dies after emitting. None of its values may
+  // reach a reducer — not even those of a key only that attempt emitted —
+  // and all of them are charged as wasted messages.
+  using mapreduce::KeyValue;
+  FaultPlan plan;
+  plan.config.scripted.push_back({FaultSite::kMapperShard, 1, 1, 0});
+  ResourceMeter meter;
+  mapreduce::Simulator sim(
+      mapreduce::Config{.machines = 3, .threads = 3, .faults = &plan},
+      &meter);
+  std::vector<KeyValue> input;
+  for (std::uint64_t pos = 0; pos < 12; ++pos) input.push_back({pos % 4, pos});
+  // Attempts per shard; each slot is written by its own shard's task only.
+  std::vector<std::uint64_t> attempts(3, 0);
+  const auto output = sim.round(
+      input,
+      [&](std::span<const KeyValue> shard, mapreduce::Emitter& emit) {
+        const std::uint64_t attempt = attempts[shard.front().value / 4]++;
+        if (attempt == 0) emit.push_back({99, 0});
+        for (const KeyValue& kv : shard) {
+          emit.push_back({kv.key, 10 * kv.value + attempt});
+        }
+      },
+      list_values);
+  EXPECT_EQ(attempts, (std::vector<std::uint64_t>{1, 2, 1}));
+  // Value 10 pos + attempt: shard 1 (pos 4..7) is there from attempt 1.
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected{
+      {0, 3},  {0, 0},  {0, 41},  {0, 80},
+      {1, 3},  {1, 10}, {1, 51},  {1, 90},
+      {2, 3},  {2, 20}, {2, 61},  {2, 100},
+      {3, 3},  {3, 30}, {3, 71},  {3, 110},
+      {99, 2}, {99, 0}, {99, 0}};
+  EXPECT_EQ(pairs(output), expected);
+  EXPECT_EQ(meter.faults(), 1u);
+  // 14 shuffled records plus the dead attempt's 5.
+  EXPECT_EQ(meter.messages(), 19u);
+  EXPECT_EQ(meter.shuffle_bytes(), 19 * sizeof(KeyValue));
+  EXPECT_EQ(sim.last_map_emissions(), (std::vector<std::size_t>{5, 4, 5}));
+}
+
+TEST(MapReduce, SmallerKeySetAfterLargerRoundMatchesFreshSimulator) {
+  // A 100-key round grows every shard's key table; a 3-key round after it,
+  // and the large round again, must give what a fresh simulator gives.
+  using mapreduce::KeyValue;
+  const auto identity_map = [](std::span<const KeyValue> shard,
+                               mapreduce::Emitter& emit) {
+    for (const KeyValue& kv : shard) emit.push_back(kv);
+  };
+  std::vector<KeyValue> large;
+  for (std::uint64_t pos = 0; pos < 600; ++pos) {
+    large.push_back({pos * 37 % 100, pos});
+  }
+  const std::vector<KeyValue> small{
+      {40, 1}, {7, 2}, {40, 3}, {1000, 4}, {7, 5}};
+  const auto fresh = [&](const std::vector<KeyValue>& input) {
+    mapreduce::Simulator sim(mapreduce::Config{.machines = 4});
+    return sim.round(input, identity_map, list_values);
+  };
+
+  mapreduce::Simulator sim(mapreduce::Config{.machines = 4});
+  EXPECT_EQ(pairs(sim.round(large, identity_map, list_values)),
+            pairs(fresh(large)));
+  EXPECT_EQ(pairs(sim.round(small, identity_map, list_values)),
+            pairs(fresh(small)));
+  EXPECT_EQ(pairs(sim.round(large, identity_map, list_values)),
+            pairs(fresh(large)));
+}
+
 TEST(MapReduce, EmptyInputProducesEmptyOutput) {
   using mapreduce::KeyValue;
   mapreduce::Simulator sim(mapreduce::Config{});
   const auto output = sim.round(
       {},
-      [](const std::vector<KeyValue>&, std::vector<KeyValue>&) {},
-      [](std::uint64_t, const std::vector<std::uint64_t>&,
+      [](std::span<const KeyValue>, mapreduce::Emitter&) {},
+      [](std::uint64_t, const mapreduce::Values&,
          std::vector<KeyValue>&) {});
   EXPECT_TRUE(output.empty());
 }
@@ -477,10 +597,10 @@ TEST(MapReduce, DeterministicReduceOrderAcrossRuns) {
     mapreduce::Simulator sim(mapreduce::Config{});
     return sim.round(
         input,
-        [](const std::vector<KeyValue>& shard, std::vector<KeyValue>& emit) {
+        [](std::span<const KeyValue> shard, mapreduce::Emitter& emit) {
           for (const KeyValue& kv : shard) emit.push_back(kv);
         },
-        [](std::uint64_t key, const std::vector<std::uint64_t>& values,
+        [](std::uint64_t key, const mapreduce::Values& values,
            std::vector<KeyValue>& emit) {
           std::uint64_t sum = 0;
           for (std::uint64_t v : values) sum += v;
