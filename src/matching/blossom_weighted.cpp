@@ -11,18 +11,21 @@ namespace dp {
 
 namespace {
 
-// Primal-dual blossom solver on a dense matrix, 1-indexed vertices.
-// Blossom (super)vertices occupy ids n+1 .. n_x <= 2n. The structure follows
-// the classical O(n^3) formulation: S-labels (0 = outer/even, 1 = inner/odd,
-// -1 = free), per-vertex duals lab[], slack pointers per root vertex, and
-// explicit blossom flower lists with rotation on augmentation.
+// Primal-dual blossom solver, 1-indexed vertices. Blossom (super)vertices
+// occupy ids n+1 .. n_x <= 2n. The structure follows the classical O(n^3)
+// formulation on a (2n+2)^2 matrix of arcs (u, v, w): S-labels (0 =
+// outer/even, 1 = inner/odd, -1 = free), per-vertex duals lab[], slack
+// pointers per root vertex, and explicit blossom flower lists with rotation
+// on augmentation. Of that matrix only the weights between original
+// vertices (their endpoints are their position) and the row and column of
+// each blossom id taken so far are stored; see blossom_weighted.hpp.
 class WeightedBlossom {
  public:
   explicit WeightedBlossom(int n)
       : n_(n),
         n_x_(n),
         size_(2 * n + 2),
-        g_(size_ * size_),
+        w_(static_cast<std::size_t>(n + 1) * (n + 1), 0),
         lab_(size_, 0),
         match_(size_, 0),
         slack_(size_, 0),
@@ -30,23 +33,13 @@ class WeightedBlossom {
         pa_(size_, 0),
         s_(size_, -1),
         vis_(size_, 0),
-        flo_from_(size_ * (n + 1), 0),
-        flo_(size_) {
-    // Every cell carries its own endpoints; e_delta() reads them even for
-    // weight-0 (absent) edges during slack bookkeeping.
-    for (int u = 0; u < size_; ++u) {
-      for (int v = 0; v < size_; ++v) {
-        edge(u, v).u = u;
-        edge(u, v).v = v;
-      }
-    }
-  }
+        flo_(size_) {}
 
   void set_weight(int u, int v, std::int64_t w) {
     // Parallel edges: keep the best.
-    if (w > edge(u, v).w) {
-      edge(u, v).w = w;
-      edge(v, u).w = w;
+    if (w > weight(u, v)) {
+      weight(u, v) = w;
+      weight(v, u) = w;
     }
   }
 
@@ -54,17 +47,13 @@ class WeightedBlossom {
   /// u or 0.
   void solve() {
     std::fill(match_.begin(), match_.end(), 0);
-    n_x_ = n_;
     std::int64_t w_max = 0;
     for (int u = 0; u <= n_; ++u) {
       st_[u] = u;
       flo_[u].clear();
     }
     for (int u = 1; u <= n_; ++u) {
-      for (int v = 1; v <= n_; ++v) {
-        flo_from(u, v) = (u == v ? u : 0);
-        w_max = std::max(w_max, edge(u, v).w);
-      }
+      for (int v = 1; v <= n_; ++v) w_max = std::max(w_max, weight(u, v));
     }
     for (int u = 1; u <= n_; ++u) lab_[u] = w_max;
     while (matching()) {
@@ -79,12 +68,46 @@ class WeightedBlossom {
     std::int64_t w = 0;
   };
 
-  Arc& edge(int u, int v) { return g_[static_cast<std::size_t>(u) * size_ + v]; }
-  const Arc& edge(int u, int v) const {
-    return g_[static_cast<std::size_t>(u) * size_ + v];
+  // Row b and column b of blossom id b, and b's flo_from row.
+  struct BlossomCells {
+    std::vector<Arc> row;       // cell (b, x), x < 2n+2
+    std::vector<Arc> col;       // cell (x, b), x <= n
+    std::vector<int> flo_from;  // flo_from(b, x), x <= n
+  };
+
+  std::int64_t& weight(int u, int v) {
+    return w_[static_cast<std::size_t>(u) * (n_ + 1) + v];
   }
-  int& flo_from(int b, int x) {
-    return flo_from_[static_cast<std::size_t>(b) * (n_ + 1) + x];
+  std::int64_t weight(int u, int v) const {
+    return w_[static_cast<std::size_t>(u) * (n_ + 1) + v];
+  }
+  BlossomCells& cells(int b) { return blossoms_[b - n_ - 1]; }
+  const BlossomCells& cells(int b) const { return blossoms_[b - n_ - 1]; }
+
+  // Cell (u, v) of the arc matrix; ids above n_x_ are never read.
+  Arc edge(int u, int v) const {
+    if (u > n_) return cells(u).row[v];
+    if (v > n_) return cells(v).col[u];
+    return Arc{u, v, weight(u, v)};
+  }
+  // Writable cell (u, v), where u or v is a blossom id.
+  Arc& blossom_edge(int u, int v) {
+    return u > n_ ? cells(u).row[v] : cells(v).col[u];
+  }
+  // An original vertex x is its own flower: flo_from(x, x) = x, else 0.
+  int flo_from(int b, int x) const {
+    return b > n_ ? cells(b).flo_from[x] : (b == x ? b : 0);
+  }
+
+  // Takes blossom id n_x_ + 1. Its cells start as the dense matrix held
+  // them: endpoints at their position, weight 0.
+  void take_new_id() {
+    const int b = ++n_x_;
+    BlossomCells c{std::vector<Arc>(size_), std::vector<Arc>(n_ + 1),
+                   std::vector<int>(n_ + 1, 0)};
+    for (int x = 0; x < size_; ++x) c.row[x] = Arc{b, x, 0};
+    for (int x = 0; x <= n_; ++x) c.col[x] = Arc{x, b, 0};
+    blossoms_.push_back(std::move(c));
   }
 
   std::int64_t e_delta(const Arc& e) const {
@@ -175,7 +198,7 @@ class WeightedBlossom {
   void add_blossom(int u, int lca, int v) {
     int b = n_ + 1;
     while (b <= n_x_ && st_[b]) ++b;
-    if (b > n_x_) ++n_x_;
+    if (b > n_x_) take_new_id();
     lab_[b] = 0;
     s_[b] = 0;
     match_[b] = match_[lca];
@@ -196,20 +219,21 @@ class WeightedBlossom {
     }
     set_st(b, b);
     for (int x = 1; x <= n_x_; ++x) {
-      edge(b, x).w = 0;
-      edge(x, b).w = 0;
+      blossom_edge(b, x).w = 0;
+      blossom_edge(x, b).w = 0;
     }
-    for (int x = 1; x <= n_; ++x) flo_from(b, x) = 0;
+    std::vector<int>& b_from = cells(b).flo_from;
+    std::fill(b_from.begin() + 1, b_from.end(), 0);
     for (int xs : flo_[b]) {
       for (int x = 1; x <= n_x_; ++x) {
         if (edge(b, x).w == 0 ||
             e_delta(edge(xs, x)) < e_delta(edge(b, x))) {
-          edge(b, x) = edge(xs, x);
-          edge(x, b) = edge(x, xs);
+          blossom_edge(b, x) = edge(xs, x);
+          blossom_edge(x, b) = edge(x, xs);
         }
       }
       for (int x = 1; x <= n_; ++x) {
-        if (flo_from(xs, x)) flo_from(b, x) = xs;
+        if (flo_from(xs, x)) b_from[x] = xs;
       }
     }
     set_slack(b);
@@ -281,9 +305,10 @@ class WeightedBlossom {
         q_.pop_front();
         if (s_[st_[u]] == 1) continue;
         for (int v = 1; v <= n_; ++v) {
-          if (edge(u, v).w > 0 && st_[u] != st_[v]) {
-            if (e_delta(edge(u, v)) == 0) {
-              if (on_found_edge(edge(u, v))) return true;
+          const std::int64_t w = weight(u, v);
+          if (w > 0 && st_[u] != st_[v]) {
+            if (lab_[u] + lab_[v] - w * 2 == 0) {
+              if (on_found_edge(Arc{u, v, w})) return true;
             } else {
               update_slack(u, st_[v]);
             }
@@ -336,11 +361,11 @@ class WeightedBlossom {
   int n_;
   int n_x_;
   int size_;
-  std::vector<Arc> g_;
+  std::vector<std::int64_t> w_;  // (n+1)^2 weights between original vertices
+  std::vector<BlossomCells> blossoms_;  // ids n+1 .. n_x_
   std::vector<std::int64_t> lab_;
   std::vector<int> match_, slack_, st_, pa_;
   std::vector<int> s_, vis_;
-  std::vector<int> flo_from_;
   std::vector<std::vector<int>> flo_;
   std::deque<int> q_;
   int timestamp_ = 0;
@@ -361,26 +386,29 @@ Matching max_weight_matching_integral(const Graph& g,
   }
   solver.solve();
 
-  // Extract edge ids: for each mated pair pick the max-(integer)weight edge.
+  // Extract edge ids: for each mated pair, the first edge in id order of
+  // maximum integer weight, keyed by the pair's lower endpoint.
+  constexpr EdgeId kNone = ~EdgeId{0};
+  std::vector<EdgeId> best(g.num_vertices(), kNone);
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const Edge& edge = g.edge(e);
+    const Vertex lo = std::min(edge.u, edge.v);
+    const Vertex hi = std::max(edge.u, edge.v);
+    if (solver.mate(static_cast<int>(lo) + 1) != static_cast<int>(hi) + 1) {
+      continue;
+    }
+    if (best[lo] == kNone || w[e] > w[best[lo]]) best[lo] = e;
+  }
   Matching m;
   std::vector<char> emitted(g.num_vertices(), 0);
-  g.build_adjacency();
   for (int u = 1; u <= n; ++u) {
     const int v = solver.mate(u);
     if (v == 0 || v < u) continue;
     const auto gu = static_cast<Vertex>(u - 1);
     const auto gv = static_cast<Vertex>(v - 1);
     if (emitted[gu] || emitted[gv]) continue;
-    EdgeId best = ~EdgeId{0};
-    std::int64_t best_w = std::numeric_limits<std::int64_t>::min();
-    for (const auto& inc : g.neighbors(gu)) {
-      if (inc.neighbor == gv && w[inc.edge] > best_w) {
-        best = inc.edge;
-        best_w = w[inc.edge];
-      }
-    }
-    if (best != ~EdgeId{0}) {
-      m.add(best);
+    if (best[gu] != kNone) {
+      m.add(best[gu]);
       emitted[gu] = emitted[gv] = 1;
     }
   }

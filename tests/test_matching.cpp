@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "matching/greedy.hpp"
 #include "matching/hungarian.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 
 namespace dp {
 namespace {
@@ -162,6 +164,106 @@ TEST(BlossomWeighted, EmptyAndSingleEdge) {
   Graph g(2);
   g.add_edge(0, 1, 3.0);
   EXPECT_EQ(max_weight_matching(g).size(), 1u);
+}
+
+// FNV-1a over the returned edge ids in order: a golden value pins which
+// edges the solver returns and in what order, not just the optimum.
+std::uint64_t edge_id_hash(const Matching& m) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const EdgeId e : m.edges()) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (e >> (8 * byte)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+Graph gnm_unit(std::size_t n, std::size_t m, std::uint64_t seed) {
+  Graph g = gen::gnm(n, m, seed);
+  gen::weight_unit(g);
+  return g;
+}
+
+Graph gnm_uniform16(std::size_t n, std::size_t m, std::uint64_t seed) {
+  Graph g = gen::gnm(n, m, seed);
+  gen::weight_uniform(g, 1.0, 16.0, seed + 100);
+  return g;
+}
+
+Graph gnm_int16(std::size_t n, std::size_t m, std::uint64_t seed) {
+  const Graph topology = gen::gnm(n, m, seed);
+  Rng rng(seed);
+  Graph g(n);
+  for (const Edge& e : topology.edges()) {
+    g.add_edge(e.u, e.v, static_cast<double>(rng.uniform_int(1, 16)));
+  }
+  return g;
+}
+
+// The bitmask DP above stops at n = 14, where few blossoms form. These
+// instances are large enough to take many blossom ids (including reused
+// ones) and to expand blossoms; the hashes were recorded from the dense
+// (2n+2)^2 arc-matrix implementation, so they pin the compact storage to
+// its answers edge for edge. Blossom ids taken / expansions per instance:
+// unit gnm(300, 900, 1) 119 / 0, unit gnm(350, 1050, 7) 142 / 0,
+// unit gnm(400, 1200, 10) 161 / 0, unit gnm(400, 1400, 8) 169 / 0,
+// U[1, 16] gnm(400, 1600, 1) 11 / 5, U[1, 16] gnm(200, 2000, 4) 11 / 12,
+// U[1, 16] gnm(200, 2000, 7) 26 / 11, integer U{1..16} gnm(200, 2000, 3)
+// 10 / 12, U[1, 16] gnm(450, 30000, 6) 72 / 8 and gnm(450, 30000, 8)
+// 121 / 3. U[1, 16] weights are real, so they also run the 2^40 scaling.
+TEST(BlossomWeighted, GoldenEdgeSequences) {
+  struct Case {
+    const char* name;
+    Graph g;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"unit gnm(300, 900, 1)", gnm_unit(300, 900, 1),
+       0xab33505f31607c95ull},
+      {"unit gnm(350, 1050, 7)", gnm_unit(350, 1050, 7),
+       0x2d19222b5610e47cull},
+      {"unit gnm(400, 1200, 10)", gnm_unit(400, 1200, 10),
+       0xb5580197ac8016b9ull},
+      {"unit gnm(400, 1400, 8)", gnm_unit(400, 1400, 8),
+       0x0ed4235d7b7965dcull},
+      {"U[1,16] gnm(400, 1600, 1)", gnm_uniform16(400, 1600, 1),
+       0xb415f69570ca5118ull},
+      {"U[1,16] gnm(200, 2000, 4)", gnm_uniform16(200, 2000, 4),
+       0x4e90d8d96f5a894bull},
+      {"U[1,16] gnm(200, 2000, 7)", gnm_uniform16(200, 2000, 7),
+       0x8c08a57ec567a46aull},
+      {"U{1..16} gnm(200, 2000, 3)", gnm_int16(200, 2000, 3),
+       0xb618fcf4fecc28daull},
+      {"U[1,16] gnm(450, 30000, 6)", gnm_uniform16(450, 30000, 6),
+       0xf38b39737df5f04bull},
+      {"U[1,16] gnm(450, 30000, 8)", gnm_uniform16(450, 30000, 8),
+       0x057fb5633e090ed4ull},
+  };
+  for (const Case& c : cases) {
+    const Matching m = max_weight_matching(c.g);
+    ASSERT_TRUE(m.is_valid(c.g)) << c.name;
+    EXPECT_EQ(edge_id_hash(m), c.hash) << c.name;
+  }
+}
+
+// With unit weights a maximum-weight matching is a maximum-cardinality
+// one. The unweighted blossom shares no code or storage with the weighted
+// one, so this checks the weighted solver's optimum at sizes the DP cannot.
+TEST(BlossomWeighted, UnitWeightsMatchMaxCardinality) {
+  const struct {
+    std::size_t n, m;
+  } shapes[] = {{300, 450}, {300, 900}, {450, 700}, {450, 1400},
+                {600, 900}, {600, 1800}};
+  for (const auto& shape : shapes) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      const Graph g = gnm_unit(shape.n, shape.m, seed);
+      const Matching weighted = max_weight_matching(g);
+      ASSERT_TRUE(weighted.is_valid(g));
+      EXPECT_EQ(weighted.size(), max_cardinality_matching(g).size())
+          << "gnm(" << shape.n << ", " << shape.m << ", " << seed << ")";
+    }
+  }
 }
 
 class BlossomUnweightedParam
