@@ -126,7 +126,6 @@ class Substrate {
   /// caches — by throwing ConfigError. The solver installs
   /// SolverOptions::memory_budget_edges here before bind().
   void set_memory_budget(std::size_t edges) noexcept { budget_ = edges; }
-  std::size_t memory_budget() const noexcept { return budget_; }
 
   /// Attach one solve: materialize the retained-edge attribute table
   /// (unless this backend runs table-free, see materializes_table) and
@@ -143,9 +142,6 @@ class Substrate {
   /// table-free (file-backed streaming); use stored_attrs()/fetch_edges()
   /// for attribute access that works on every backend.
   const std::vector<RetainedEdge>& table() const noexcept { return table_; }
-
-  /// Edge-typed view of the table (same order). Empty when table-free.
-  const std::vector<Edge>& edge_view() const noexcept { return edge_view_; }
 
   /// Batch-fetch the attributes of retained indices into out[0..count).
   /// On table-backed substrates these are the table rows; the file-backed

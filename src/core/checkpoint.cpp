@@ -105,8 +105,8 @@ class Reader {
 };
 
 // The meter block: every ResourceMeter counter as one u64, in enum order.
-static_assert(ResourceMeter::kCounterCount == 23,
-              "checkpoint v4 carries 23 meter counters; a new counter "
+static_assert(ResourceMeter::kCounterCount == 22,
+              "checkpoint v5 carries 22 meter counters; a new counter "
               "changes the wire format, so bump RoundCheckpoint::kVersion");
 constexpr std::size_t kMeterBytes = 8 * ResourceMeter::kCounterCount;
 

@@ -43,7 +43,10 @@ struct RoundCheckpoint {
   // io_stalls, prefetch_hits, shuffle_bytes, resident_edges,
   // peak_resident) — a mid-pass kill/resume on the file backend must
   // restore its IO accounting exactly.
-  static constexpr std::uint32_t kVersion = 4;
+  // v5: the meter block lost its sketch-word counter (slot 4) with the
+  // AGM sketch mirror that was its only writer; every later counter moves
+  // up a slot.
+  static constexpr std::uint32_t kVersion = 5;
 
   // -- Identity: the solve configuration this checkpoint belongs to. --
   std::uint64_t solver_seed = 0;

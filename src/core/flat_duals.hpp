@@ -46,12 +46,6 @@ class SparseDuals {
     return (it != entries_.end() && it->first == key) ? it : entries_.end();
   }
 
-  /// First entry with key >= `key` (for range scans over one vertex's
-  /// levels: keys of vertex i span [i*L, (i+1)*L)).
-  const_iterator first_at_least(std::uint64_t key) const noexcept {
-    return lower_bound(key);
-  }
-
   /// Value at `key`, 0.0 when absent.
   double get(std::uint64_t key) const noexcept {
     const auto it = lower_bound(key);

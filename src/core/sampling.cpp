@@ -18,7 +18,7 @@ void check_t(std::size_t t) {
 /// sampling_mask fully unrolls and its independent mix chains pipeline
 /// (~1.7x over the runtime-t loop). The expression evaluated per (q, idx)
 /// is exactly sampling_mask's, so the draws stay bitwise identical to the
-/// generic path used by draw_stream and the MapReduce mapper.
+/// generic path used by draw_stream_mapped and the MapReduce mapper.
 template <std::size_t T>
 void mask_sweep_fixed(const CounterRng& round_rng, const double* prob,
                       std::uint32_t* masks, std::size_t lo, std::size_t hi) {
@@ -69,32 +69,6 @@ const SamplingRound& SamplingEngine::draw(const std::vector<double>& prob,
     meter->add_round();
     meter->add_pass();
     meter->store_edges(round_.stored_total());
-  }
-  return round_;
-}
-
-const SamplingRound& SamplingEngine::draw_stream(
-    const EdgeStream& stream, const std::vector<double>& prob, std::size_t t,
-    std::uint64_t round, std::uint64_t seed) {
-  check_t(t);
-  if (prob.size() != stream.num_edges()) {
-    throw ConfigError("SamplingEngine::draw_stream: prob/stream size mismatch");
-  }
-  round_.t_ = t;
-  round_.masks_.resize(prob.size());
-  const CounterRng round_rng = sampling_round_rng(seed, round);
-  // The pass itself is sequential (that is the streaming model); the draw
-  // for position idx is the same pure function of (seed, round, q, idx) the
-  // in-memory sweep evaluates, so the stored sets come out bitwise equal.
-  std::size_t idx = 0;
-  stream.for_each_pass([&](const Edge&) {
-    round_.masks_[idx] = sampling_mask(round_rng, t, idx, prob[idx]);
-    ++idx;
-  });
-  extract_union();
-  if (stream.meter() != nullptr) {
-    stream.meter()->add_round();
-    stream.meter()->store_edges(round_.stored_total());
   }
   return round_;
 }

@@ -39,11 +39,6 @@ class LevelGraph {
     return level_weight_prefix_[hi + 1] - level_weight_prefix_[lo];
   }
 
-  /// Prefix sum: sum of wHat_l for l < k (k in [0, num_levels]).
-  double level_weight_prefix(int k) const noexcept {
-    return level_weight_prefix_[k];
-  }
-
   /// Normalized (discretized) weight of edge e; 0 for dropped edges.
   double normalized_weight(EdgeId e) const noexcept {
     return level_[e] < 0 ? 0.0 : level_weight_[level_[e]];

@@ -24,8 +24,7 @@ bool same_bits(double a, double b) noexcept {
 
 }  // namespace
 
-DynamicGraph::DynamicGraph(Graph base, DynamicGraphOptions opt)
-    : n_(base.num_vertices()) {
+DynamicGraph::DynamicGraph(Graph base) : n_(base.num_vertices()) {
   live_.reserve(base.num_edges());
   for (const Edge& e : base.edges()) {
     live_.emplace_back(edge_key(e.u, e.v), e.w);
@@ -39,13 +38,6 @@ DynamicGraph::DynamicGraph(Graph base, DynamicGraphOptions opt)
     }
   }
   base_ = std::make_shared<const Graph>(std::move(base));
-  meter_.store_edges(live_.size());
-  if (opt.backing == DynamicBacking::kSketch) {
-    sketch_rng_ = std::make_unique<Rng>(opt.sketch_seed);
-    seed_ = std::make_unique<L0SamplerSeed>(opt.sketch_levels,
-                                            opt.sketch_reps, *sketch_rng_);
-    sketch_.emplace(*base_, *seed_, &meter_);
-  }
 }
 
 std::optional<double> DynamicGraph::live_weight(std::uint64_t key) const {
@@ -143,24 +135,8 @@ DeltaSummary DynamicGraph::apply(const EdgeDelta& delta) {
   }
   live_ = std::move(next);
 
-  if (sketch_.has_value()) {
-    // Linearity: a delete is an insert with the sign flipped, so the
-    // mirror stays equal to a from-scratch sketch of the live set.
-    std::vector<Edge> buf;
-    buf.reserve(entry.removed.size());
-    for (const EdgeInsert& e : entry.removed) buf.push_back({e.u, e.v, e.w});
-    sketch_->apply(buf, -1, &meter_);
-    buf.clear();
-    for (const EdgeInsert& e : entry.inserted) {
-      buf.push_back({e.u, e.v, e.w});
-    }
-    sketch_->apply(buf, +1, &meter_);
-  }
-
   s.inserted = entry.inserted.size();
   s.removed = entry.removed.size();
-  meter_.store_edges(s.inserted);
-  meter_.release_edges(s.removed);
   ++generation_;
   s.generation = generation_;
   log_.push_back(std::move(entry));

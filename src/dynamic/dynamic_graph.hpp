@@ -2,15 +2,10 @@
 // DynamicGraph: batched edge churn over a base graph, with a generation
 // counter, an effective-op delta log, and canonical materialization.
 //
-// Two backings, one contract:
-//   - kDeltaLog: the live edge set is a sorted (key, weight) table plus a
-//     per-generation log of the EFFECTIVE operations (what actually
-//     changed after normalization/dedup), so delta_since() replays churn
-//     exactly — duplicate inserts and phantom removes never pollute it.
-//   - kSketch: additionally mirrors every effective op into AGM linear
-//     sketches (insert = +1/-1 incidence update, delete = its negation) —
-//     the streamed case gets insert+delete for free because sketches are
-//     linear, and tests can assert mirror == from-scratch sketch bitwise.
+// The live edge set is a sorted (key, weight) table plus a per-generation
+// log of the EFFECTIVE operations (what actually changed after
+// normalization/dedup), so delta_since() replays churn exactly — duplicate
+// inserts and phantom removes never pollute it.
 //
 // Canonical materialization: materialize() returns the live edge set
 // sorted ascending by canonical (min, max) key, i.e. a pure function of
@@ -30,25 +25,8 @@
 
 #include "dynamic/delta.hpp"
 #include "graph/graph.hpp"
-#include "sketch/agm.hpp"
-#include "util/accounting.hpp"
-#include "util/rng.hpp"
 
 namespace dp::dyn {
-
-enum class DynamicBacking {
-  kDeltaLog,  // retained attribute table + delta log (in-memory case)
-  kSketch,    // delta log + AGM linear-sketch mirror (streamed case)
-};
-
-struct DynamicGraphOptions {
-  DynamicBacking backing = DynamicBacking::kDeltaLog;
-  /// Seed for the L0 sampler family of the sketch mirror (kSketch only).
-  std::uint64_t sketch_seed = 7;
-  /// L0 geometric levels / repetitions for the mirror (kSketch only).
-  int sketch_levels = 20;
-  int sketch_reps = 4;
-};
 
 /// What one apply() actually did, after normalization. A same-key
 /// reweight (remove+insert in one batch) counts in both `inserted` and
@@ -66,7 +44,7 @@ class DynamicGraph {
  public:
   /// Takes ownership of the base graph. The base must be simple (the live
   /// set is keyed by endpoint pair); a parallel edge raises ConfigError.
-  explicit DynamicGraph(Graph base, DynamicGraphOptions opt = {});
+  explicit DynamicGraph(Graph base);
 
   std::size_t num_vertices() const noexcept { return n_; }
   std::size_t num_live_edges() const noexcept { return live_.size(); }
@@ -87,16 +65,6 @@ class DynamicGraph {
   /// what the solver's warm re-solve repairs against.
   EdgeDelta delta_since(std::uint64_t generation) const;
 
-  /// The AGM mirror (kSketch backing only; nullptr otherwise).
-  const AgmSketch* sketch() const noexcept {
-    return sketch_ ? &*sketch_ : nullptr;
-  }
-  const L0SamplerSeed* sketch_seed() const noexcept {
-    return seed_ ? seed_.get() : nullptr;
-  }
-
-  ResourceMeter& meter() noexcept { return meter_; }
-
  private:
   struct LogEntry {
     std::uint64_t generation = 0;        // generation this entry produced
@@ -113,12 +81,6 @@ class DynamicGraph {
   std::vector<LogEntry> log_;
   mutable std::shared_ptr<const Graph> cache_;
   mutable std::uint64_t cache_generation_ = 0;
-  // kSketch mirror state. The seed owns the hash families the samplers
-  // point into, so it is heap-pinned for the sketch's lifetime.
-  std::unique_ptr<Rng> sketch_rng_;
-  std::unique_ptr<L0SamplerSeed> seed_;
-  std::optional<AgmSketch> sketch_;
-  ResourceMeter meter_;
 };
 
 }  // namespace dp::dyn

@@ -2,7 +2,7 @@
 // Core graph types: weighted undirected edge lists with an optional CSR
 // adjacency view, plus per-vertex capacities b_i for b-matching.
 //
-// The library's streaming / sketching substrates consume the edge list
+// The library's streaming and MapReduce substrates consume the edge list
 // (read-only, sequential); combinatorial algorithms (matching, flows) build
 // the CSR view once and then work in-memory.
 

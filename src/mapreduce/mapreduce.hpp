@@ -9,7 +9,7 @@
 // the quantities the paper's model constrains — while executing mappers and
 // reducers in parallel on a thread pool for physical speed.
 //
-// Values are 64-bit words (enough for edge ids / packed edges / sketch
+// Values are 64-bit words (enough for edge ids / packed edges / bitmap
 // words); richer payloads pack into multiple words. Reducers that return a
 // sparsifier support pack it into bitmap words (emit_support_words /
 // decode_support_word below).
@@ -272,8 +272,8 @@ inline SupportWord decode_support_word(const KeyValue& kv) noexcept {
 /// support as support words. The reducers run in ascending q and each
 /// emits its words ascending, so decoding the round's output in order
 /// rebuilds every support ascending, with no sort. Returns the t supports
-/// — bitwise identical to SamplingEngine::draw / draw_stream on the same
-/// (prob, t, round, seed).
+/// — bitwise identical to SamplingEngine::draw / draw_stream_mapped on the
+/// same (prob, t, round, seed).
 ///
 /// `meter` (typically the simulator's) is charged one pass (the mappers
 /// collectively read the input once) and the stored incidences, mirroring

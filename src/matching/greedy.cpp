@@ -133,10 +133,4 @@ BMatching greedy_b_matching(const Graph& g, const Capacities& b) {
   return greedy_b_matching_in_order(g, b, edges_by_weight_desc(g));
 }
 
-BMatching maximal_b_matching(const Graph& g, const Capacities& b) {
-  std::vector<EdgeId> order(g.num_edges());
-  std::iota(order.begin(), order.end(), EdgeId{0});
-  return greedy_b_matching_in_order(g, b, order);
-}
-
 }  // namespace dp

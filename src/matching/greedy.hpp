@@ -4,10 +4,6 @@
 // * greedy_matching: sort by weight, take feasible — the classic 1/2
 //   approximation, used as a baseline throughout the benchmarks.
 // * maximal_matching: arbitrary-order maximal matching (1/2 for cardinality).
-// * maximal_b_matching: maximal with the saturation rule of Lemma 20 — when
-//   an edge (i, j) is chosen its multiplicity is raised to the residual
-//   min(b_i, b_j), so each chosen edge saturates an endpoint; this is what
-//   makes the Lattanzi-style filtering analysis carry over to b-matching.
 
 #include <cstdint>
 #include <vector>
@@ -50,8 +46,5 @@ BMatching greedy_b_matching(const Graph& g, const Capacities& b);
 /// The saturating greedy b-matching scanning the edges of `order`.
 BMatching greedy_b_matching_in_order(const Graph& g, const Capacities& b,
                                      const std::vector<EdgeId>& order);
-
-/// Maximal b-matching in stored edge order with saturation.
-BMatching maximal_b_matching(const Graph& g, const Capacities& b);
 
 }  // namespace dp

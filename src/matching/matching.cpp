@@ -67,10 +67,4 @@ std::size_t BMatching::support() const {
                     [](std::int64_t y) { return y > 0; }));
 }
 
-BMatching to_b_matching(const Graph& g, const Matching& m) {
-  BMatching bm(g.num_edges());
-  for (EdgeId e : m.edges()) bm.set_multiplicity(e, 1);
-  return bm;
-}
-
 }  // namespace dp

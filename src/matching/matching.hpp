@@ -61,7 +61,4 @@ class BMatching {
   std::vector<std::int64_t> mult_;
 };
 
-/// Promote a plain matching (all b_i = 1) to a b-matching representation.
-BMatching to_b_matching(const Graph& g, const Matching& m);
-
 }  // namespace dp

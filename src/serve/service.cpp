@@ -68,13 +68,8 @@ std::size_t MatchingService::add_snapshot(Graph g) {
 }
 
 std::size_t MatchingService::add_snapshot(Graph g, Capacities b) {
-  return add_snapshot(std::move(g), std::move(b), dyn::DynamicGraphOptions{});
-}
-
-std::size_t MatchingService::add_snapshot(Graph g, Capacities b,
-                                          dyn::DynamicGraphOptions dopt) {
   auto snap = std::make_shared<Snapshot>();
-  snap->dyn_graph = std::make_unique<dyn::DynamicGraph>(std::move(g), dopt);
+  snap->dyn_graph = std::make_unique<dyn::DynamicGraph>(std::move(g));
   // Generation 0 materializes to the base graph unchanged, so existing
   // delta-free snapshots behave bitwise as before.
   snap->current = snap->dyn_graph->materialize();

@@ -229,12 +229,9 @@ class MatchingService {
   MatchingService& operator=(const MatchingService&) = delete;
 
   /// Register a snapshot; returns its id. Safe while serving. The graph
-  /// becomes the generation-0 base of a dynamic graph (delta-log backing
-  /// by default; pass DynamicGraphOptions to choose sketch backing).
+  /// becomes the generation-0 base of a dynamic graph.
   std::size_t add_snapshot(Graph g);
   std::size_t add_snapshot(Graph g, Capacities b);
-  std::size_t add_snapshot(Graph g, Capacities b,
-                           dyn::DynamicGraphOptions dopt);
 
   /// Non-blocking admission: either enqueues the request (ticket resolves
   /// when a worker answers) or resolves the ticket inline with a typed
@@ -266,8 +263,8 @@ class MatchingService {
   };
 
   struct Snapshot {
-    /// The mutable dynamic graph (delta log or sketch backed). Guarded by
-    /// mu — DynamicGraph is not internally synchronized.
+    /// The mutable dynamic graph. Guarded by mu — DynamicGraph is not
+    /// internally synchronized.
     std::unique_ptr<dyn::DynamicGraph> dyn_graph;
     Capacities b;  // empty = unit capacities only
     mutable std::mutex mu;

@@ -72,8 +72,6 @@ class EdgeFileWriter {
   /// Flush the tail block and write the real header. Idempotent.
   void close();
 
-  std::size_t edges_written() const noexcept { return m_; }
-
  private:
   void flush_block();
 
@@ -114,7 +112,6 @@ class EdgeFileStream {
   std::size_t block_edges() const noexcept { return block_edges_; }
   std::size_t num_blocks() const noexcept { return num_blocks_; }
   const std::string& path() const noexcept { return path_; }
-  bool prefetch_enabled() const noexcept { return options_.prefetch; }
 
   /// IO accounting sink for sequential scans (bytes, stalls, hits).
   void set_meter(ResourceMeter* meter) noexcept { meter_ = meter; }

@@ -16,16 +16,6 @@ EdgeStream::~EdgeStream() {
   }
 }
 
-void EdgeStream::for_each_pass(
-    const std::function<void(const Edge&)>& fn) const {
-  for_each_pass<const std::function<void(const Edge&)>&>(fn);
-}
-
-void EdgeStream::for_each_pass_shuffled(
-    std::uint64_t seed, const std::function<void(const Edge&)>& fn) const {
-  for_each_pass_shuffled<const std::function<void(const Edge&)>&>(seed, fn);
-}
-
 const std::vector<EdgeId>& EdgeStream::order_for(std::uint64_t seed) const {
   // Lock-free fast path: walk the published entries (acquire pairs with the
   // release store below, so a found entry's vector is fully built).

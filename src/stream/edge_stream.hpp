@@ -18,8 +18,7 @@
 // contract tests/test_out_of_core.cpp pins).
 //
 // Passes are templated on the callable so hot per-edge loops inline instead
-// of paying a std::function indirection per edge; the std::function
-// overloads remain for ABI users holding type-erased callbacks.
+// of paying an indirect call per edge.
 //
 // The shuffled-order cache follows the same mutex + acquire/release pattern
 // as Graph::neighbors' lazy CSR: each seed's permutation is built once,
@@ -28,7 +27,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <vector>
 
@@ -78,9 +76,6 @@ class EdgeStream {
     for (const Edge& e : graph_->edges()) fn(e);
   }
 
-  /// Type-erased overload for callers holding a std::function.
-  void for_each_pass(const std::function<void(const Edge&)>& fn) const;
-
   /// One pass that also yields each edge's id: fn(id, edge). The access
   /// substrates use this to map arrivals onto their retained-index space.
   template <typename Fn>
@@ -95,24 +90,12 @@ class EdgeStream {
   }
 
   /// One pass in a random order determined by `seed` (models adversarial /
-  /// arbitrary arrival order differing between passes). Graph backend:
-  /// per-edge permutation; file backend: per-BLOCK permutation (see file
-  /// header). The permutation is cached per seed as an immutable entry
-  /// (repeated passes with the same seed rebuild nothing); only the index
-  /// order is materialized, never the edges. Safe to call concurrently,
-  /// including concurrent first passes.
-  template <typename Fn>
-  void for_each_pass_shuffled(std::uint64_t seed, Fn&& fn) const {
-    for_each_pass_shuffled_indexed(seed,
-                                   [&fn](EdgeId, const Edge& e) { fn(e); });
-  }
-
-  /// Type-erased overload for callers holding a std::function.
-  void for_each_pass_shuffled(std::uint64_t seed,
-                              const std::function<void(const Edge&)>& fn)
-      const;
-
-  /// Shuffled pass that also yields each edge's id: fn(id, edge).
+  /// arbitrary arrival order differing between passes), yielding each
+  /// edge's id: fn(id, edge). Graph backend: per-edge permutation; file
+  /// backend: per-BLOCK permutation (see file header). The permutation is
+  /// cached per seed as an immutable entry (repeated passes with the same
+  /// seed rebuild nothing); only the index order is materialized, never the
+  /// edges. Safe to call concurrently, including concurrent first passes.
   template <typename Fn>
   void for_each_pass_shuffled_indexed(std::uint64_t seed, Fn&& fn) const {
     if (meter_ != nullptr) meter_->add_pass();
@@ -129,8 +112,6 @@ class EdgeStream {
     }
     for (EdgeId idx : order_for(seed)) fn(idx, graph_->edge(idx));
   }
-
-  ResourceMeter* meter() const noexcept { return meter_; }
 
  private:
   /// One immutable cached permutation (edge ids for the Graph backend,

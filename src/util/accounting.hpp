@@ -2,10 +2,10 @@
 // Resource metering.
 //
 // The paper's theorems bound *resources of the computation model* — adaptive
-// sampling rounds, streaming passes, centrally stored edges, sketch words,
-// per-vertex messages — rather than wall-clock time. The substrates in this
-// library meter those quantities through a shared ResourceMeter so that
-// benchmarks report exactly what Theorem 1 / Theorem 15 bound.
+// sampling rounds, streaming passes, centrally stored edges, per-vertex
+// messages — rather than wall-clock time. The substrates in this library
+// meter those quantities through a shared ResourceMeter so that benchmarks
+// report exactly what Theorem 1 / Theorem 15 bound.
 
 #include <array>
 #include <cstddef>
@@ -36,7 +36,7 @@ namespace dp {
 class ResourceMeter {
  public:
   enum Counter : std::size_t {
-    kRounds, kPasses, kStoredEdges, kPeakEdges, kSketchWords, kMessages,
+    kRounds, kPasses, kStoredEdges, kPeakEdges, kMessages,
     kInnerIterations, kOracleCalls, kFaults, kMaxFlows, kMaxFlowsSaved,
     kGhFullBuilds, kGhIncremental, kGhTreeReuses, kSavedRounds, kSavedPasses,
     kRepairedRows, kIoBytes, kIoStalls, kPrefetchHits, kShuffleBytes,
@@ -45,8 +45,8 @@ class ResourceMeter {
   };
   /// Each counter's getter name, in enum order (summary() prints these).
   static constexpr const char* kCounterNames[] = {
-      "rounds", "passes", "stored_edges", "peak_edges", "sketch_words",
-      "messages", "inner_iterations", "oracle_calls", "faults", "max_flows",
+      "rounds", "passes", "stored_edges", "peak_edges", "messages",
+      "inner_iterations", "oracle_calls", "faults", "max_flows",
       "max_flows_saved", "gh_full_builds", "gh_incremental",
       "gh_tree_reuses", "saved_rounds", "saved_passes", "repaired_rows",
       "io_bytes", "io_stalls", "prefetch_hits", "shuffle_bytes",
@@ -63,7 +63,7 @@ class ResourceMeter {
 
   const Counters& counters() const noexcept { return c_; }
 
-  /// One adaptive sampling round (MapReduce round / sketch epoch).
+  /// One adaptive sampling round (e.g. one MapReduce round).
   void add_round(std::size_t k = 1) noexcept { c_[kRounds] += k; }
 
   /// One sequential pass over the input stream.
@@ -75,9 +75,6 @@ class ResourceMeter {
     raise(kStoredEdges, kPeakEdges, k);
   }
   void release_edges(std::size_t k) noexcept { lower(kStoredEdges, k); }
-
-  /// Sketch words communicated (congested clique accounting).
-  void add_sketch_words(std::size_t k) noexcept { c_[kSketchWords] += k; }
 
   /// Generic message count (MapReduce shuffle volume).
   void add_messages(std::size_t k) noexcept { c_[kMessages] += k; }
@@ -150,7 +147,6 @@ class ResourceMeter {
   std::size_t passes() const noexcept { return c_[kPasses]; }
   std::size_t stored_edges() const noexcept { return c_[kStoredEdges]; }
   std::size_t peak_edges() const noexcept { return c_[kPeakEdges]; }
-  std::size_t sketch_words() const noexcept { return c_[kSketchWords]; }
   std::size_t messages() const noexcept { return c_[kMessages]; }
   std::size_t inner_iterations() const noexcept {
     return c_[kInnerIterations];

@@ -1,23 +1,17 @@
 #pragma once
-// k-wise independent hash families.
+// Stateless 64-bit mixing and the canonical undirected-edge key.
 //
-// The l0-samplers and sketch subsampling layers require limited-independence
-// hashing with provable guarantees; we provide polynomial hashing over the
-// Mersenne prime 2^61 - 1 (k-wise independent for a degree-(k-1) polynomial
-// with random coefficients) and simple tabulation hashing (3-wise
-// independent, very fast) for performance-insensitive uses.
+// mix64/mix_combine are what make the sampling draws counter-based: every
+// per-(seed, round, q, edge) decision is a pure function of those words
+// (core/sampling), so no hash state is drawn, stored or shipped.
 
-#include <array>
 #include <cstdint>
-#include <vector>
 
 namespace dp {
 
-class Rng;
-
 /// Stateless 64-bit finalizer (the SplitMix64 output stage). Bijective, so
-/// distinct inputs never collide; the avalanche quality is what makes the
-/// counter-based RNG below usable as a per-(round, q, edge) random draw.
+/// distinct inputs never collide; the avalanche quality is what makes
+/// util/rng's CounterRng usable as a per-(round, q, edge) random draw.
 constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
@@ -29,82 +23,6 @@ constexpr std::uint64_t mix64(std::uint64_t z) noexcept {
 constexpr std::uint64_t mix_combine(std::uint64_t h, std::uint64_t v) noexcept {
   return mix64(h + 0x9e3779b97f4a7c15ULL + v * 0xff51afd7ed558ccdULL);
 }
-
-/// Arithmetic modulo the Mersenne prime p = 2^61 - 1.
-class MersenneField {
- public:
-  static constexpr std::uint64_t kPrime = (1ULL << 61) - 1;
-
-  static std::uint64_t reduce(std::uint64_t x) noexcept {
-    std::uint64_t r = (x & kPrime) + (x >> 61);
-    return r >= kPrime ? r - kPrime : r;
-  }
-
-  static std::uint64_t mul(std::uint64_t a, std::uint64_t b) noexcept {
-    __uint128_t prod = static_cast<__uint128_t>(a) * b;
-    std::uint64_t lo = static_cast<std::uint64_t>(prod) & kPrime;
-    std::uint64_t hi = static_cast<std::uint64_t>(prod >> 61);
-    std::uint64_t r = lo + hi;
-    return r >= kPrime ? r - kPrime : r;
-  }
-
-  static std::uint64_t add(std::uint64_t a, std::uint64_t b) noexcept {
-    std::uint64_t r = a + b;
-    return r >= kPrime ? r - kPrime : r;
-  }
-};
-
-/// k-wise independent hash h : u64 -> [0, 2^61-1), implemented as a random
-/// degree-(k-1) polynomial over GF(2^61 - 1).
-class KWiseHash {
- public:
-  /// Degree of independence k >= 2; coefficients drawn from rng.
-  KWiseHash(int k, Rng& rng);
-
-  /// Hash value in [0, kPrime).
-  std::uint64_t operator()(std::uint64_t x) const noexcept;
-
-  /// Batched evaluation: out[i] = (*this)(xs[i]) for i < n. The Horner
-  /// chains of four inputs are interleaved, so the serial modular-multiply
-  /// dependency of one evaluation overlaps with its neighbours' — the
-  /// batch throughput win L0Sampler::update_batch is built on.
-  void many(const std::uint64_t* xs, std::size_t n,
-            std::uint64_t* out) const noexcept;
-
-  /// Hash mapped to [0, range) with negligible modulo bias (range << 2^61).
-  std::uint64_t bounded(std::uint64_t x, std::uint64_t range) const noexcept {
-    return (*this)(x) % range;
-  }
-
-  /// Hash mapped to a real in [0, 1).
-  double real(std::uint64_t x) const noexcept {
-    return static_cast<double>((*this)(x)) /
-           static_cast<double>(MersenneField::kPrime);
-  }
-
-  int independence() const noexcept { return static_cast<int>(coef_.size()); }
-
- private:
-  std::vector<std::uint64_t> coef_;
-};
-
-/// Simple tabulation hashing over 8 byte-indexed tables: 3-wise independent,
-/// excellent in practice, O(1) with small constants.
-class TabulationHash {
- public:
-  explicit TabulationHash(Rng& rng);
-
-  std::uint64_t operator()(std::uint64_t x) const noexcept {
-    std::uint64_t h = 0;
-    for (int i = 0; i < 8; ++i) {
-      h ^= table_[i][(x >> (8 * i)) & 0xff];
-    }
-    return h;
-  }
-
- private:
-  std::array<std::array<std::uint64_t, 256>, 8> table_;
-};
 
 /// Canonical 64-bit key for an undirected edge (i, j) with i, j < 2^32.
 constexpr std::uint64_t edge_key(std::uint32_t i, std::uint32_t j) noexcept {

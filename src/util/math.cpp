@@ -20,19 +20,4 @@ double loglog_slope(const std::vector<double>& x,
   return (n * sxy - sx * sy) / denom;
 }
 
-double mean(const std::vector<double>& v) {
-  if (v.empty()) return 0.0;
-  double s = 0;
-  for (double x : v) s += x;
-  return s / static_cast<double>(v.size());
-}
-
-double stddev(const std::vector<double>& v) {
-  if (v.size() < 2) return 0.0;
-  const double m = mean(v);
-  double s = 0;
-  for (double x : v) s += (x - m) * (x - m);
-  return std::sqrt(s / static_cast<double>(v.size()));
-}
-
 }  // namespace dp

@@ -49,10 +49,4 @@ class WeightClasses {
 /// the measured time-vs-m exponent with it.
 double loglog_slope(const std::vector<double>& x, const std::vector<double>& y);
 
-/// Arithmetic mean.
-double mean(const std::vector<double>& v);
-
-/// Population standard deviation.
-double stddev(const std::vector<double>& v);
-
 }  // namespace dp

@@ -5,7 +5,8 @@
 // Rng so that experiments and tests are reproducible bit-for-bit. The
 // generator is xoshiro256** seeded through SplitMix64, which is the
 // recommended seeding procedure of the xoshiro authors and is both fast and
-// statistically strong enough for sampling-based sketching.
+// statistically strong enough for the graph generators, arrival-order
+// shuffles and randomized baselines that draw from it.
 
 #include <cstdint>
 #include <limits>

@@ -1,13 +1,12 @@
 // Tests for the dynamic-graph substrate (src/dynamic) and the warm-started
 // incremental re-solve (Solver::resolve): delta normalization, canonical
 // materialization as a pure function of the live edge set, net delta
-// reconstruction from the log, the AGM sketch mirror's linearity, resolve
-// value/certified-ratio bitwise-equal to a from-scratch solve on the
-// post-delta graph at 1/2/8 threads on the in-memory and streaming
-// substrates, randomized churn with chained warm starts, the documented
-// fallback when a delta moves the level structure, and the typed stale
-// rejection of checkpoints cut before a delta — at the Solver layer and at
-// the serving layer.
+// reconstruction from the log, resolve value/certified-ratio bitwise-equal
+// to a from-scratch solve on the post-delta graph at 1/2/8 threads on the
+// in-memory and streaming substrates, randomized churn with chained warm
+// starts, the documented fallback when a delta moves the level structure,
+// and the typed stale rejection of checkpoints cut before a delta — at the
+// Solver layer and at the serving layer.
 
 #include <gtest/gtest.h>
 
@@ -31,9 +30,7 @@
 namespace dp {
 namespace {
 
-using dyn::DynamicBacking;
 using dyn::DynamicGraph;
-using dyn::DynamicGraphOptions;
 using dyn::EdgeDelta;
 using dyn::EdgeInsert;
 using dyn::EdgeRemove;
@@ -206,44 +203,6 @@ TEST(Dynamic, DeltaSinceNetsOutCancellingChurn) {
 }
 
 // ---------------------------------------------------------------------------
-// Sketch mirror: linearity makes churn equal to building from scratch.
-
-TEST(Dynamic, SketchMirrorEqualsFromScratchSketchAfterChurn) {
-  Graph base = gen::gnm(40, 120, 811);
-  gen::weight_uniform(base, 1.0, 5.0, 812);
-  DynamicGraphOptions opt;
-  opt.backing = DynamicBacking::kSketch;
-  opt.sketch_seed = 31;
-  DynamicGraph dg(Graph(base), opt);
-  ASSERT_NE(dg.sketch(), nullptr);
-  ASSERT_NE(dg.sketch_seed(), nullptr);
-
-  // Churn: remove a few existing edges, insert new ones, include phantom
-  // removes and duplicate inserts (which must NOT touch the mirror).
-  Rng rng(77);
-  for (int batch = 0; batch < 3; ++batch) {
-    EdgeDelta d;
-    for (int i = 0; i < 4; ++i) {
-      const Edge& e = base.edge(static_cast<EdgeId>(
-          rng.uniform(static_cast<std::uint64_t>(base.num_edges()))));
-      d.removes.push_back({e.u, e.v});
-    }
-    d.removes.push_back({0, 39});  // phantom with high probability
-    for (int i = 0; i < 3; ++i) {
-      const auto u = static_cast<Vertex>(rng.uniform(40));
-      const auto v = static_cast<Vertex>(rng.uniform(40));
-      if (u == v) continue;
-      d.inserts.push_back({u, v, 1.0 + static_cast<double>(i)});
-    }
-    dg.apply(d);
-  }
-
-  const auto live = dg.materialize();
-  const AgmSketch scratch(*live, *dg.sketch_seed());
-  EXPECT_TRUE(*dg.sketch() == scratch);
-}
-
-// ---------------------------------------------------------------------------
 // Warm-started incremental re-solve.
 
 core::SolverOptions resolve_options() {
@@ -350,48 +309,40 @@ TEST(Dynamic, ResolveMatchesScratchBitwiseAcrossThreadsAndSubstrates) {
 TEST(Dynamic, ChainedChurnKeepsResolveEqualToScratch) {
   // Interleaved insert/delete churn over several generations; each hop
   // re-solves warm from the PREVIOUS hop's handle and must stay equal to
-  // from-scratch, for both backings.
-  for (const DynamicBacking backing :
-       {DynamicBacking::kDeltaLog, DynamicBacking::kSketch}) {
-    DynamicGraphOptions dopt;
-    dopt.backing = backing;
-    DynamicGraph dg(resolve_graph(), dopt);
+  // from-scratch.
+  DynamicGraph dg(resolve_graph());
 
-    core::SolverOptions copt = resolve_options();
-    core::SolverResult prev = core::solve_matching(*dg.materialize(), copt);
-    ASSERT_NE(prev.warm, nullptr);
-    std::uint64_t prev_gen = dg.generation();
+  core::SolverOptions copt = resolve_options();
+  core::SolverResult prev = core::solve_matching(*dg.materialize(), copt);
+  ASSERT_NE(prev.warm, nullptr);
+  std::uint64_t prev_gen = dg.generation();
 
-    for (std::uint64_t hop = 0; hop < 3; ++hop) {
-      const auto live = dg.materialize();
-      dg.apply(churn_batch(*live, 6200 + hop, 6));
-      const auto post = dg.materialize();
-      const EdgeDelta delta = dg.delta_since(prev_gen);
+  for (std::uint64_t hop = 0; hop < 3; ++hop) {
+    const auto live = dg.materialize();
+    dg.apply(churn_batch(*live, 6200 + hop, 6));
+    const auto post = dg.materialize();
+    const EdgeDelta delta = dg.delta_since(prev_gen);
 
-      core::SolverOptions sopt = resolve_options();
-      sopt.graph_generation = dg.generation();
-      const core::SolverResult scratch = core::solve_matching(*post, sopt);
+    core::SolverOptions sopt = resolve_options();
+    sopt.graph_generation = dg.generation();
+    const core::SolverResult scratch = core::solve_matching(*post, sopt);
 
-      core::SolverOptions ropt = resolve_options();
-      ropt.graph_generation = dg.generation();
-      core::Solver solver(*post, ropt);
-      const core::SolverResult warm = solver.resolve(*prev.warm, delta);
+    core::SolverOptions ropt = resolve_options();
+    ropt.graph_generation = dg.generation();
+    core::Solver solver(*post, ropt);
+    const core::SolverResult warm = solver.resolve(*prev.warm, delta);
 
-      const std::string label =
-          std::string(backing == DynamicBacking::kSketch ? "sketch"
-                                                         : "delta-log") +
-          " hop=" + std::to_string(hop);
-      EXPECT_TRUE(warm.warm_resolve) << label;
-      EXPECT_EQ(warm.value, scratch.value) << label;
-      EXPECT_EQ(warm.certified_ratio, scratch.certified_ratio) << label;
-      // The chained handle keeps the FULL-solve baseline, so savings stay
-      // visible on every hop.
-      EXPECT_GT(warm.meter.saved_rounds(), 0u) << label;
-      ASSERT_NE(warm.warm, nullptr) << label;
-      EXPECT_EQ(warm.warm->graph_generation, dg.generation()) << label;
-      prev = warm;
-      prev_gen = dg.generation();
-    }
+    const std::string label = "hop=" + std::to_string(hop);
+    EXPECT_TRUE(warm.warm_resolve) << label;
+    EXPECT_EQ(warm.value, scratch.value) << label;
+    EXPECT_EQ(warm.certified_ratio, scratch.certified_ratio) << label;
+    // The chained handle keeps the FULL-solve baseline, so savings stay
+    // visible on every hop.
+    EXPECT_GT(warm.meter.saved_rounds(), 0u) << label;
+    ASSERT_NE(warm.warm, nullptr) << label;
+    EXPECT_EQ(warm.warm->graph_generation, dg.generation()) << label;
+    prev = warm;
+    prev_gen = dg.generation();
   }
 }
 

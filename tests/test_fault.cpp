@@ -367,7 +367,7 @@ RoundCheckpoint sample_checkpoint() {
                  OddSetVar{0, {1, 3, 5}, 0.0625}};
   ck.history = {RoundStats{1, 0.5, 0.7, 11.0, 40, 8},
                 RoundStats{2, 0.6, 0.75, 12.5, 44, 9}};
-  // Both meters hold 23 distinct counter values that exercise every byte
+  // Both meters hold 22 distinct counter values that exercise every byte
   // lane, with running <= peak on both gauges.
   for (std::uint64_t which = 0; which < 2; ++which) {
     ResourceMeter::Counters values{};
@@ -427,13 +427,13 @@ TEST(Checkpoint, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(back.substrate_meter.counters(), ck.substrate_meter.counters());
 }
 
-TEST(Checkpoint, WireFormatIsV4) {
-  // The FNV-1a-64 of sample_checkpoint() as the field-by-field v4 writer
+TEST(Checkpoint, WireFormatIsV5) {
+  // The FNV-1a-64 of sample_checkpoint() as the field-by-field v5 writer
   // serialized it: a changed layout or counter order fails here.
   const std::vector<std::uint8_t> bytes = sample_checkpoint().serialize();
-  EXPECT_EQ(RoundCheckpoint::kVersion, 4u);
-  EXPECT_EQ(bytes.size(), 852u);
-  EXPECT_EQ(fnv1a(bytes), 0xb938f8ce25522323ULL);
+  EXPECT_EQ(RoundCheckpoint::kVersion, 5u);
+  EXPECT_EQ(bytes.size(), 836u);
+  EXPECT_EQ(fnv1a(bytes), 0x54c19f49e88f80ffULL);
 }
 
 TEST(Checkpoint, RejectsMeterRunningAbovePeak) {

@@ -405,7 +405,7 @@ TEST(OutOfCore, KillAndResumeContinuesTheIoMetersExactly) {
   expect_same_result(whole, resumed, "file-backed kill/resume");
   EXPECT_EQ(resumed.status, SolverStatus::kComplete);
 
-  // The v4 checkpoint restores the IO accounting: the interrupted +
+  // The checkpoint's meter block restores the IO accounting: the interrupted +
   // resumed meters equal the uninterrupted run's in every counter. (The
   // hit/stall SPLIT is timing-dependent by design; their sum — block
   // fetches — is not.)

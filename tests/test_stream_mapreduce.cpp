@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <map>
 #include <span>
 #include <string>
@@ -12,6 +11,7 @@
 #include <vector>
 
 #include "access/mapreduce.hpp"
+#include "access/streaming.hpp"
 #include "core/sampling.hpp"
 #include "core/weight_levels.hpp"
 #include "graph/generators.hpp"
@@ -38,7 +38,7 @@ TEST(EdgeStream, ShuffledPassSameMultiset) {
   const Graph g = gen::gnm(15, 40, 2);
   EdgeStream stream(g);
   std::map<std::pair<Vertex, Vertex>, int> seen;
-  stream.for_each_pass_shuffled(7, [&](const Edge& e) {
+  stream.for_each_pass_shuffled_indexed(7, [&](EdgeId, const Edge& e) {
     seen[{std::min(e.u, e.v), std::max(e.u, e.v)}]++;
   });
   std::size_t total = 0;
@@ -50,25 +50,13 @@ TEST(EdgeStream, ShuffleDeterministicInSeed) {
   const Graph g = gen::gnm(10, 30, 3);
   EdgeStream stream(g);
   std::vector<Vertex> order_a, order_b;
-  stream.for_each_pass_shuffled(5, [&](const Edge& e) {
+  stream.for_each_pass_shuffled_indexed(5, [&](EdgeId, const Edge& e) {
     order_a.push_back(e.u);
   });
-  stream.for_each_pass_shuffled(5, [&](const Edge& e) {
+  stream.for_each_pass_shuffled_indexed(5, [&](EdgeId, const Edge& e) {
     order_b.push_back(e.u);
   });
   EXPECT_EQ(order_a, order_b);
-}
-
-TEST(EdgeStream, TypeErasedOverloadMatchesTemplate) {
-  const Graph g = gen::gnm(12, 30, 4);
-  EdgeStream stream(g);
-  std::vector<Vertex> a, b;
-  const std::function<void(const Edge&)> erased = [&](const Edge& e) {
-    a.push_back(e.u);
-  };
-  stream.for_each_pass(erased);                          // std::function
-  stream.for_each_pass([&](const Edge& e) { b.push_back(e.u); });  // inline
-  EXPECT_EQ(a, b);
 }
 
 TEST(EdgeStream, ShuffledPassCachesOrderPerSeed) {
@@ -76,13 +64,13 @@ TEST(EdgeStream, ShuffledPassCachesOrderPerSeed) {
   ResourceMeter meter;
   EdgeStream stream(g, &meter);
   std::vector<Vertex> first, second, other_seed;
-  stream.for_each_pass_shuffled(9, [&](const Edge& e) {
+  stream.for_each_pass_shuffled_indexed(9, [&](EdgeId, const Edge& e) {
     first.push_back(e.u);
   });
-  stream.for_each_pass_shuffled(9, [&](const Edge& e) {
+  stream.for_each_pass_shuffled_indexed(9, [&](EdgeId, const Edge& e) {
     second.push_back(e.u);
   });
-  stream.for_each_pass_shuffled(10, [&](const Edge& e) {
+  stream.for_each_pass_shuffled_indexed(10, [&](EdgeId, const Edge& e) {
     other_seed.push_back(e.u);
   });
   EXPECT_EQ(first, second);        // cached permutation reused
@@ -100,9 +88,8 @@ TEST(EdgeStream, ConcurrentFirstShuffledPassesAreSafe) {
   {
     EdgeStream reference(g);
     for (std::uint64_t seed = 0; seed < 4; ++seed) {
-      reference.for_each_pass_shuffled(seed, [&](const Edge& e) {
-        serial[seed].push_back(e.u);
-      });
+      reference.for_each_pass_shuffled_indexed(
+          seed, [&](EdgeId, const Edge& e) { serial[seed].push_back(e.u); });
     }
   }
   for (int trial = 0; trial < 5; ++trial) {
@@ -112,9 +99,8 @@ TEST(EdgeStream, ConcurrentFirstShuffledPassesAreSafe) {
     threads.reserve(8);
     for (std::size_t i = 0; i < 8; ++i) {
       threads.emplace_back([&stream, &seen, i] {
-        stream.for_each_pass_shuffled(i % 4, [&](const Edge& e) {
-          seen[i].push_back(e.u);
-        });
+        stream.for_each_pass_shuffled_indexed(
+            i % 4, [&](EdgeId, const Edge& e) { seen[i].push_back(e.u); });
       });
     }
     for (std::thread& th : threads) th.join();
@@ -179,6 +165,8 @@ TEST(SamplingEngine, ThreadCountInvariantDraws) {
 }
 
 TEST(SamplingEngine, StreamDrawMatchesInMemoryAndMetersPass) {
+  // Unit weights: every edge is retained, so retained index = edge id and
+  // the streaming substrate's draw takes the engine's edge-indexed prob.
   const Graph g = gen::gnm(50, 600, 8);
   const std::vector<double> prob = sampling_probabilities(g);
   const std::size_t t = 4;
@@ -187,16 +175,23 @@ TEST(SamplingEngine, StreamDrawMatchesInMemoryAndMetersPass) {
   ResourceMeter memory_meter;
   memory_engine.draw(prob, t, 2, 55, &memory_meter);
 
-  ResourceMeter stream_meter;
-  EdgeStream stream(g, &stream_meter);
-  core::SamplingEngine stream_engine;
-  stream_engine.draw_stream(stream, prob, t, 2, 55);
+  const core::LevelGraph lg(g, Capacities(g.num_vertices(), 1), 0.2);
+  access::StreamingSubstrate sub;
+  sub.bind(g, lg, nullptr, 64);
+  ASSERT_EQ(sub.num_retained(), g.num_edges());
+  // A streaming round: the multiplier sweep is the round's one pass, and
+  // the draw re-walks that pass in a shuffled arrival order.
+  sub.multiplier_sweep(
+      [](std::size_t, std::size_t, const access::RetainedEdge*) {});
+  const core::SamplingRound& streamed = sub.draw(prob, t, 2, 55);
 
-  EXPECT_EQ(stream_engine.last_round().masks(),
-            memory_engine.last_round().masks());
-  EXPECT_EQ(stream_engine.last_round().union_support(),
+  EXPECT_EQ(streamed.masks(), memory_engine.last_round().masks());
+  EXPECT_EQ(streamed.union_support(),
             memory_engine.last_round().union_support());
+  EXPECT_EQ(streamed.stored_total(),
+            memory_engine.last_round().stored_total());
   // Both substrates meter the same round/pass/store accounting.
+  const ResourceMeter& stream_meter = sub.meter();
   EXPECT_EQ(memory_meter.rounds(), 1u);
   EXPECT_EQ(memory_meter.passes(), 1u);
   EXPECT_EQ(stream_meter.rounds(), 1u);
