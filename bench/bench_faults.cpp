@@ -38,14 +38,13 @@ core::SolverOptions solve_options() {
 
 FaultPlan fault_plan() {
   // Rates far above the 1% floor so a four-round solve reliably draws
-  // failures at every site; retries never sleep (accounting only).
+  // failures at every site.
   FaultPlan plan;
   plan.config.seed = 0xfa57;
   plan.config.stream_pass_rate = 0.30;
   plan.config.mapper_rate = 0.20;
   plan.config.reducer_rate = 0.10;
   plan.retry.max_attempts = 10;
-  plan.retry.backoff_base_us = 0;
   return plan;
 }
 

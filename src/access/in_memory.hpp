@@ -13,9 +13,6 @@ class InMemorySubstrate final : public Substrate {
  public:
   InMemorySubstrate() = default;
 
-  SubstrateKind kind() const noexcept override {
-    return SubstrateKind::kInMemory;
-  }
   const char* name() const noexcept override { return "in_memory"; }
 
   void multiplier_sweep(const SweepKernel& kernel) override;

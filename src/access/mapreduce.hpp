@@ -91,9 +91,6 @@ class MapReduceSubstrate final : public Substrate {
   MapReduceSubstrate() = default;
   explicit MapReduceSubstrate(const Config& config) : config_(config) {}
 
-  SubstrateKind kind() const noexcept override {
-    return SubstrateKind::kMapReduce;
-  }
   const char* name() const noexcept override { return "mapreduce"; }
 
   void multiplier_sweep(const SweepKernel& kernel) override;

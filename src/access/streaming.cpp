@@ -162,7 +162,6 @@ void StreamingSubstrate::multiplier_sweep(const SweepKernel& kernel) {
     } catch (const SubstrateFault&) {
       meter_.add_faults();
       if (attempt + 1 >= retry_.max_attempts) throw;
-      retry_.backoff(injector_, FaultSite::kStreamPass, pass, 0, attempt);
     }
   }
 }
@@ -233,7 +232,6 @@ const core::SamplingRound& StreamingSubstrate::draw(
       meter_.add_faults();
       if (attempt + 1 >= retry_.max_attempts) throw;
       meter_.add_pass();  // the retry physically re-walks the fused pass
-      retry_.backoff(injector_, FaultSite::kStreamPass, pass, 1, attempt);
     }
   }
 }

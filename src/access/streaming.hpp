@@ -48,9 +48,6 @@ class StreamingSubstrate final : public Substrate {
  public:
   StreamingSubstrate() = default;
 
-  SubstrateKind kind() const noexcept override {
-    return SubstrateKind::kStreaming;
-  }
   const char* name() const noexcept override { return "streaming"; }
 
   bool accepts_file_source() const noexcept override { return true; }

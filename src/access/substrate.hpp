@@ -76,8 +76,6 @@ class ThreadPool;
 
 namespace dp::access {
 
-enum class SubstrateKind { kInMemory, kStreaming, kMapReduce };
-
 /// Static attributes of one retained edge, in retained order.
 struct RetainedEdge {
   EdgeId id = 0;  // full-graph edge id
@@ -105,7 +103,6 @@ class Substrate {
   Substrate(const Substrate&) = delete;
   Substrate& operator=(const Substrate&) = delete;
 
-  virtual SubstrateKind kind() const noexcept = 0;
   virtual const char* name() const noexcept = 0;
 
   /// Whether this backend's access discipline can serve a file-backed
@@ -118,7 +115,6 @@ class Substrate {
   /// ConfigError immediately. bind() validates that a file source
   /// describes the same graph (n, m) as the bound one.
   void attach_source(stream::EdgeSource source);
-  const stream::EdgeSource& source() const noexcept { return source_; }
 
   /// Cap (in edge units) on the access layer's resident edge-attribute
   /// records; 0 = unlimited. Enforced wherever residency is charged —
@@ -205,7 +201,6 @@ class Substrate {
   /// in-memory reference ignores the plan (RAM access has no failing
   /// unit). The solver installs SolverOptions::faults here before bind().
   void set_fault_plan(const FaultPlan& plan) { plan_ = plan; }
-  const FaultPlan& fault_plan() const noexcept { return plan_; }
 
   /// Install the cooperative stop for subsequent solves (the solver wires
   /// SolverOptions' cancel/deadline here before bind()). Sweeps and draws

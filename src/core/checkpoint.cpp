@@ -12,6 +12,10 @@ namespace {
 constexpr std::uint8_t kMagic[4] = {'D', 'P', 'C', 'K'};
 constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 8;
 
+static_assert(ResourceMeter::kCounterCount == 22,
+              "checkpoint v5 carries 22 meter counters; a new counter "
+              "changes the wire format, so bump RoundCheckpoint::kVersion");
+
 std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) {
   std::uint64_t h = 1469598103934665603ULL;
   for (std::size_t i = 0; i < len; ++i) {
@@ -21,82 +25,158 @@ std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) {
   return h;
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t x) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
+/// The payload, one field at a time in wire order. Every pass below walks
+/// this list: Sizer counts its bytes, Writer stores them and Reader parses
+/// them back. A vector travels as a u64 count and then its elements;
+/// seq's second argument is the fewest bytes one element takes, which
+/// Reader uses to cap a count by the bytes that remain.
+template <typename Io, typename Checkpoint>
+void fields(Io& io, Checkpoint& ck) {
+  // Identity.
+  io.u64(ck.solver_seed);
+  io.f64(ck.eps);
+  io.f64(ck.p);
+  io.u64(ck.sparsifiers);
+  io.u64(ck.sample_seed);
+  io.u64(ck.n);
+  io.u64(ck.m);
+  io.u64(ck.retained);
+  io.i32(ck.levels);
+  io.u64(ck.graph_generation);
+  // Position.
+  io.u64(ck.next_round);
+  io.u64(ck.outer_rounds);
+  io.u64(ck.oracle_calls);
+  // Incumbent.
+  io.f64(ck.best_value);
+  io.f64(ck.beta);
+  io.seq(ck.best_support, 16, [&io](auto& entry) {
+    io.u64(entry.first);
+    io.i64(entry.second);
+  });
+  // Dual iterate.
+  io.f64(ck.duals.scale);
+  io.seq(ck.duals.xik, 16, [&io](auto& entry) {
+    io.u64(entry.first);
+    io.f64(entry.second);
+  });
+  io.seq(ck.duals.xi, 8, [&io](auto& value) { io.f64(value); });
+  io.seq(ck.duals.odd_sets, 20, [&io](auto& var) {
+    io.i32(var.level);
+    io.f64(var.value);
+    io.seq(var.members, 4, [&io](auto& v) { io.u32(v); });
+  });
+  // History.
+  io.seq(ck.history, 48, [&io](auto& rs) {
+    io.u64(rs.round);
+    io.f64(rs.lambda);
+    io.f64(rs.beta);
+    io.f64(rs.best_value);
+    io.u64(rs.stored_edges);
+    io.u64(rs.oracle_calls);
+  });
+  // Meters: every counter as one u64, in ResourceMeter::Counter order.
+  io.meter(ck.solve_meter);
+  io.meter(ck.substrate_meter);
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(x >> (8 * i)));
-}
+/// Counts the exact payload size.
+struct Sizer {
+  std::size_t bytes = 0;
 
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t x) {
-  put_u64(out, static_cast<std::uint64_t>(x));
-}
-
-void put_i32(std::vector<std::uint8_t>& out, std::int32_t x) {
-  put_u32(out, static_cast<std::uint32_t>(x));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double x) {
-  put_u64(out, std::bit_cast<std::uint64_t>(x));
-}
-
-void patch_u64(std::vector<std::uint8_t>& out, std::size_t at,
-               std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) {
-    out[at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(x >> (8 * i));
+  void u32(std::uint32_t) { bytes += 4; }
+  void i32(std::int32_t) { bytes += 4; }
+  void u64(std::uint64_t) { bytes += 8; }
+  void i64(std::int64_t) { bytes += 8; }
+  void f64(double) { bytes += 8; }
+  template <typename Items, typename Fn>
+  void seq(const Items& items, std::size_t, Fn&& each) {
+    bytes += 8;
+    for (const auto& item : items) each(item);
   }
-}
+  void meter(const ResourceMeter&) {
+    bytes += 8 * ResourceMeter::kCounterCount;
+  }
+};
+
+/// Stores little-endian fields into a buffer Sizer sized.
+class Writer {
+ public:
+  explicit Writer(std::uint8_t* at) : at_(at) {}
+
+  void u32(std::uint32_t x) { put(x, 4); }
+  void i32(std::int32_t x) { put(static_cast<std::uint32_t>(x), 4); }
+  void u64(std::uint64_t x) { put(x, 8); }
+  void i64(std::int64_t x) { put(static_cast<std::uint64_t>(x), 8); }
+  void f64(double x) { put(std::bit_cast<std::uint64_t>(x), 8); }
+  template <typename Items, typename Fn>
+  void seq(const Items& items, std::size_t, Fn&& each) {
+    u64(items.size());
+    for (const auto& item : items) each(item);
+  }
+  void meter(const ResourceMeter& from) {
+    for (const std::uint64_t value : from.counters()) u64(value);
+  }
+
+ private:
+  void put(std::uint64_t x, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      at_[i] = static_cast<std::uint8_t>(x >> (8 * i));
+    }
+    at_ += bytes;
+  }
+
+  std::uint8_t* at_;
+};
 
 /// Bounds-checked little-endian reader: every overrun is a corruption.
 class Reader {
  public:
   Reader(const std::uint8_t* data, std::size_t len) : data_(data), len_(len) {}
 
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t x = 0;
-    for (int i = 0; i < 4; ++i) {
-      x |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 4;
-    return x;
+  void u32(std::uint32_t& x) { x = static_cast<std::uint32_t>(get(4)); }
+  void i32(std::int32_t& x) {
+    x = static_cast<std::int32_t>(static_cast<std::uint32_t>(get(4)));
   }
-
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t x = 0;
-    for (int i = 0; i < 8; ++i) {
-      x |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
-    pos_ += 8;
-    return x;
+  template <typename T>
+  void u64(T& x) {
+    x = static_cast<T>(get(8));
   }
+  void i64(std::int64_t& x) { x = static_cast<std::int64_t>(get(8)); }
+  void f64(double& x) { x = std::bit_cast<double>(get(8)); }
 
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  /// A count about to drive a vector reserve/loop: cap it by the bytes
-  /// actually remaining so a corrupted length cannot demand gigabytes.
-  std::uint64_t count(std::size_t elem_bytes) {
-    const std::uint64_t k = u64();
-    if (elem_bytes > 0 && k > (len_ - pos_) / elem_bytes) {
+  /// The count drives a resize: cap it by the bytes that remain, so a
+  /// corrupted length cannot demand gigabytes.
+  template <typename Items, typename Fn>
+  void seq(Items& items, std::size_t min_bytes, Fn&& each) {
+    const std::uint64_t count = get(8);
+    if (count > (len_ - pos_) / min_bytes) {
       throw CheckpointCorrupt(
           "checkpoint payload truncated: element count exceeds the bytes "
           "that remain");
     }
-    return k;
+    items.resize(count);
+    for (auto& item : items) each(item);
+  }
+  void meter(ResourceMeter& into) {
+    ResourceMeter::Counters values{};
+    for (std::uint64_t& value : values) value = get(8);
+    into = ResourceMeter(values);
   }
 
   bool exhausted() const noexcept { return pos_ == len_; }
 
  private:
-  void need(std::size_t k) {
-    if (len_ - pos_ < k) {
+  std::uint64_t get(int bytes) {
+    if (len_ - pos_ < static_cast<std::size_t>(bytes)) {
       throw CheckpointCorrupt("checkpoint payload truncated mid-field");
     }
+    std::uint64_t x = 0;
+    for (int i = 0; i < bytes; ++i) {
+      x |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
+    }
+    pos_ += bytes;
+    return x;
   }
 
   const std::uint8_t* data_;
@@ -104,102 +184,23 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-// The meter block: every ResourceMeter counter as one u64, in enum order.
-static_assert(ResourceMeter::kCounterCount == 22,
-              "checkpoint v5 carries 22 meter counters; a new counter "
-              "changes the wire format, so bump RoundCheckpoint::kVersion");
-constexpr std::size_t kMeterBytes = 8 * ResourceMeter::kCounterCount;
-
-void put_meter(std::vector<std::uint8_t>& out, const ResourceMeter& meter) {
-  for (const std::uint64_t value : meter.counters()) put_u64(out, value);
-}
-
-ResourceMeter get_meter(Reader& in) {
-  ResourceMeter::Counters values{};
-  for (std::uint64_t& value : values) value = in.u64();
-  return ResourceMeter(values);
-}
-
 }  // namespace
 
 std::vector<std::uint8_t> RoundCheckpoint::serialize() const {
   // Serialization must stay cheap relative to a round (the <5% overhead
-  // gate of bench_faults): the payload is built in place behind a
-  // placeholder header — no second copy — with the exact size reserved up
-  // front, and the size/checksum fields patched at the end. Exact size:
-  // identity 76, position 24, incumbent 24 + 16 per support entry, dual
-  // iterate 16 + 16 per xik pair + 8 + 8 per xi + 8 + 20 per odd set + 4
-  // per member, history 8 + 48 per round, then the two meter blocks.
-  std::size_t member_bytes = 0;
-  for (const OddSetVar& var : odd_sets) {
-    member_bytes += 4 * var.members.size();
-  }
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderSize + 76 + 24 + 24 + best_support.size() * 16 + 16 +
-              xik.size() * 16 + 8 + xi.size() * 8 + 8 +
-              odd_sets.size() * 20 + member_bytes + 8 + history.size() * 48 +
-              2 * kMeterBytes);
-  for (const std::uint8_t b : kMagic) out.push_back(b);
-  put_u32(out, kVersion);
-  put_u64(out, 0);  // payload size, patched below
-  put_u64(out, 0);  // checksum, patched below
-  std::vector<std::uint8_t>& payload = out;
-  // Identity.
-  put_u64(payload, solver_seed);
-  put_f64(payload, eps);
-  put_f64(payload, p);
-  put_u64(payload, sparsifiers);
-  put_u64(payload, sample_seed);
-  put_u64(payload, n);
-  put_u64(payload, m);
-  put_u64(payload, retained);
-  put_i32(payload, levels);
-  put_u64(payload, graph_generation);
-  // Position.
-  put_u64(payload, next_round);
-  put_u64(payload, outer_rounds);
-  put_u64(payload, oracle_calls);
-  // Incumbent.
-  put_f64(payload, best_value);
-  put_f64(payload, beta);
-  put_u64(payload, best_support.size());
-  for (const auto& [edge, mult] : best_support) {
-    put_u64(payload, edge);
-    put_i64(payload, mult);
-  }
-  // Dual iterate.
-  put_f64(payload, scale);
-  put_u64(payload, xik.size());
-  for (const auto& [key, value] : xik) {
-    put_u64(payload, key);
-    put_f64(payload, value);
-  }
-  put_u64(payload, xi.size());
-  for (const double value : xi) put_f64(payload, value);
-  put_u64(payload, odd_sets.size());
-  for (const OddSetVar& var : odd_sets) {
-    put_i32(payload, var.level);
-    put_f64(payload, var.value);
-    put_u64(payload, var.members.size());
-    for (const Vertex v : var.members) put_u32(payload, v);
-  }
-  // History.
-  put_u64(payload, history.size());
-  for (const RoundStats& rs : history) {
-    put_u64(payload, rs.round);
-    put_f64(payload, rs.lambda);
-    put_f64(payload, rs.beta);
-    put_f64(payload, rs.best_value);
-    put_u64(payload, rs.stored_edges);
-    put_u64(payload, rs.oracle_calls);
-  }
-  // Meters.
-  put_meter(payload, solve_meter);
-  put_meter(payload, substrate_meter);
-
-  const std::uint64_t payload_size = out.size() - kHeaderSize;
-  patch_u64(out, 8, payload_size);
-  patch_u64(out, 16, fnv1a(out.data() + kHeaderSize, payload_size));
+  // gate of bench_faults): one pass counts the exact size, the next writes
+  // the payload in place into a buffer of exactly that size, and the
+  // header goes in front last, once the checksum is known.
+  Sizer sizer;
+  fields(sizer, *this);
+  std::vector<std::uint8_t> out(kHeaderSize + sizer.bytes);
+  Writer payload(out.data() + kHeaderSize);
+  fields(payload, *this);
+  std::memcpy(out.data(), kMagic, 4);
+  Writer header(out.data() + 4);
+  header.u32(kVersion);
+  header.u64(sizer.bytes);
+  header.u64(fnv1a(out.data() + kHeaderSize, sizer.bytes));
   return out;
 }
 
@@ -212,12 +213,15 @@ RoundCheckpoint RoundCheckpoint::deserialize(
     throw CheckpointCorrupt("checkpoint magic mismatch");
   }
   Reader header(bytes.data() + 4, kHeaderSize - 4);
-  const std::uint32_t version = header.u32();
+  std::uint32_t version = 0;
+  std::uint64_t payload_size = 0;
+  std::uint64_t checksum = 0;
+  header.u32(version);
+  header.u64(payload_size);
+  header.u64(checksum);
   if (version != kVersion) {
     throw CheckpointCorrupt("unsupported checkpoint version");
   }
-  const std::uint64_t payload_size = header.u64();
-  const std::uint64_t checksum = header.u64();
   if (payload_size != bytes.size() - kHeaderSize) {
     throw CheckpointCorrupt("checkpoint payload size mismatch");
   }
@@ -227,68 +231,7 @@ RoundCheckpoint RoundCheckpoint::deserialize(
 
   Reader in(bytes.data() + kHeaderSize, payload_size);
   RoundCheckpoint ck;
-  ck.solver_seed = in.u64();
-  ck.eps = in.f64();
-  ck.p = in.f64();
-  ck.sparsifiers = in.u64();
-  ck.sample_seed = in.u64();
-  ck.n = in.u64();
-  ck.m = in.u64();
-  ck.retained = in.u64();
-  ck.levels = in.i32();
-  ck.graph_generation = in.u64();
-  ck.next_round = in.u64();
-  ck.outer_rounds = in.u64();
-  ck.oracle_calls = in.u64();
-  ck.best_value = in.f64();
-  ck.beta = in.f64();
-  const std::uint64_t support_count = in.count(16);
-  ck.best_support.reserve(support_count);
-  for (std::uint64_t i = 0; i < support_count; ++i) {
-    const std::uint64_t edge = in.u64();
-    const std::int64_t mult = in.i64();
-    ck.best_support.emplace_back(edge, mult);
-  }
-  ck.scale = in.f64();
-  const std::uint64_t xik_count = in.count(16);
-  ck.xik.reserve(xik_count);
-  for (std::uint64_t i = 0; i < xik_count; ++i) {
-    const std::uint64_t key = in.u64();
-    const double value = in.f64();
-    ck.xik.emplace_back(key, value);
-  }
-  const std::uint64_t xi_count = in.count(8);
-  ck.xi.reserve(xi_count);
-  for (std::uint64_t i = 0; i < xi_count; ++i) ck.xi.push_back(in.f64());
-  // Each odd set takes at least 20 bytes: level i32, value f64 and its
-  // member count u64.
-  const std::uint64_t set_count = in.count(20);
-  ck.odd_sets.reserve(set_count);
-  for (std::uint64_t i = 0; i < set_count; ++i) {
-    OddSetVar var;
-    var.level = in.i32();
-    var.value = in.f64();
-    const std::uint64_t member_count = in.count(4);
-    var.members.reserve(member_count);
-    for (std::uint64_t j = 0; j < member_count; ++j) {
-      var.members.push_back(in.u32());
-    }
-    ck.odd_sets.push_back(std::move(var));
-  }
-  const std::uint64_t history_count = in.count(48);
-  ck.history.reserve(history_count);
-  for (std::uint64_t i = 0; i < history_count; ++i) {
-    RoundStats rs;
-    rs.round = in.u64();
-    rs.lambda = in.f64();
-    rs.beta = in.f64();
-    rs.best_value = in.f64();
-    rs.stored_edges = in.u64();
-    rs.oracle_calls = in.u64();
-    ck.history.push_back(rs);
-  }
-  ck.solve_meter = get_meter(in);
-  ck.substrate_meter = get_meter(in);
+  fields(in, ck);
   if (!in.exhausted()) {
     throw CheckpointCorrupt("checkpoint payload has trailing bytes");
   }

@@ -2,18 +2,23 @@
 // Round-level checkpoint/resume for the outer sampling loop.
 //
 // A RoundCheckpoint captures everything Solver::solve mutates across outer
-// rounds — the raw dual iterate (scale, x_i(k) in activation order, the
-// per-vertex maxima, the odd-set variables in stored order), the incumbent
-// primal, the round position, the per-round history and both resource
-// meters — so a solve killed after round k and resumed from the checkpoint
-// produces a SolverResult bitwise identical to the uninterrupted run, on
-// every substrate and thread count. Identity fields (seed, eps, p, t,
-// sample seed, instance shape) pin the checkpoint to ONE solve
-// configuration; the solver rejects a mismatched resume with ConfigError.
+// rounds — the raw dual iterate (a DualSnapshot: scale, x_i(k) in
+// activation order, the per-vertex maxima, the odd-set variables in stored
+// order), the incumbent primal, the round position, the per-round history
+// and both resource meters — so a solve killed after round k and resumed
+// from the checkpoint produces a SolverResult bitwise identical to the
+// uninterrupted run, on every substrate and thread count. Identity fields
+// (seed, eps, p, t, sample seed, instance shape) pin the checkpoint to ONE
+// solve configuration; the solver rejects a mismatched resume with
+// ConfigError.
 //
 // Wire format (all integers little-endian):
 //   "DPCK" magic | version u32 | payload size u64 | FNV-1a-64 checksum u64
 //   | payload
+// The payload holds the fields below in order (an odd set as level, value,
+// members), each vector as a u64 count followed by its elements.
+// core/checkpoint.cpp names them once, in one list that the size count,
+// the writer and the reader all walk.
 // The checksum covers the payload and is verified BEFORE any payload parse;
 // a flipped bit anywhere — header or payload — surfaces as
 // CheckpointCorrupt, never as a half-restored solve. Doubles travel as
@@ -70,11 +75,8 @@ struct RoundCheckpoint {
   double beta = 0;
   std::vector<std::pair<std::uint64_t, std::int64_t>> best_support;
 
-  // -- Raw dual iterate (DualState::restore_raw's exact inputs). --
-  double scale = 1.0;
-  std::vector<std::pair<std::uint64_t, double>> xik;  // activation order
-  std::vector<double> xi;                             // dense, n entries
-  std::vector<OddSetVar> odd_sets;                    // exact stored order
+  // -- The raw dual iterate (DualState::restore's input). --
+  DualSnapshot duals;
 
   // -- Per-round history and resource accounting. --
   std::vector<RoundStats> history;

@@ -123,14 +123,38 @@ bool DualState::raise_cover(Vertex i, Vertex j, int k, double target) {
   return true;
 }
 
-void DualState::restore_raw(
-    double scale, const std::vector<std::pair<std::uint64_t, double>>& xik,
-    const std::vector<double>& xi, const std::vector<OddSetVar>& sets) {
-  scale_ = scale;
+bool DualSnapshot::fits(std::size_t n, int levels) const noexcept {
+  const std::uint64_t key_bound = static_cast<std::uint64_t>(n) * levels;
+  if (xi.size() != n) return false;
+  for (const auto& [key, value] : xik) {
+    if (key >= key_bound) return false;
+  }
+  for (const OddSetVar& var : odd_sets) {
+    for (const Vertex v : var.members) {
+      if (v >= n) return false;
+    }
+  }
+  return true;
+}
+
+DualSnapshot DualState::snapshot() const {
+  DualSnapshot snap;
+  snap.scale = scale_;
+  snap.xik.reserve(xik_.active_count());
+  for (const std::uint64_t key : xik_.active()) {
+    snap.xik.emplace_back(key, xik_.get(key));
+  }
+  snap.xi = xi_;
+  snap.odd_sets = sets_;
+  return snap;
+}
+
+void DualState::restore(const DualSnapshot& from) {
+  scale_ = from.scale;
   xik_.reset(n_ * static_cast<std::size_t>(levels_));
-  for (const auto& [key, value] : xik) xik_.set(key, value);
-  xi_ = xi;
-  sets_ = sets;
+  for (const auto& [key, value] : from.xik) xik_.set(key, value);
+  xi_ = from.xi;
+  sets_ = from.odd_sets;
   set_index_.clear();
   for (auto& at : sets_at_) at.clear();
   for (std::size_t s = 0; s < sets_.size(); ++s) {

@@ -13,6 +13,7 @@
 //   sum_i b_i x_i + sum_{U,l} floor(||U||_b / 2) z_{U,l}.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/flat_duals.hpp"
@@ -31,6 +32,22 @@ struct OddSetVar {
   int level = 0;
   std::vector<Vertex> members;  // sorted
   double value = 0.0;           // raw value
+};
+
+/// The raw dual iterate exactly as DualState holds it: what a round
+/// checkpoint and a warm-start handle carry, and DualState::restore
+/// rebuilds. xi is stored, not derived from xik: it accumulates per-blend
+/// run maxima, an FP-order-sensitive sum.
+struct DualSnapshot {
+  double scale = 1.0;
+  std::vector<std::pair<std::uint64_t, double>> xik;  // activation order
+  std::vector<double> xi;                             // dense, n entries
+  std::vector<OddSetVar> odd_sets;                    // stored order
+
+  /// Whether every index lands inside an instance with n vertices and
+  /// `levels` levels: n xi entries, xik keys below n * levels, odd-set
+  /// members below n. restore's dense writes rely on it.
+  bool fits(std::size_t n, int levels) const noexcept;
 };
 
 /// A sparse dual point as produced by one MicroOracle call (unscaled).
@@ -104,23 +121,15 @@ class DualState {
   /// Replace the state with a fresh point (used for the initial solution).
   void assign(const DualPoint& p);
 
-  // --- Checkpoint surface (core/checkpoint) ------------------------------
-  // Raw internals for bitwise round-checkpointing. xi_ is NOT derivable
-  // from xik_ (it accumulates per-blend run maxima, an FP-order-sensitive
-  // sum), so it serializes separately.
-  double scale() const noexcept { return scale_; }
-  const FlatDuals& raw_xik() const noexcept { return xik_; }
-  const std::vector<double>& raw_xi() const noexcept { return xi_; }
+  /// The raw iterate, xik in activation order.
+  DualSnapshot snapshot() const;
 
-  /// Rebuild the exact internal state captured by the raw accessors: xik
-  /// entries are applied in the given (activation) order, sets in stored
-  /// order, and the membership/dedup indexes are replayed exactly as
-  /// add_odd_set built them (first id wins on a hash collision) — so a
-  /// resumed solve is bitwise identical to an uninterrupted one.
-  void restore_raw(double scale,
-                   const std::vector<std::pair<std::uint64_t, double>>& xik,
-                   const std::vector<double>& xi,
-                   const std::vector<OddSetVar>& sets);
+  /// Rebuild the exact state a snapshot captured: xik entries are applied
+  /// in activation order, sets in stored order, and the membership/dedup
+  /// indexes are replayed exactly as add_odd_set built them (first id wins
+  /// on a hash collision) — so a resumed solve is bitwise identical to an
+  /// uninterrupted one. The snapshot must fit this state's n and levels.
+  void restore(const DualSnapshot& from);
 
   /// Number of distinct odd-set variables currently in the support.
   std::size_t odd_set_support() const noexcept { return sets_.size(); }

@@ -58,10 +58,6 @@ void FlatDuals::scale_all(double factor) noexcept {
   for (const std::uint64_t key : active_) val_[key] *= factor;
 }
 
-void FlatDuals::sort_active() {
-  std::sort(active_.begin(), active_.end());
-}
-
 SparseDuals FlatDuals::to_sparse() const {
   std::vector<std::uint64_t> keys = active_;
   std::sort(keys.begin(), keys.end());

@@ -117,11 +117,8 @@ class FlatDuals {
   /// Multiply every active value by `factor`.
   void scale_all(double factor) noexcept;
 
-  /// Active keys in activation order until sort_active() is called.
+  /// Active keys in activation order (the order checkpoints replay).
   const std::vector<std::uint64_t>& active() const noexcept { return active_; }
-
-  /// Sort the active list (groups keys by vertex, levels ascending).
-  void sort_active();
 
   /// Export the active entries as a key-sorted SparseDuals, dropping values
   /// with |value| == 0.

@@ -15,7 +15,6 @@
 #include "core/sampling.hpp"
 #include "sparsify/deferred.hpp"
 #include "util/error.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -61,6 +60,21 @@ DualPoint lemma12_start(const DualPoint& x0, const LevelGraph& lg,
   return start;
 }
 
+/// t, the sparsifiers (inner MW iterations) per round: the option, or
+/// eps^-1 log gamma with gamma = n^{1/(2p)}, clamped to [2, 24]; capped by
+/// the sampling engine's 32-bit masks either way.
+std::size_t sparsifier_count(const SolverOptions& options, std::size_t n,
+                             double p) {
+  std::size_t t = options.sparsifiers_per_round;
+  if (t == 0) {
+    const double gamma = std::pow(static_cast<double>(n), 1.0 / (2.0 * p));
+    t = static_cast<std::size_t>(
+        std::ceil(std::max(1.0, std::log(gamma)) / options.eps));
+    t = std::clamp<std::size_t>(t, 2, 24);
+  }
+  return std::min(t, kMaxSparsifiersPerRound);
+}
+
 }  // namespace
 
 Solver::Solver(const Graph& g, const Capacities& b, SolverOptions options)
@@ -87,7 +101,6 @@ SolverResult Solver::resolve(const WarmStart& prev,
   // reason is reported so callers (and the bench) can see WHY warm work
   // was refused.
   const auto fallback = [&](std::string why) {
-    DP_INFO("resolve fallback: " << why);
     SolverResult r = solve_impl(nullptr);
     r.resolve_fallback = std::move(why);
     return r;
@@ -99,16 +112,9 @@ SolverResult Solver::resolve(const WarmStart& prev,
       bits(prev.p) != bits(p) || prev.n != g.num_vertices()) {
     return fallback("solver configuration or vertex count changed");
   }
-  std::size_t t = options_.sparsifiers_per_round;
-  if (t == 0) {
-    const double gamma =
-        std::pow(static_cast<double>(g.num_vertices()), 1.0 / (2.0 * p));
-    t = static_cast<std::size_t>(
-        std::ceil(std::max(1.0, std::log(gamma)) / eps));
-    t = std::clamp<std::size_t>(t, 2, 24);
+  if (prev.sparsifiers != sparsifier_count(options_, g.num_vertices(), p)) {
+    return fallback("sparsifier count changed");
   }
-  t = std::min(t, kMaxSparsifiersPerRound);
-  if (prev.sparsifiers != t) return fallback("sparsifier count changed");
   const LevelGraph lg(g, b_, eps);
   if (lg.retained().empty()) return fallback("no retained edges");
   // The level structure is the coordinate system of the duals: wHat_k and
@@ -120,20 +126,11 @@ SolverResult Solver::resolve(const WarmStart& prev,
       bits(prev.w_star) != bits(lg.w_star())) {
     return fallback("level structure changed (W* or level count)");
   }
-  // Shape validation, as for checkpoints: the raw iterate drives unchecked
-  // dense writes in restore_raw.
-  const std::uint64_t key_bound =
-      static_cast<std::uint64_t>(g.num_vertices()) * lg.num_levels();
-  bool shape_ok = prev.xi.size() == g.num_vertices();
-  for (const auto& [key, value] : prev.xik) {
-    shape_ok = shape_ok && key < key_bound;
+  // Shape validation, as for checkpoints: the duals drive unchecked dense
+  // writes in DualState::restore.
+  if (!prev.duals.fits(g.num_vertices(), lg.num_levels())) {
+    return fallback("malformed warm-start handle");
   }
-  for (const OddSetVar& var : prev.odd_sets) {
-    for (const Vertex v : var.members) {
-      shape_ok = shape_ok && v < g.num_vertices();
-    }
-  }
-  if (!shape_ok) return fallback("malformed warm-start handle");
   return solve_impl(nullptr, &prev, &delta, &lg);
 }
 
@@ -174,13 +171,7 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
 
   // ---- Outer-round shape: t sparsifiers per round, round cap. ----
   const double gamma = std::pow(n, 1.0 / (2.0 * p));
-  std::size_t t = options_.sparsifiers_per_round;
-  if (t == 0) {
-    t = static_cast<std::size_t>(
-        std::ceil(std::max(1.0, std::log(gamma)) / eps));
-    t = std::clamp<std::size_t>(t, 2, 24);
-  }
-  t = std::min(t, kMaxSparsifiersPerRound);
+  const std::size_t t = sparsifier_count(options_, g.num_vertices(), p);
   std::size_t max_rounds = options_.max_outer_rounds;
   if (max_rounds == 0) {
     max_rounds =
@@ -243,15 +234,14 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
     // ---- Warm start (duals-as-predictions, resolve()): restore the
     // previous solve's final dual iterate and repair feasibility on
     // exactly the rows the delta touched. Unchanged retained edges keep
-    // their covering rows bitwise (restore_raw is exact and the level
+    // their covering rows bitwise (restore is exact and the level
     // structure was validated identical); deleted edges only REMOVE rows,
     // which cannot lower any surviving row; so the only possible deficits
     // are the inserted edges' rows, each raised here to its full wHat_k
     // (row ratio 1.0 >= lambda). If the previous solve certified
     // lambda_prev >= 1 - 3 eps, the repaired iterate re-certifies at the
     // round loop's FIRST opening sweep — zero MW rounds, one pass. ----
-    state.restore_raw(warm->dual_scale, warm->xik, warm->xi,
-                      warm->odd_sets);
+    state.restore(warm->duals);
     // Locate the inserted edges in the post-delta graph with one scan of
     // the edge list (the inserts are sorted by edge key), with no
     // adjacency build. Rows are raised insert by insert, ids ascending
@@ -351,17 +341,7 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
     // bytes are the ones serialize wrote, not that they index this
     // instance): every key/vertex/edge must be in range before it drives
     // unchecked dense-array writes.
-    const std::uint64_t key_bound =
-        static_cast<std::uint64_t>(g.num_vertices()) * lg.num_levels();
-    bool shape_ok = resume->xi.size() == g.num_vertices();
-    for (const auto& [key, value] : resume->xik) {
-      shape_ok = shape_ok && key < key_bound;
-    }
-    for (const OddSetVar& var : resume->odd_sets) {
-      for (const Vertex v : var.members) {
-        shape_ok = shape_ok && v < g.num_vertices();
-      }
-    }
+    bool shape_ok = resume->duals.fits(g.num_vertices(), lg.num_levels());
     for (const auto& [e, mult] : resume->best_support) {
       shape_ok = shape_ok && e < g.num_edges();
     }
@@ -370,8 +350,7 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
           "resume checkpoint indexes outside this instance",
           {"solver.resume"});
     }
-    state.restore_raw(resume->scale, resume->xik, resume->xi,
-                      resume->odd_sets);
+    state.restore(resume->duals);
     inc.beta = resume->beta;
     inc.value = resume->best_value;
     for (const auto& [e, mult] : resume->best_support) {
@@ -419,14 +398,7 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
       const std::int64_t mult = incumbent.best.multiplicity(e);
       if (mult > 0) ck->best_support.emplace_back(e, mult);
     }
-    ck->scale = st.scale();
-    const FlatDuals& xik = st.raw_xik();
-    ck->xik.reserve(xik.active_count());
-    for (const std::uint64_t key : xik.active()) {
-      ck->xik.emplace_back(key, xik.get(key));
-    }
-    ck->xi = st.raw_xi();
-    ck->odd_sets = st.odd_sets();
+    ck->duals = st.snapshot();
     ck->history = result.history;
     ck->solve_meter = result.meter;
     ck->substrate_meter = substrate->meter();
@@ -510,9 +482,6 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
     result.history.push_back(RoundStats{round + 1, lambda, inc.beta,
                                         inc.value, rep.stored_edges,
                                         rep.oracle_calls});
-    DP_INFO("round " << round + 1 << " lambda=" << lambda
-                     << " beta=" << inc.beta << " best=" << inc.value
-                     << " stored=" << rep.stored_edges);
 
     if (keep_checkpoints) {
       last_ck = build_checkpoint(round + 1, state, inc);
@@ -601,14 +570,7 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
     handle->levels = lg.num_levels();
     handle->w_star = lg.w_star();
     handle->graph_generation = options_.graph_generation;
-    handle->dual_scale = state.scale();
-    const FlatDuals& xik = state.raw_xik();
-    handle->xik.reserve(xik.active_count());
-    for (const std::uint64_t key : xik.active()) {
-      handle->xik.emplace_back(key, xik.get(key));
-    }
-    handle->xi = state.raw_xi();
-    handle->odd_sets = state.odd_sets();
+    handle->duals = state.snapshot();
     handle->lambda = result.lambda;
     // Saved-work baseline: a chained resolve should keep measuring against
     // the cost of a FULL solve, not against the previous (already cheap)

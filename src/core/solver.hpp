@@ -179,11 +179,8 @@ struct WarmStart {
   std::int32_t levels = 0;
   double w_star = 0;  // level-structure fingerprint (bit compare)
   std::uint64_t graph_generation = 0;
-  // -- The dual iterate (DualState::restore_raw inputs). --
-  double dual_scale = 1.0;
-  std::vector<std::pair<std::uint64_t, double>> xik;  // activation order
-  std::vector<double> xi;
-  std::vector<OddSetVar> odd_sets;
+  // -- The dual iterate (DualState::restore's input). --
+  DualSnapshot duals;
   double lambda = 0;  // certificate level the iterate reached
   // -- Cost of the solve that produced it (saved-work baselines). --
   std::size_t outer_rounds = 0;
@@ -253,16 +250,17 @@ class Solver {
   /// POST-delta graph; `prev` is the warm handle of a solve on the
   /// pre-delta graph and `delta` the net effective churn between the two
   /// (DynamicGraph::delta_since). Seeds the dual state from `prev` via
-  /// restore_raw, runs the deterministic feasibility-repair pass (raise
-  /// only the covering rows of inserted edges), re-anchors the incumbent
-  /// with one canonical offline solve, then iterates MW rounds with the
-  /// existing round pipeline until the exact-lambda certificate
+  /// DualState::restore, runs the deterministic feasibility-repair pass
+  /// (raise only the covering rows of inserted edges), re-anchors the
+  /// incumbent with one canonical offline solve, then iterates MW rounds
+  /// with the existing round pipeline until the exact-lambda certificate
   /// re-certifies — zero rounds when the repaired iterate still clears the
   /// 1 - 3 eps bar. Falls back to a from-scratch solve (with
   /// SolverResult::resolve_fallback saying why) when the warm identity
-  /// does not transfer: changed configuration, changed vertex count, or a
+  /// does not transfer: changed configuration, changed vertex count, a
   /// delta that moved the level structure (W* / level count), under which
-  /// the stale duals certify nothing.
+  /// the stale duals certify nothing, or a handle whose duals do not fit
+  /// the post-delta instance (DualSnapshot::fits).
   SolverResult resolve(const WarmStart& prev, const dyn::EdgeDelta& delta);
 
  private:

@@ -124,8 +124,6 @@ std::vector<KeyValue> Simulator::round(
             {fault_site_name(FaultSite::kMapperShard), round_ord, attempt}));
         return;
       }
-      retry_.backoff(injector_, FaultSite::kMapperShard, round_ord, s,
-                     attempt);
     }
   });
   last_map_emissions_.assign(shards, 0);
@@ -234,8 +232,6 @@ std::vector<KeyValue> Simulator::round(
             {fault_site_name(FaultSite::kReducerTask), round_ord, attempt}));
         return;
       }
-      retry_.backoff(injector_, FaultSite::kReducerTask, round_ord, key,
-                     attempt);
     }
   });
   if (meter_ != nullptr) {

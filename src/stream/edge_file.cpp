@@ -220,7 +220,7 @@ EdgeFileStream::EdgeFileStream(const std::string& path, Options options)
     fd_ = -1;
     throw;
   }
-  if (options_.use_mmap && file_size_ > 0) {
+  if (file_size_ > 0) {
     void* map = ::mmap(nullptr, file_size_, PROT_READ, MAP_PRIVATE, fd_, 0);
     if (map != MAP_FAILED) {
       map_ = static_cast<const std::uint8_t*>(map);
@@ -318,7 +318,7 @@ void write_edge_file(const std::string& path, const Graph& g,
 }
 
 Graph read_edge_file(const std::string& path) {
-  EdgeFileStream stream(path, {.use_mmap = true, .prefetch = false});
+  EdgeFileStream stream(path, {.prefetch = false});
   std::vector<Edge> edges;
   edges.reserve(stream.num_edges());
   stream.for_each([&edges](EdgeId, const Edge& e) { edges.push_back(e); });

@@ -87,12 +87,11 @@ class EdgeFileWriter {
 /// Read side: validates the header and exact file size at open, then
 /// serves sequential block scans (with optional async double-buffered
 /// prefetch on an owned one-thread IO pool) and unmetered random-access
-/// record reads. mmap by default; falls back to buffered pread when mmap
-/// is unavailable (or when Options::use_mmap is off).
+/// record reads. Maps the file; falls back to buffered pread when mmap
+/// fails.
 class EdgeFileStream {
  public:
   struct Options {
-    bool use_mmap = true;
     /// Async double-buffered prefetch for sequential scans. Off = the
     /// pass decodes each block synchronously (bitwise-identical arrivals;
     /// only the io_stalls/prefetch_hits meters differ).

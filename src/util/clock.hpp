@@ -2,15 +2,15 @@
 // Time seam for deadline-aware solving and the serving layer.
 //
 // Everything in the library that reads wall time or sleeps — deadline
-// polls, RetryPolicy backoff, the serving layer's watchdog and latency
-// stamps — goes through a Clock so tests script time instead of sleeping
-// through it. Two implementations:
+// polls, the serving layer's watchdog and latency stamps — goes through a
+// Clock so tests script time instead of sleeping through it. Two
+// implementations:
 //
 //  - SteadyClock: std::chrono::steady_clock, the production default
 //    (process-wide singleton via steady_clock());
 //  - FakeClock: a scripted clock tests advance manually (advance_us/set_us)
 //    or per query (auto_advance_us), whose sleep_us() advances scripted
-//    time instead of blocking — so deadline/watchdog/backoff tests are
+//    time instead of blocking — so deadline and watchdog tests are
 //    deterministic and take zero real time.
 //
 // Clocks are monotonic microsecond counters with an arbitrary origin; only
@@ -45,7 +45,7 @@ class SteadyClock final : public Clock {
 const Clock& steady_clock() noexcept;
 
 /// Scripted clock for tests: time moves only when told to. sleep_us()
-/// advances scripted time (so code that backs off makes progress without
+/// advances scripted time (so code that waits makes progress without
 /// blocking) and accumulates total_slept_us() for assertions. An optional
 /// auto-advance ticks time forward on every now_us() query, which lets
 /// deadlines expire "mid-computation" deterministically — expiry becomes a
@@ -78,7 +78,7 @@ class FakeClock final : public Clock {
     auto_advance_.store(us, std::memory_order_relaxed);
   }
 
-  /// Total time sleep_us() was asked to wait (the scripted backoff log).
+  /// Total time sleep_us() was asked to wait.
   std::uint64_t total_slept_us() const noexcept {
     return slept_.load(std::memory_order_relaxed);
   }

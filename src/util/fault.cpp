@@ -1,16 +1,15 @@
 #include "util/fault.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace dp {
 
 namespace {
 
-/// Distinct sub-streams of the injection seed, so the fail/offset/jitter
+/// Distinct sub-streams of the injection seed, so the fail and offset
 /// draws of one event never correlate.
 constexpr std::uint64_t kFailSalt = 0x0f41'1u;
 constexpr std::uint64_t kOffsetSalt = 0x0ff5'e7u;
-constexpr std::uint64_t kJitterSalt = 0x01'77e5u;
 
 }  // namespace
 
@@ -68,41 +67,6 @@ std::uint64_t FaultInjector::fail_offset(FaultSite site, std::uint64_t a,
   const CounterRng site_rng =
       rng_.fork(kOffsetSalt ^ static_cast<std::uint64_t>(site));
   return site_rng.bits(a, b, attempt) % bound;
-}
-
-std::uint64_t FaultInjector::backoff_bits(FaultSite site, std::uint64_t a,
-                                          std::uint64_t b,
-                                          std::uint64_t attempt)
-    const noexcept {
-  const CounterRng site_rng =
-      rng_.fork(kJitterSalt ^ static_cast<std::uint64_t>(site));
-  return site_rng.bits(a, b, attempt);
-}
-
-std::uint64_t RetryPolicy::delay_us(const FaultInjector& injector,
-                                    FaultSite site, std::uint64_t a,
-                                    std::uint64_t b,
-                                    std::uint64_t attempt) const noexcept {
-  if (backoff_base_us == 0) return 0;
-  const int shift = static_cast<int>(std::min<std::uint64_t>(attempt, 20));
-  const double base =
-      static_cast<double>(backoff_base_us) * static_cast<double>(1ULL << shift);
-  const double unit =
-      static_cast<double>(injector.backoff_bits(site, a, b, attempt) >> 11) *
-      0x1.0p-53;  // [0, 1)
-  const double jitter =
-      std::clamp(backoff_jitter, 0.0, 1.0) * (2.0 * unit - 1.0);
-  const double delay = base * (1.0 + jitter);
-  const double cap = static_cast<double>(backoff_cap_us);
-  return static_cast<std::uint64_t>(std::clamp(delay, 0.0, cap));
-}
-
-void RetryPolicy::backoff(const FaultInjector& injector, FaultSite site,
-                          std::uint64_t a, std::uint64_t b,
-                          std::uint64_t attempt) const {
-  const std::uint64_t us = delay_us(injector, site, a, b, attempt);
-  if (us == 0) return;
-  (clock != nullptr ? *clock : steady_clock()).sleep_us(us);
 }
 
 }  // namespace dp

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/clock.hpp"
 #include "util/rng.hpp"
 
 namespace dp {
@@ -99,10 +98,6 @@ class FaultInjector {
                             std::uint64_t attempt,
                             std::uint64_t bound) const noexcept;
 
-  /// Deterministic jitter word for RetryPolicy's backoff computation.
-  std::uint64_t backoff_bits(FaultSite site, std::uint64_t a, std::uint64_t b,
-                             std::uint64_t attempt) const noexcept;
-
  private:
   double rate_for(FaultSite site) const noexcept;
 
@@ -111,34 +106,12 @@ class FaultInjector {
   bool enabled_ = false;
 };
 
-/// Retry budget for transient SubstrateFaults, with exponential backoff and
-/// deterministic jitter (so even the sleep schedule of a faulty run is a
-/// pure function of the seeds).
+/// Retry budget for transient SubstrateFaults: a failed unit re-runs at
+/// once, up to max_attempts executions, and the meter charges every
+/// re-run.
 struct RetryPolicy {
   /// Total executions allowed per event (first try + retries).
   std::size_t max_attempts = 4;
-  /// Base backoff before retry r (doubling per attempt). 0 disables
-  /// sleeping entirely — the right setting for tests and benchmarks, where
-  /// only the retry accounting matters.
-  std::uint64_t backoff_base_us = 0;
-  /// Relative jitter in [-jitter, +jitter] applied to each delay.
-  double backoff_jitter = 0.25;
-  /// Upper clamp on a single delay.
-  std::uint64_t backoff_cap_us = 100000;
-  /// Clock the backoff sleeps on (util/clock); nullptr = the process
-  /// steady clock. Tests install a FakeClock so even non-zero backoff
-  /// schedules run on scripted time instead of real sleeps.
-  const Clock* clock = nullptr;
-
-  /// The deterministic delay before re-running (site, a, b) after failed
-  /// attempt `attempt`.
-  std::uint64_t delay_us(const FaultInjector& injector, FaultSite site,
-                         std::uint64_t a, std::uint64_t b,
-                         std::uint64_t attempt) const noexcept;
-
-  /// Sleep for delay_us (no-op when backoff_base_us == 0).
-  void backoff(const FaultInjector& injector, FaultSite site, std::uint64_t a,
-               std::uint64_t b, std::uint64_t attempt) const;
 };
 
 /// One solve's complete fault-tolerance plan: what fails and how hard the

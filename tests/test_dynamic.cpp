@@ -393,6 +393,40 @@ TEST(Dynamic, ResolveFallsBackOnConfigurationChange) {
   EXPECT_GT(r.value, 0.0);
 }
 
+TEST(Dynamic, ResolveFallsBackOnAMalformedWarmHandle) {
+  // A warm handle whose duals index outside the post-delta instance would
+  // drive dense writes out of range; resolve must refuse it and solve from
+  // scratch instead.
+  DynamicGraph dg(resolve_graph());
+  const core::SolverResult cold =
+      core::solve_matching(*dg.materialize(), resolve_options());
+  ASSERT_NE(cold.warm, nullptr);
+  dg.apply(churn_batch(*dg.materialize(), 5150, 9));
+  const auto post = dg.materialize();
+  const EdgeDelta delta = dg.delta_since(0);
+  const core::WarmStart& good = *cold.warm;
+
+  core::WarmStart key = good;
+  key.duals.xik.emplace_back(good.n * static_cast<std::uint64_t>(good.levels),
+                             0.5);
+  core::WarmStart xi = good;
+  xi.duals.xi.push_back(0.0);
+  core::WarmStart member = good;
+  member.duals.odd_sets.push_back(
+      core::OddSetVar{0, {0, 1, static_cast<Vertex>(good.n)}, 0.125});
+  for (const auto& [label, bad] :
+       {std::pair{"xik key n*L", &key}, std::pair{"extra xi entry", &xi},
+        std::pair{"odd-set member n", &member}}) {
+    core::SolverOptions ropt = resolve_options();
+    ropt.graph_generation = dg.generation();
+    core::Solver solver(*post, ropt);
+    const core::SolverResult r = solver.resolve(*bad, delta);
+    EXPECT_EQ(r.resolve_fallback, "malformed warm-start handle") << label;
+    EXPECT_FALSE(r.warm_resolve) << label;
+    EXPECT_GT(r.value, 0.0) << label;
+  }
+}
+
 TEST(Dynamic, ResolveRejectsNonFiniteWeightTyped) {
   const Graph pre = resolve_graph();
   const core::SolverResult cold = core::solve_matching(pre, resolve_options());

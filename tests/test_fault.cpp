@@ -55,7 +55,6 @@ FaultPlan noisy_plan() {
   plan.config.mapper_rate = 0.25;
   plan.config.reducer_rate = 0.15;
   plan.retry.max_attempts = 8;
-  plan.retry.backoff_base_us = 0;  // accounting only, no sleeping
   return plan;
 }
 
@@ -88,7 +87,7 @@ void expect_same_result(const SolverResult& a, const SolverResult& b,
 }
 
 // ---------------------------------------------------------------------------
-// FaultInjector / RetryPolicy determinism.
+// FaultInjector determinism.
 
 TEST(FaultInjector, DecisionsArePureFunctionsOfSeedAndCounters) {
   FaultConfig config;
@@ -145,59 +144,6 @@ TEST(FaultInjector, ScriptedFaultsFireExactly) {
   for (std::uint64_t attempt = 0; attempt < 8; ++attempt) {
     EXPECT_TRUE(inj.should_fail(FaultSite::kReducerTask, 1, 9, attempt));
   }
-}
-
-TEST(RetryPolicy, BackoffIsDeterministicBoundedAndOptional) {
-  FaultConfig config;
-  config.stream_pass_rate = 1.0;
-  const FaultInjector inj(config);
-
-  RetryPolicy quiet;  // default base 0: no sleeping at all
-  EXPECT_EQ(quiet.delay_us(inj, FaultSite::kStreamPass, 0, 0, 0), 0u);
-
-  RetryPolicy policy;
-  policy.backoff_base_us = 100;
-  policy.backoff_jitter = 0.25;
-  policy.backoff_cap_us = 1000;
-  const std::uint64_t d0 = policy.delay_us(inj, FaultSite::kStreamPass, 3, 0, 0);
-  const std::uint64_t d1 = policy.delay_us(inj, FaultSite::kStreamPass, 3, 0, 1);
-  EXPECT_EQ(d0, policy.delay_us(inj, FaultSite::kStreamPass, 3, 0, 0));
-  EXPECT_GE(d0, 75u);  // 100 * (1 - 0.25)
-  EXPECT_LE(d0, 125u);
-  EXPECT_GE(d1, 150u);  // doubled base, same jitter band
-  EXPECT_LE(d1, 250u);
-  // Exponential growth clamps at the cap.
-  EXPECT_EQ(policy.delay_us(inj, FaultSite::kStreamPass, 3, 0, 12), 1000u);
-}
-
-TEST(RetryPolicy, BackoffSleepsOnTheInstalledClock) {
-  // The backoff rides the Clock seam (util/clock): tests install a
-  // FakeClock and the whole schedule runs on scripted time — zero real
-  // sleeping, and the slept total equals the deterministic delays exactly.
-  FaultConfig config;
-  config.stream_pass_rate = 1.0;
-  const FaultInjector inj(config);
-
-  FakeClock clock;
-  RetryPolicy policy;
-  policy.backoff_base_us = 200;
-  policy.backoff_cap_us = 10000;
-  policy.clock = &clock;
-
-  std::uint64_t expected = 0;
-  for (std::uint64_t attempt = 0; attempt < 4; ++attempt) {
-    expected += policy.delay_us(inj, FaultSite::kStreamPass, 5, 1, attempt);
-    policy.backoff(inj, FaultSite::kStreamPass, 5, 1, attempt);
-  }
-  EXPECT_GT(expected, 0u);
-  EXPECT_EQ(clock.total_slept_us(), expected);
-  EXPECT_EQ(clock.now_us(), expected);
-
-  // Base 0 still sleeps nothing regardless of the clock.
-  RetryPolicy quiet;
-  quiet.clock = &clock;
-  quiet.backoff(inj, FaultSite::kStreamPass, 5, 1, 0);
-  EXPECT_EQ(clock.total_slept_us(), expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -360,11 +306,11 @@ RoundCheckpoint sample_checkpoint() {
   ck.best_value = 12.5;
   ck.beta = 0.75;
   ck.best_support = {{0, 1}, {4, 2}};
-  ck.scale = 0.375;
-  ck.xik = {{3, 0.5}, {1, 0.25}, {34, 1.0 / 3.0}};  // activation order
-  ck.xi = {0.5, 0.25, 0, 0, 0, 0, 1.0 / 3.0};
-  ck.odd_sets = {OddSetVar{1, {0, 2, 4}, 0.125},
-                 OddSetVar{0, {1, 3, 5}, 0.0625}};
+  ck.duals.scale = 0.375;
+  ck.duals.xik = {{3, 0.5}, {1, 0.25}, {34, 1.0 / 3.0}};  // activation order
+  ck.duals.xi = {0.5, 0.25, 0, 0, 0, 0, 1.0 / 3.0};
+  ck.duals.odd_sets = {OddSetVar{1, {0, 2, 4}, 0.125},
+                       OddSetVar{0, {1, 3, 5}, 0.0625}};
   ck.history = {RoundStats{1, 0.5, 0.7, 11.0, 40, 8},
                 RoundStats{2, 0.6, 0.75, 12.5, 44, 9}};
   // Both meters hold 22 distinct counter values that exercise every byte
@@ -408,14 +354,15 @@ TEST(Checkpoint, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(back.best_value, ck.best_value);
   EXPECT_EQ(back.beta, ck.beta);
   EXPECT_EQ(back.best_support, ck.best_support);
-  EXPECT_EQ(back.scale, ck.scale);
-  EXPECT_EQ(back.xik, ck.xik);  // exact doubles AND activation order
-  EXPECT_EQ(back.xi, ck.xi);
-  ASSERT_EQ(back.odd_sets.size(), ck.odd_sets.size());
-  for (std::size_t s = 0; s < ck.odd_sets.size(); ++s) {
-    EXPECT_EQ(back.odd_sets[s].level, ck.odd_sets[s].level);
-    EXPECT_EQ(back.odd_sets[s].members, ck.odd_sets[s].members);
-    EXPECT_EQ(back.odd_sets[s].value, ck.odd_sets[s].value);
+  EXPECT_EQ(back.duals.scale, ck.duals.scale);
+  // Exact doubles AND activation order.
+  EXPECT_EQ(back.duals.xik, ck.duals.xik);
+  EXPECT_EQ(back.duals.xi, ck.duals.xi);
+  ASSERT_EQ(back.duals.odd_sets.size(), ck.duals.odd_sets.size());
+  for (std::size_t s = 0; s < ck.duals.odd_sets.size(); ++s) {
+    EXPECT_EQ(back.duals.odd_sets[s].level, ck.duals.odd_sets[s].level);
+    EXPECT_EQ(back.duals.odd_sets[s].members, ck.duals.odd_sets[s].members);
+    EXPECT_EQ(back.duals.odd_sets[s].value, ck.duals.odd_sets[s].value);
   }
   ASSERT_EQ(back.history.size(), ck.history.size());
   for (std::size_t r = 0; r < ck.history.size(); ++r) {
@@ -474,7 +421,8 @@ TEST(Checkpoint, RejectsAnOddSetCountBeyondThePayload) {
   // xik count 8 + 16 per pair and xi count 8 + 8 per entry.
   const RoundCheckpoint ck = sample_checkpoint();
   const std::size_t at = 24 + 76 + 24 + 24 + 16 * ck.best_support.size() +
-                         8 + 8 + 16 * ck.xik.size() + 8 + 8 * ck.xi.size();
+                         8 + 8 + 16 * ck.duals.xik.size() + 8 +
+                         8 * ck.duals.xi.size();
   auto u64_at = [&bytes](std::size_t pos) {
     std::uint64_t x = 0;
     for (int i = 0; i < 8; ++i) {
@@ -483,7 +431,7 @@ TEST(Checkpoint, RejectsAnOddSetCountBeyondThePayload) {
     }
     return x;
   };
-  ASSERT_EQ(u64_at(at), ck.odd_sets.size());
+  ASSERT_EQ(u64_at(at), ck.duals.odd_sets.size());
   for (const int bits : {61, 40}) {
     std::vector<std::uint8_t> patched = bytes;
     const std::uint64_t count = std::uint64_t{1} << bits;
@@ -680,6 +628,45 @@ TEST(Checkpoint, ResumeRejectsAMismatchedConfiguration) {
   via_options.eps = 0.25;
   via_options.resume_from = &ck;
   EXPECT_THROW(Solver(g, via_options).solve(), ConfigError);
+}
+
+TEST(Checkpoint, ResumeRejectsASnapshotOutsideTheInstance) {
+  // The checksum proves the bytes are the ones serialize wrote, not that
+  // they index this instance: each defect below survives the wire format
+  // and must still stop the resume before it writes outside the state.
+  const Graph g = test_graph();
+  SolverOptions opt = base_options();
+  std::vector<std::uint8_t> blob;
+  opt.on_checkpoint = [&blob](const RoundCheckpoint& ck) {
+    blob = ck.serialize();
+    return false;
+  };
+  (void)solve_matching(g, opt);
+  ASSERT_FALSE(blob.empty());
+  const RoundCheckpoint cut = RoundCheckpoint::deserialize(blob);
+  EXPECT_NO_THROW(Solver(g, base_options()).solve(cut));
+
+  // Each defect passes the reader and must fail the resume.
+  const auto expect_rejected = [&g](const RoundCheckpoint& bad,
+                                    const char* label) {
+    const RoundCheckpoint back = RoundCheckpoint::deserialize(bad.serialize());
+    EXPECT_THROW(Solver(g, base_options()).solve(back), CheckpointCorrupt)
+        << label;
+  };
+  RoundCheckpoint key = cut;
+  key.duals.xik.emplace_back(cut.n * static_cast<std::uint64_t>(cut.levels),
+                             0.5);
+  expect_rejected(key, "xik key n*L");
+  RoundCheckpoint xi = cut;
+  xi.duals.xi.push_back(0.0);
+  expect_rejected(xi, "extra xi entry");
+  RoundCheckpoint member = cut;
+  member.duals.odd_sets.push_back(
+      OddSetVar{0, {0, 1, static_cast<Vertex>(cut.n)}, 0.125});
+  expect_rejected(member, "odd-set member n");
+  RoundCheckpoint edge = cut;
+  edge.best_support.emplace_back(cut.m, 1);
+  expect_rejected(edge, "support edge m");
 }
 
 // ---------------------------------------------------------------------------

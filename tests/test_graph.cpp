@@ -1,13 +1,11 @@
-// Tests for graph containers, generators, union-find and I/O.
+// Tests for graph containers, generators and union-find.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
-#include "graph/io.hpp"
 #include "graph/union_find.hpp"
 #include "matching/hungarian.hpp"
 
@@ -156,28 +154,6 @@ TEST(UnionFind, BasicOperations) {
   EXPECT_FALSE(uf.connected(0, 3));
   EXPECT_EQ(uf.num_components(), 4u);
   EXPECT_EQ(uf.component_size(1), 3u);
-}
-
-TEST(GraphIO, RoundTrip) {
-  Graph g = gen::gnm(20, 40, 8);
-  gen::weight_uniform(g, 1.0, 5.0, 9);
-  std::stringstream ss;
-  write_graph(ss, g);
-  const Graph h = read_graph(ss);
-  ASSERT_EQ(h.num_vertices(), g.num_vertices());
-  ASSERT_EQ(h.num_edges(), g.num_edges());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    EXPECT_EQ(h.edge(e).u, g.edge(e).u);
-    EXPECT_EQ(h.edge(e).v, g.edge(e).v);
-    EXPECT_NEAR(h.edge(e).w, g.edge(e).w, 1e-6);
-  }
-}
-
-TEST(GraphIO, RejectsMalformed) {
-  std::stringstream empty("");
-  EXPECT_THROW(read_graph(empty), std::runtime_error);
-  std::stringstream mismatch("3 5\n0 1 1.0\n");
-  EXPECT_THROW(read_graph(mismatch), std::runtime_error);
 }
 
 }  // namespace

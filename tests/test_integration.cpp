@@ -10,8 +10,8 @@
 #include "baselines/baselines.hpp"
 #include "core/solver.hpp"
 #include "graph/generators.hpp"
-#include "graph/io.hpp"
 #include "mapreduce/mapreduce.hpp"
+#include "stream/edge_file.hpp"
 
 namespace dp {
 namespace {
@@ -19,9 +19,9 @@ namespace {
 TEST(Integration, FileRoundTripThenSolve) {
   Graph g = gen::gnm(40, 300, 5);
   gen::weight_uniform(g, 1.0, 4.0, 6);
-  const std::string path = "/tmp/dp_integration_graph.txt";
-  write_graph_file(path, g);
-  const Graph loaded = read_graph_file(path);
+  const std::string path = ::testing::TempDir() + "dp_integration_graph.dpef";
+  stream::write_edge_file(path, g);
+  const Graph loaded = stream::read_edge_file(path);
   std::remove(path.c_str());
 
   core::SolverOptions opt;

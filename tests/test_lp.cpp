@@ -1,6 +1,5 @@
 // Tests for the LP module: the simplex solver, the paper's explicit
-// relaxations (LP1/LP3/LP10-12), the width measurements of Section 1, and
-// the generic PST covering/packing engines (Theorems 5/7).
+// relaxations (LP1/LP3/LP10-12) and the width measurements of Section 1.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +7,6 @@
 
 #include "graph/generators.hpp"
 #include "lp/formulations.hpp"
-#include "lp/pst.hpp"
 #include "lp/simplex.hpp"
 #include "matching/exact_small.hpp"
 #include "test_helpers.hpp"
@@ -180,114 +178,6 @@ TEST(Width, PenaltyBoundedStandardGrows) {
 TEST(RowWidth, UnboundedWithoutConstraints) {
   EXPECT_TRUE(std::isinf(
       row_width({1.0}, 1.0, {{0.0}}, {1.0})));
-}
-
-// ---- PST engines -----------------------------------------------------------
-
-/// Covering toy: decide {x_l >= 1 for all l, x in simplex scaled by budget}.
-/// Oracle: put the whole budget on the row with the largest multiplier.
-CoveringProblem simple_covering(std::size_t m, double budget, double eps) {
-  CoveringProblem problem;
-  problem.c.assign(m, 1.0);
-  problem.rho = budget;  // Ax <= budget * c on the polytope
-  problem.eps = eps;
-  // Start from a strictly-infeasible point (lambda_0 = 0.1) so the engine
-  // actually has to iterate.
-  problem.initial.x.assign(m, 0.1);
-  problem.initial.ax = problem.initial.x;
-  problem.oracle = [m, budget, eps](const std::vector<double>& u)
-      -> std::optional<OraclePoint> {
-    std::size_t best = 0;
-    for (std::size_t l = 1; l < m; ++l) {
-      if (u[l] > u[best]) best = l;
-    }
-    OraclePoint point;
-    point.x.assign(m, 0.0);
-    point.ax.assign(m, 0.0);
-    point.x[best] = budget;
-    point.ax[best] = budget;
-    // Feasible iff budget covers the u-weighted demand.
-    double u_sum = 0;
-    for (double ul : u) u_sum += ul;
-    if (u[best] * budget < (1.0 - eps / 2.0) * u_sum) return std::nullopt;
-    return point;
-  };
-  return problem;
-}
-
-TEST(PstCovering, FeasibleWhenBudgetSuffices) {
-  // m rows, budget m*(1+margin): each row can get > 1.
-  const std::size_t m = 8;
-  const CoveringResult result =
-      fractional_covering(simple_covering(m, 1.5 * m, 0.1));
-  EXPECT_TRUE(result.feasible);
-  EXPECT_GE(result.lambda, 1.0 - 3.0 * 0.1);
-  EXPECT_GT(result.oracle_calls, 0u);
-}
-
-TEST(PstCovering, InfeasibleWhenBudgetTooSmall) {
-  const std::size_t m = 8;
-  const CoveringResult result =
-      fractional_covering(simple_covering(m, 0.5 * m, 0.1));
-  EXPECT_FALSE(result.feasible);
-  EXPECT_FALSE(result.certificate.empty());
-}
-
-TEST(PstCovering, IterationsScaleWithWidth) {
-  const std::size_t m = 6;
-  const CoveringResult narrow =
-      fractional_covering(simple_covering(m, 1.2 * m, 0.15));
-  CoveringProblem wide_problem = simple_covering(m, 1.2 * m, 0.15);
-  wide_problem.rho *= 8;  // pretend the width is 8x worse
-  const CoveringResult wide = fractional_covering(wide_problem);
-  EXPECT_TRUE(narrow.feasible);
-  EXPECT_TRUE(wide.feasible);
-  EXPECT_GT(wide.oracle_calls, narrow.oracle_calls);
-}
-
-TEST(PstPacking, FindsFeasiblePoint) {
-  // Pack mass <= 1 per row; polytope allows spreading budget across rows.
-  const std::size_t m = 6;
-  PackingProblem problem;
-  problem.d.assign(m, 1.0);
-  problem.rho = 4.0;
-  problem.delta = 0.1;
-  problem.initial.x.assign(m, 0.0);
-  problem.initial.ax.assign(m, 0.0);
-  // Start violated on row 0.
-  problem.initial.x[0] = 4.0;
-  problem.initial.ax[0] = 4.0;
-  problem.oracle = [m](const std::vector<double>& z)
-      -> std::optional<OraclePoint> {
-    // Minimize z^T Ap x over the simplex of total mass m/2: put everything
-    // on the row with the smallest multiplier.
-    std::size_t best = 0;
-    for (std::size_t r = 1; r < m; ++r) {
-      if (z[r] < z[best]) best = r;
-    }
-    OraclePoint point;
-    point.x.assign(m, 0.0);
-    point.ax.assign(m, 0.0);
-    point.x[best] = static_cast<double>(m) / 2.0;
-    point.ax[best] = static_cast<double>(m) / 2.0;
-    return point;
-  };
-  const PackingResult result = fractional_packing(problem);
-  EXPECT_TRUE(result.feasible);
-  EXPECT_LE(result.lambda, 1.0 + 6.0 * problem.delta + 1e-9);
-}
-
-TEST(PstMultipliers, ShiftInvariantAndOrdered) {
-  const std::vector<double> ax{1.0, 0.5, 2.0};
-  const std::vector<double> c{1.0, 1.0, 1.0};
-  const auto u = covering_multipliers(ax, c, 10.0);
-  // Least covered row gets the largest multiplier.
-  EXPECT_GT(u[1], u[0]);
-  EXPECT_GT(u[0], u[2]);
-  const auto z = packing_multipliers(ax, c, 10.0);
-  // Most violated row gets the largest multiplier.
-  EXPECT_GT(z[2], z[0]);
-  EXPECT_GT(z[0], z[1]);
 }
 
 }  // namespace

@@ -27,7 +27,6 @@
 #include "core/checkpoint.hpp"
 #include "core/solver.hpp"
 #include "graph/generators.hpp"
-#include "graph/io.hpp"
 #include "stream/edge_file.hpp"
 #include "util/error.hpp"
 
@@ -63,7 +62,6 @@ FaultPlan noisy_plan() {
   plan.config.seed = 0xbeef;
   plan.config.stream_pass_rate = 0.40;
   plan.retry.max_attempts = 8;
-  plan.retry.backoff_base_us = 0;
   return plan;
 }
 
@@ -120,7 +118,7 @@ TEST(EdgeFile, RoundTripIsBitwiseLossless) {
   // block_edges that does NOT divide m: the tail block is partial.
   stream::write_edge_file(path, g, /*block_edges=*/128);
 
-  const Graph back = read_edge_file(path);
+  const Graph back = stream::read_edge_file(path);
   ASSERT_EQ(back.num_vertices(), g.num_vertices());
   ASSERT_EQ(back.num_edges(), g.num_edges());
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -167,7 +165,7 @@ TEST(EdgeFile, GnmToFileMatchesMaterializedWriterByteForByte) {
   Graph g = gen::gnm(120, 900, 511);
   gen::weight_uniform(g, 1.0, 12.0, 512);
   EXPECT_EQ(written, g.num_edges());
-  write_edge_file(via_graph, g);
+  stream::write_edge_file(via_graph, g);
 
   const std::vector<std::uint8_t> a = slurp(direct);
   const std::vector<std::uint8_t> b = slurp(via_graph);
@@ -204,7 +202,7 @@ TEST(EdgeFile, CorruptionIsATypedErrorNeverAWrongGraph) {
     spit(path, bytes);
     EXPECT_THROW(stream::EdgeFileStream{path}, CheckpointCorrupt)
         << "header byte " << pos;
-    EXPECT_THROW(read_edge_file(path), CheckpointCorrupt)
+    EXPECT_THROW(stream::read_edge_file(path), CheckpointCorrupt)
         << "header byte " << pos;
   }
 
@@ -213,7 +211,7 @@ TEST(EdgeFile, CorruptionIsATypedErrorNeverAWrongGraph) {
   bytes = pristine;
   bytes[stream::kEdgeFileHeaderBytes + 5] ^= 0x01;
   spit(path, bytes);
-  EXPECT_THROW(read_edge_file(path), CheckpointCorrupt);
+  EXPECT_THROW(stream::read_edge_file(path), CheckpointCorrupt);
   {
     stream::EdgeFileStream file(path);  // header is intact: open succeeds
     EXPECT_THROW(file.for_each([](EdgeId, const Edge&) {}), CheckpointCorrupt);

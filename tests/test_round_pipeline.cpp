@@ -147,14 +147,14 @@ TEST(RoundPipeline, BitwiseIdenticalAcrossThreads) {
   const SolverResult cut_early = solve_matching(g, first_round);
   ASSERT_NE(cut_early.checkpoint, nullptr);
   RoundCheckpoint with_sets = *cut_early.checkpoint;
-  ASSERT_FALSE(with_sets.xik.empty());
+  ASSERT_FALSE(with_sets.duals.xik.empty());
   std::vector<double> raw;
-  for (const auto& [key, value] : with_sets.xik) raw.push_back(value);
+  for (const auto& [key, value] : with_sets.duals.xik) raw.push_back(value);
   std::sort(raw.begin(), raw.end());
   const double typical = raw[raw.size() / 2];  // comparable to x entries
-  with_sets.odd_sets.push_back(
+  with_sets.duals.odd_sets.push_back(
       OddSetVar{0, {0, 1, 2, 3, 4, 5, 6, 7, 8}, typical});
-  with_sets.odd_sets.push_back(OddSetVar{
+  with_sets.duals.odd_sets.push_back(OddSetVar{
       with_sets.levels / 2, {4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14},
       0.5 * typical});
   const std::size_t thread_counts[] = {1, 2, 8};
@@ -174,7 +174,7 @@ TEST(RoundPipeline, BitwiseIdenticalAcrossThreads) {
   }
   EXPECT_EQ(resumed[0].outer_rounds, 3u);
   ASSERT_NE(resumed[0].warm, nullptr);
-  EXPECT_GE(resumed[0].warm->odd_sets.size(), 2u);
+  EXPECT_GE(resumed[0].warm->duals.odd_sets.size(), 2u);
   EXPECT_FALSE(resumed_bytes[0].empty());
   for (std::size_t r = 1; r < resumed.size(); ++r) {
     const std::string label =
