@@ -1,11 +1,11 @@
 // Out-of-core trajectory: the SAME solve executed against a DPEF edge
-// file through the file-backed streaming substrate (async double-buffered
-// prefetch on/off, under a resident-edge budget strictly below the file's
-// edge count) and against the MapReduce substrate with round compression.
+// file through the file-backed streaming substrate (under a resident-edge
+// budget strictly below the file's edge count) and against the MapReduce
+// substrate with round compression.
 //
 // Self-gates (exit 1 on violation):
 //   - the file-backed SolverResult is bitwise identical to the in-memory
-//     reference at 1/2/8 threads, with prefetch on and off;
+//     reference at 1/2/8 threads;
 //   - the budgeted run's peak resident edge state stays under a budget
 //     smaller than the file (the out-of-core contract);
 //   - round compression executes strictly fewer simulator rounds than
@@ -15,8 +15,9 @@
 // a resource count) and sim_rounds_ratio (executed simulator rounds /
 // sampling rounds; 1.0 uncompressed, < 1 under compression) are
 // deterministic and CI-gated LOWER-IS-BETTER. prefetch_hit_rate /
-// stall_share are the prefetch pipeline's health signal — timing-
-// dependent by nature, informational only. --quick is accepted for
+// stall_share are informational: passes decode every block on the pass
+// thread, so they read 0 and 1. Mode 0 (the prefetching reader) is gone;
+// the file rows are mode 1. --quick is accepted for
 // scripts/check.sh symmetry but changes nothing: the gated columns are
 // instance-dependent, so the row set must match the committed baseline,
 // and the instance is already check.sh-sized (~2 s end to end).
@@ -93,8 +94,8 @@ int main(int argc, char** argv) {
   bench::header(
       "Out-of-core solve (mmap-backed edge streams)",
       "one solve over a DPEF edge file: bitwise-identical to in-memory "
-      "under a budget smaller than the file, IO bytes/stalls/prefetch "
-      "hits metered, and MapReduce round compression executing fewer "
+      "under a budget smaller than the file, IO bytes and stalls "
+      "metered, and MapReduce round compression executing fewer "
       "simulator rounds");
 
   const std::size_t n = 250;
@@ -136,46 +137,41 @@ int main(int argc, char** argv) {
               "threads", "seconds", "bytes_per_edge", "hit_rate",
               "stall_share", "peak_resident", "sim_rounds_ratio");
 
-  // ---- File-backed rows: prefetch on (mode 0) and off (mode 1). ----
-  for (const bool prefetch : {true, false}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{8}}) {
-      stream::EdgeFileStream::Options fopt;
-      fopt.prefetch = prefetch;
-      auto file = std::make_shared<stream::EdgeFileStream>(path, fopt);
-      access::StreamingSubstrate sub;
-      sub.attach_source(stream::EdgeSource(file));
-      core::SolverOptions opts = file_options();
-      opts.oracle.threads = threads;
-      opts.substrate = &sub;
-      opts.memory_budget_edges = budget;
-      WallTimer timer;
-      const core::SolverResult result = core::solve_matching(g, opts);
-      const double sec = timer.seconds();
-      const Fingerprint run(result);
-      if (gate(run == ref, "budgeted file-backed solve diverges") ||
-          gate(sub.meter().peak_resident_edges() <= budget,
-               "budgeted run exceeded its resident budget")) {
-        return 1;
-      }
-      const ResourceMeter& meter = sub.meter();
-      const double fetches = static_cast<double>(meter.prefetch_hits() +
-                                                 meter.io_stalls());
-      const double hit_rate =
-          fetches == 0 ? 0
-                       : static_cast<double>(meter.prefetch_hits()) / fetches;
-      const double stall_share = fetches == 0 ? 1 : 1 - hit_rate;
-      const double bytes_per_edge =
-          static_cast<double>(meter.io_bytes()) / static_cast<double>(m);
-      const char* label = prefetch ? "file+prefetch" : "file";
-      std::printf("%-14s %-7zu %10.3f %14.2f %9.3f %11.3f %13zu %16.3f\n",
-                  label, threads, sec, bytes_per_edge, hit_rate, stall_share,
-                  meter.peak_resident_edges(), 1.0);
-      report.add({prefetch ? 0.0 : 1.0, static_cast<double>(threads),
-                  static_cast<double>(n), static_cast<double>(m), sec,
-                  bytes_per_edge, hit_rate, stall_share,
-                  static_cast<double>(meter.peak_resident_edges()), 1.0});
+  // ---- File-backed rows (mode 1). ----
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{8}}) {
+    auto file = std::make_shared<stream::EdgeFileStream>(path);
+    access::StreamingSubstrate sub;
+    sub.attach_source(stream::EdgeSource(file));
+    core::SolverOptions opts = file_options();
+    opts.oracle.threads = threads;
+    opts.substrate = &sub;
+    opts.memory_budget_edges = budget;
+    WallTimer timer;
+    const core::SolverResult result = core::solve_matching(g, opts);
+    const double sec = timer.seconds();
+    const Fingerprint run(result);
+    if (gate(run == ref, "budgeted file-backed solve diverges") ||
+        gate(sub.meter().peak_resident_edges() <= budget,
+             "budgeted run exceeded its resident budget")) {
+      return 1;
     }
+    const ResourceMeter& meter = sub.meter();
+    const double fetches =
+        static_cast<double>(meter.prefetch_hits() + meter.io_stalls());
+    const double hit_rate =
+        fetches == 0 ? 0
+                     : static_cast<double>(meter.prefetch_hits()) / fetches;
+    const double stall_share = fetches == 0 ? 1 : 1 - hit_rate;
+    const double bytes_per_edge =
+        static_cast<double>(meter.io_bytes()) / static_cast<double>(m);
+    std::printf("%-14s %-7zu %10.3f %14.2f %9.3f %11.3f %13zu %16.3f\n",
+                "file", threads, sec, bytes_per_edge, hit_rate, stall_share,
+                meter.peak_resident_edges(), 1.0);
+    report.add({1.0, static_cast<double>(threads), static_cast<double>(n),
+                static_cast<double>(m), sec, bytes_per_edge, hit_rate,
+                stall_share, static_cast<double>(meter.peak_resident_edges()),
+                1.0});
   }
   std::printf("determinism: file-backed SolverResult bitwise identical to "
               "in-memory under a %zu-edge budget (file holds %zu)\n",

@@ -14,10 +14,9 @@ void StreamingSubstrate::on_bind() {
     stream::EdgeFileStream* file = source_.file();
     file->set_meter(&meter_);
     stream_ = std::make_unique<EdgeStream>(*file, nullptr);
-    // The decode buffers (double-buffered when prefetching) are resident
-    // edge records of the access layer — charge them against the budget
-    // for the lifetime of the bind.
-    charge_resident(file->resident_buffer_edges(), "IO block buffers");
+    // The decode buffer holds resident edge records of the access layer
+    // — charge it against the budget for the lifetime of the bind.
+    charge_resident(file->resident_buffer_edges(), "IO block buffer");
   } else {
     stream_ = std::make_unique<EdgeStream>(*g_, nullptr);
   }

@@ -16,13 +16,13 @@
 // Edge sources: this is the one backend whose discipline is genuinely
 // sequential, so it accepts a FILE-BACKED source (stream/edge_file). In
 // file mode the substrate runs TABLE-FREE: passes decode checksummed
-// blocks through the file's async prefetcher (IO bytes, prefetch hits and
-// stalls land on this substrate's meter), each retained arrival is handed
-// to the kernel as a one-element base-relative span built from the decoded
-// record, and stored-sample attributes live in a per-round cache of
-// exactly the drawn union — so the resident edge-attribute state is the
-// two IO block buffers plus the o(m) stored sample, never the m-edge
-// input. In graph mode behaviour is unchanged (table-backed, RAM passes).
+// blocks on the pass thread (IO bytes and stalls land on this substrate's
+// meter), each retained arrival is handed to the kernel as a one-element
+// base-relative span built from the decoded record, and stored-sample
+// attributes live in a per-round cache of exactly the drawn union — so
+// the resident edge-attribute state is the one IO block buffer plus the
+// o(m) stored sample, never the m-edge input. In graph mode behaviour is
+// unchanged (table-backed, RAM passes).
 //
 // Fault tolerance (util/fault): when a FaultPlan is installed, each pass
 // can die mid-pass at a deterministic arrival offset (FaultSite::
@@ -88,8 +88,8 @@ class StreamingSubstrate final : public Substrate {
 
   // The stream is unmetered: the substrate charges its meter explicitly so
   // the draw's physical re-walk of the round's pass is not double-counted.
-  // (In file mode the FILE meters IO bytes / prefetch hits / stalls — those
-  // are physical-IO quantities of each walk, not per-round model charges.)
+  // (In file mode the FILE meters IO bytes and stalls — those are
+  // physical-IO quantities of each walk, not per-round model charges.)
   std::unique_ptr<EdgeStream> stream_;
   std::vector<std::uint32_t> retained_of_;  // stream position -> retained idx
   core::SamplingEngine engine_;             // sequential (no pool)

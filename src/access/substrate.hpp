@@ -31,9 +31,9 @@
 // (accepts_file_source(): the streaming backend); attaching one to a
 // random-access backend is a typed ConfigError, never a crash. A
 // file-backed streaming substrate does NOT materialize the retained
-// attribute table — passes decode blocks through the prefetcher and
-// stored-sample attributes live in a per-round cache — so its resident
-// edge state stays o(m).
+// attribute table — passes decode one block at a time on the pass thread
+// and stored-sample attributes live in a per-round cache — so its
+// resident edge state stays o(m).
 //
 // Memory budget: set_memory_budget() caps the RESIDENT EDGE-ATTRIBUTE
 // state of the access layer — full per-edge attribute records held in

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace dp::core {
 
@@ -13,17 +14,8 @@ constexpr std::uint8_t kMagic[4] = {'D', 'P', 'C', 'K'};
 constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 8;
 
 static_assert(ResourceMeter::kCounterCount == 22,
-              "checkpoint v5 carries 22 meter counters; a new counter "
+              "checkpoint v6 carries 22 meter counters; a new counter "
               "changes the wire format, so bump RoundCheckpoint::kVersion");
-
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 /// The payload, one field at a time in wire order. Every pass below walks
 /// this list: Sizer counts its bytes, Writer stores them and Reader parses
@@ -200,7 +192,7 @@ std::vector<std::uint8_t> RoundCheckpoint::serialize() const {
   Writer header(out.data() + 4);
   header.u32(kVersion);
   header.u64(sizer.bytes);
-  header.u64(fnv1a(out.data() + kHeaderSize, sizer.bytes));
+  header.u64(checksum64(out.data() + kHeaderSize, sizer.bytes));
   return out;
 }
 
@@ -225,7 +217,7 @@ RoundCheckpoint RoundCheckpoint::deserialize(
   if (payload_size != bytes.size() - kHeaderSize) {
     throw CheckpointCorrupt("checkpoint payload size mismatch");
   }
-  if (fnv1a(bytes.data() + kHeaderSize, payload_size) != checksum) {
+  if (checksum64(bytes.data() + kHeaderSize, payload_size) != checksum) {
     throw CheckpointCorrupt("checkpoint checksum mismatch");
   }
 

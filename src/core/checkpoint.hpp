@@ -13,8 +13,8 @@
 // ConfigError.
 //
 // Wire format (all integers little-endian):
-//   "DPCK" magic | version u32 | payload size u64 | FNV-1a-64 checksum u64
-//   | payload
+//   "DPCK" magic | version u32 | payload size u64
+//   | checksum64 (util/hash) of the payload u64 | payload
 // The payload holds the fields below in order (an odd set as level, value,
 // members), each vector as a u64 count followed by its elements.
 // core/checkpoint.cpp names them once, in one list that the size count,
@@ -51,7 +51,10 @@ struct RoundCheckpoint {
   // v5: the meter block lost its sketch-word counter (slot 4) with the
   // AGM sketch mirror that was its only writer; every later counter moves
   // up a slot.
-  static constexpr std::uint32_t kVersion = 5;
+  // v6: the payload checksum is checksum64 (four word-wise FNV-style
+  // lanes) in place of byte-wise FNV-1a; layout, fields and sizes are
+  // those of v5.
+  static constexpr std::uint32_t kVersion = 6;
 
   // -- Identity: the solve configuration this checkpoint belongs to. --
   std::uint64_t solver_seed = 0;

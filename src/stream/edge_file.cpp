@@ -11,22 +11,11 @@
 #include <numeric>
 
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace dp::stream {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) {
-  std::uint64_t h = kFnvOffset;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 // Explicit little-endian codecs: the file is a wire format, so byte order
 // is pinned rather than inherited from the host.
@@ -132,7 +121,7 @@ void EdgeFileWriter::add_edge(Vertex u, Vertex v, double w) {
 void EdgeFileWriter::flush_block() {
   if (block_.empty()) return;
   std::uint8_t sum[sizeof(std::uint64_t)];
-  store_u64(sum, fnv1a(block_.data(), block_.size()));
+  store_u64(sum, checksum64(block_.data(), block_.size()));
   if (std::fwrite(block_.data(), 1, block_.size(), file_) != block_.size() ||
       std::fwrite(sum, 1, sizeof(sum), file_) != sizeof(sum)) {
     throw ConfigError("edge file: write failed: " + path_, file_context());
@@ -149,7 +138,7 @@ void EdgeFileWriter::close() {
   store_u64(header + 8, n_);
   store_u64(header + 16, m_);
   store_u64(header + 24, block_edges_);
-  store_u64(header + 32, fnv1a(header, 32));
+  store_u64(header + 32, checksum64(header, 32));
   if (std::fseek(file_, 0, SEEK_SET) != 0 ||
       std::fwrite(header, 1, kEdgeFileHeaderBytes, file_) !=
           kEdgeFileHeaderBytes ||
@@ -164,8 +153,7 @@ void EdgeFileWriter::close() {
 // ---------------------------------------------------------------------------
 // EdgeFileStream
 
-EdgeFileStream::EdgeFileStream(const std::string& path, Options options)
-    : options_(options), path_(path) {
+EdgeFileStream::EdgeFileStream(const std::string& path) : path_(path) {
   fd_ = ::open(path.c_str(), O_RDONLY);
   if (fd_ < 0) {
     throw ConfigError("edge file: cannot open: " + path, file_context());
@@ -193,7 +181,7 @@ EdgeFileStream::EdgeFileStream(const std::string& path, Options options)
               std::to_string(load_u32(header + 4)) + ": " + path,
           file_context());
     }
-    if (load_u64(header + 32) != fnv1a(header, 32)) {
+    if (load_u64(header + 32) != checksum64(header, 32)) {
       throw CheckpointCorrupt("edge file: header checksum mismatch: " + path,
                               file_context());
     }
@@ -229,12 +217,10 @@ EdgeFileStream::EdgeFileStream(const std::string& path, Options options)
   }
   natural_order_.resize(num_blocks_);
   std::iota(natural_order_.begin(), natural_order_.end(), 0u);
-  for (auto& buf : buffer_) buf.reserve(block_edges_);
-  if (options_.prefetch) io_pool_ = std::make_unique<ThreadPool>(1);
+  buffer_.reserve(block_edges_);
 }
 
 EdgeFileStream::~EdgeFileStream() {
-  io_pool_.reset();  // join the IO thread before unmapping
   if (map_ != nullptr) {
     ::munmap(const_cast<std::uint8_t*>(map_), file_size_);
   }
@@ -260,7 +246,7 @@ Edge EdgeFileStream::edge(EdgeId id) const {
   return e;
 }
 
-void EdgeFileStream::decode_block(std::size_t b, int slot) {
+void EdgeFileStream::decode_block(std::size_t b) {
   const std::size_t count = block_count(b);
   const std::size_t len = count * kEdgeRecordBytes;
   const std::size_t off = block_offset(b, block_edges_);
@@ -268,43 +254,27 @@ void EdgeFileStream::decode_block(std::size_t b, int slot) {
   if (map_ != nullptr) {
     bytes = map_ + off;
   } else {
-    auto& scratch = io_scratch_[slot];
-    scratch.resize(len + sizeof(std::uint64_t));
-    pread_exact(fd_, scratch.data(), scratch.size(), off, path_);
-    bytes = scratch.data();
+    io_scratch_.resize(len + sizeof(std::uint64_t));
+    pread_exact(fd_, io_scratch_.data(), io_scratch_.size(), off, path_);
+    bytes = io_scratch_.data();
   }
-  if (fnv1a(bytes, len) != load_u64(bytes + len)) {
+  if (checksum64(bytes, len) != load_u64(bytes + len)) {
     throw CheckpointCorrupt(
         "edge file: block " + std::to_string(b) + " checksum mismatch: " +
             path_,
         file_context(b));
   }
-  auto& out = buffer_[slot];
-  out.resize(count);
+  buffer_.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
     const std::uint8_t* rec = bytes + i * kEdgeRecordBytes;
-    out[i].u = load_u32(rec);
-    out[i].v = load_u32(rec + 4);
-    out[i].w = std::bit_cast<double>(load_u64(rec + 8));
+    buffer_[i].u = load_u32(rec);
+    buffer_[i].v = load_u32(rec + 4);
+    buffer_[i].w = std::bit_cast<double>(load_u64(rec + 8));
   }
-}
-
-void EdgeFileStream::charge_block(std::size_t b, bool hit) {
-  if (meter_ == nullptr) return;
-  meter_->add_io_bytes(block_count(b) * kEdgeRecordBytes +
-                       sizeof(std::uint64_t));
-  if (hit) {
-    meter_->add_prefetch_hits();
-  } else {
+  if (meter_ != nullptr) {
+    meter_->add_io_bytes(len + sizeof(std::uint64_t));
     meter_->add_io_stalls();
   }
-}
-
-Future<int> EdgeFileStream::submit_decode(std::size_t b, int slot) {
-  return io_pool_->submit_job([this, b, slot] {
-    decode_block(b, slot);
-    return 0;
-  });
 }
 
 // ---------------------------------------------------------------------------
@@ -318,7 +288,7 @@ void write_edge_file(const std::string& path, const Graph& g,
 }
 
 Graph read_edge_file(const std::string& path) {
-  EdgeFileStream stream(path, {.prefetch = false});
+  EdgeFileStream stream(path);
   std::vector<Edge> edges;
   edges.reserve(stream.num_edges());
   stream.for_each([&edges](EdgeId, const Edge& e) { edges.push_back(e); });

@@ -6,33 +6,37 @@
 // state between them. This file makes that real. A binary edge file
 // ("DPEF") holds the graph as fixed-size blocks of 16-byte records, each
 // block carrying its own checksum, and EdgeFileStream reads it back —
-// mmap or buffered pread — with an async double-buffered prefetcher: a
-// dedicated IO thread reads, verifies and decodes block N+1 while the
-// pass consumes block N, so a round-iteration pass streams at disk
-// bandwidth without ever holding m edges in the access layer.
+// mmap or buffered pread — one block at a time: the thread that runs the
+// pass reads, verifies and decodes each block into one block buffer and
+// hands it to the pass, so a round-iteration pass never holds m edges in
+// the access layer. For a cold sequential scan of the mapping, the
+// kernel's readahead does the prefetching.
 //
-// Wire format (all integers little-endian):
+// Wire format v2 (all integers little-endian):
 //   header (40 bytes):
 //     "DPEF" magic | version u32 | n u64 | m u64 | block_edges u64
-//     | FNV-1a-64 checksum of the preceding 32 bytes
+//     | checksum64 (util/hash) of the preceding 32 bytes
 //   then ceil(m / block_edges) blocks, block b holding records
 //   [b*block_edges, min(m, (b+1)*block_edges)):
 //     per edge: u u32 | v u32 | w as IEEE-754 bit pattern u64   (16 bytes)
-//     then the block's FNV-1a-64 checksum over its record bytes.
-// The total file size is therefore exact; a truncated or padded file is
-// rejected at open, and a flipped bit anywhere surfaces as
+//     then the block's checksum64 over its record bytes.
+// v1 sealed the same layout with byte-wise FNV-1a; a v1 file is rejected
+// as an unsupported version. The total file size is exact; a truncated or
+// padded file is rejected at open, and a flipped bit anywhere surfaces as
 // CheckpointCorrupt at open (header) or at the first pass that decodes
-// the damaged block — never as a silently wrong solve. Weights travel as
-// bit patterns, so a file round-trip is bitwise lossless.
+// the damaged block — never as a silently wrong solve. Every pass
+// verifies every block it decodes, so a block damaged between two passes
+// fails the next one. Weights travel as bit patterns, so a file
+// round-trip is bitwise lossless.
 //
-// Accounting (util/accounting): every block decode charges its bytes to
-// the attached ResourceMeter (io_bytes); each block request the
-// prefetcher had already completed counts a prefetch hit, each one the
-// pass had to wait for counts an IO stall. Random-access reads
+// Accounting (util/accounting): every block decode charges its bytes
+// (io_bytes) and one IO stall (io_stalls: the pass waited for the block)
+// to the attached ResourceMeter. Random-access reads
 // (EdgeFileStream::edge) are unmetered and touch no shared mutable state,
 // so they are safe from any thread, even against an in-flight pass (the
 // pipeline's offline re-solve reads stored records from a pool thread).
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -41,15 +45,14 @@
 
 #include "graph/graph.hpp"
 #include "util/accounting.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dp::stream {
 
 inline constexpr char kEdgeFileMagic[4] = {'D', 'P', 'E', 'F'};
-inline constexpr std::uint32_t kEdgeFileVersion = 1;
+inline constexpr std::uint32_t kEdgeFileVersion = 2;
 inline constexpr std::size_t kEdgeFileHeaderBytes = 40;
 inline constexpr std::size_t kEdgeRecordBytes = 16;
-/// Default edges per block. Small enough that the double buffer is o(m)
+/// Default edges per block. Small enough that the block buffer is o(m)
 /// for any interesting m, large enough that per-block overheads vanish.
 inline constexpr std::size_t kDefaultBlockEdges = 1024;
 
@@ -85,22 +88,12 @@ class EdgeFileWriter {
 };
 
 /// Read side: validates the header and exact file size at open, then
-/// serves sequential block scans (with optional async double-buffered
-/// prefetch on an owned one-thread IO pool) and unmetered random-access
-/// record reads. Maps the file; falls back to buffered pread when mmap
-/// fails.
+/// serves sequential block scans, decoded on the calling thread, and
+/// unmetered random-access record reads. Maps the file; falls back to
+/// buffered pread when mmap fails.
 class EdgeFileStream {
  public:
-  struct Options {
-    /// Async double-buffered prefetch for sequential scans. Off = the
-    /// pass decodes each block synchronously (bitwise-identical arrivals;
-    /// only the io_stalls/prefetch_hits meters differ).
-    bool prefetch = true;
-  };
-
-  explicit EdgeFileStream(const std::string& path)
-      : EdgeFileStream(path, Options()) {}
-  EdgeFileStream(const std::string& path, Options options);
+  explicit EdgeFileStream(const std::string& path);
   ~EdgeFileStream();
 
   EdgeFileStream(const EdgeFileStream&) = delete;
@@ -112,15 +105,13 @@ class EdgeFileStream {
   std::size_t num_blocks() const noexcept { return num_blocks_; }
   const std::string& path() const noexcept { return path_; }
 
-  /// IO accounting sink for sequential scans (bytes, stalls, hits).
+  /// IO accounting sink for sequential scans (bytes, stalls).
   void set_meter(ResourceMeter* meter) noexcept { meter_ = meter; }
 
-  /// Edges held resident by the scan machinery (the double buffer), in
+  /// Edges held resident by the scan machinery (the one block buffer), in
   /// edge units — what the access layer charges against the memory
   /// budget.
-  std::size_t resident_buffer_edges() const noexcept {
-    return (options_.prefetch ? 2 : 1) * block_edges_;
-  }
+  std::size_t resident_buffer_edges() const noexcept { return block_edges_; }
 
   /// Number of records in block b.
   std::size_t block_count(std::size_t b) const noexcept {
@@ -135,34 +126,18 @@ class EdgeFileStream {
   Edge edge(EdgeId id) const;
 
   /// Sequential scan over blocks in the given order, invoking
-  /// fn(first_edge_id_of_block, records, count) per block. With prefetch
-  /// on, block order[i+1] is read+verified+decoded by the IO thread while
-  /// fn consumes block order[i]. Throws CheckpointCorrupt on a checksum
-  /// mismatch. Not reentrant (one scan at a time; the access substrates
-  /// run passes sequentially).
+  /// fn(first_edge_id_of_block, records, count) per block. Each block is
+  /// read, checksum-verified and decoded on the calling thread just
+  /// before fn sees it; the records stay valid until fn returns. Throws
+  /// CheckpointCorrupt on a checksum mismatch. Not reentrant (one scan at
+  /// a time; the access substrates run passes sequentially).
   template <typename Fn>
   void scan_blocks(const std::uint32_t* order, std::size_t count, Fn&& fn) {
-    if (count == 0) return;
-    if (!options_.prefetch) {
-      for (std::size_t i = 0; i < count; ++i) {
-        decode_block(order[i], 0);
-        charge_block(order[i], /*hit=*/false);
-        fn(static_cast<EdgeId>(order[i] * block_edges_), buffer_[0].data(),
-           block_count(order[i]));
-      }
-      return;
-    }
-    int slot = 0;
-    Future<int> pending = submit_decode(order[0], slot);
     for (std::size_t i = 0; i < count; ++i) {
-      const bool hit = pending.ready();
-      pending.get();  // rethrows CheckpointCorrupt from the IO thread
-      charge_block(order[i], hit);
-      const int consumed = slot;
-      slot ^= 1;
-      if (i + 1 < count) pending = submit_decode(order[i + 1], slot);
-      fn(static_cast<EdgeId>(order[i] * block_edges_),
-         buffer_[consumed].data(), block_count(order[i]));
+      const std::size_t b = order[i];
+      decode_block(b);
+      fn(static_cast<EdgeId>(b * block_edges_), buffer_.data(),
+         block_count(b));
     }
   }
 
@@ -178,15 +153,10 @@ class EdgeFileStream {
   }
 
  private:
-  /// Read + checksum-verify + decode block b into buffer_[slot]. Runs on
-  /// the IO thread during prefetch: touches no meter and no state outside
-  /// the designated slot (buffer_[slot] / io_scratch_[slot] are disjoint
-  /// between the in-flight decode and the block the pass is consuming).
-  void decode_block(std::size_t b, int slot);
-  void charge_block(std::size_t b, bool hit);
-  Future<int> submit_decode(std::size_t b, int slot);
+  /// Read + checksum-verify + decode block b into buffer_, and charge its
+  /// bytes and one stall to the meter.
+  void decode_block(std::size_t b);
 
-  Options options_;
   std::string path_;
   int fd_ = -1;
   const std::uint8_t* map_ = nullptr;  // non-null iff mmap mode
@@ -196,10 +166,9 @@ class EdgeFileStream {
   std::size_t block_edges_ = 0;
   std::size_t num_blocks_ = 0;
   ResourceMeter* meter_ = nullptr;
-  std::vector<Edge> buffer_[2];              // double-buffered decode slots
-  std::vector<std::uint8_t> io_scratch_[2];  // per-slot pread staging
+  std::vector<Edge> buffer_;              // the decoded block
+  std::vector<std::uint8_t> io_scratch_;  // pread staging (no mapping)
   std::vector<std::uint32_t> natural_order_;
-  std::unique_ptr<ThreadPool> io_pool_;  // one dedicated IO thread
 };
 
 /// One edge source behind one interface: a materialized in-RAM Graph or a

@@ -6,9 +6,9 @@
 //
 // Two backends behind one pass interface:
 //  - an in-RAM Graph (the original mode): passes walk the edge vector;
-//  - a file-backed EdgeFileStream (out-of-core): passes scan DPEF blocks
-//    through the stream's double-buffered prefetcher, so a pass never
-//    holds more than two blocks of edges in memory.
+//  - a file-backed EdgeFileStream (out-of-core): passes scan DPEF blocks,
+//    decoding one at a time on the pass thread, so a pass never holds
+//    more than one block of edges in memory.
 // Shuffled passes differ per backend: the Graph mode permutes EDGES, the
 // file mode permutes BLOCKS (sequential IO within each block — a full
 // per-edge permutation would defeat out-of-core streaming). Both model

@@ -116,15 +116,14 @@ class ResourceMeter {
   void add_repaired_rows(std::size_t k) noexcept { c_[kRepairedRows] += k; }
 
   /// Out-of-core IO accounting (stream/edge_file): bytes physically read
-  /// from the edge file, pass iterations that had to WAIT for a block
-  /// (stalls), and block requests the async prefetcher had already
-  /// completed (hits). hit_rate = prefetch_hits / (prefetch_hits +
-  /// io_stalls) is the double-buffering pipeline's health signal.
+  /// from the edge file, and blocks the pass had to WAIT for (stalls).
+  /// Passes decode every block on their own thread, so io_stalls counts
+  /// every decoded block. Nothing charges prefetch_hits since the edge
+  /// file lost its prefetching IO thread; its slot stays, so the counter
+  /// order (and the checkpoint meter block) is unchanged and
+  /// prefetch_hits() reads 0.
   void add_io_bytes(std::size_t k) noexcept { c_[kIoBytes] += k; }
   void add_io_stalls(std::size_t k = 1) noexcept { c_[kIoStalls] += k; }
-  void add_prefetch_hits(std::size_t k = 1) noexcept {
-    c_[kPrefetchHits] += k;
-  }
 
   /// MapReduce shuffle volume in BYTES (messages counts records; each
   /// shuffled record is a fixed-width key/value pair, so the simulator

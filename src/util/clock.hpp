@@ -46,10 +46,10 @@ const Clock& steady_clock() noexcept;
 
 /// Scripted clock for tests: time moves only when told to. sleep_us()
 /// advances scripted time (so code that waits makes progress without
-/// blocking) and accumulates total_slept_us() for assertions. An optional
-/// auto-advance ticks time forward on every now_us() query, which lets
-/// deadlines expire "mid-computation" deterministically — expiry becomes a
-/// function of how many polls ran, not of the host's scheduler.
+/// blocking). An optional auto-advance ticks time forward on every
+/// now_us() query, which lets deadlines expire "mid-computation"
+/// deterministically — expiry becomes a function of how many polls ran,
+/// not of the host's scheduler.
 class FakeClock final : public Clock {
  public:
   explicit FakeClock(std::uint64_t start_us = 0) noexcept : now_(start_us) {}
@@ -61,7 +61,6 @@ class FakeClock final : public Clock {
   }
 
   void sleep_us(std::uint64_t us) const override {
-    slept_.fetch_add(us, std::memory_order_relaxed);
     now_.fetch_add(us, std::memory_order_relaxed);
   }
 
@@ -78,14 +77,8 @@ class FakeClock final : public Clock {
     auto_advance_.store(us, std::memory_order_relaxed);
   }
 
-  /// Total time sleep_us() was asked to wait.
-  std::uint64_t total_slept_us() const noexcept {
-    return slept_.load(std::memory_order_relaxed);
-  }
-
  private:
   mutable std::atomic<std::uint64_t> now_;
-  mutable std::atomic<std::uint64_t> slept_{0};
   std::atomic<std::uint64_t> auto_advance_{0};
 };
 

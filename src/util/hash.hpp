@@ -1,10 +1,14 @@
 #pragma once
-// Stateless 64-bit mixing and the canonical undirected-edge key.
+// Stateless 64-bit mixing, the canonical undirected-edge key and the
+// library's one byte-string checksum.
 //
 // mix64/mix_combine are what make the sampling draws counter-based: every
 // per-(seed, round, q, edge) decision is a pure function of those words
 // (core/sampling), so no hash state is drawn, stored or shipped.
+// checksum64 seals the two wire formats, DPEF edge files
+// (stream/edge_file) and round checkpoints (core/checkpoint).
 
+#include <cstddef>
 #include <cstdint>
 
 namespace dp {
@@ -28,6 +32,42 @@ constexpr std::uint64_t mix_combine(std::uint64_t h, std::uint64_t v) noexcept {
 constexpr std::uint64_t edge_key(std::uint32_t i, std::uint32_t j) noexcept {
   return i < j ? (static_cast<std::uint64_t>(i) << 32) | j
                : (static_cast<std::uint64_t>(j) << 32) | i;
+}
+
+/// Word-wise 64-bit checksum of `len` bytes, for corruption detection (not
+/// for adversaries). Four independent FNV-style lanes, lane i seeded with
+/// the FNV-1a offset basis + i, take the 8-byte words of each 32-byte
+/// stride in turn, h = (h ^ w) * P; every word is loaded as little-endian,
+/// so the value does not depend on the host's byte order. The lanes are
+/// folded in lane order by the same step, and the last len % 32 bytes go
+/// through byte-wise FNV-1a. Every step is a bijection in its state and in
+/// its input word (P is odd), so any change confined to one word or one
+/// tail byte changes the result. The independent lanes keep four
+/// multiplies in flight, one per 8 bytes, where byte-wise FNV-1a chains
+/// one multiply per byte.
+inline std::uint64_t checksum64(const std::uint8_t* data,
+                                std::size_t len) noexcept {
+  constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
+  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  // Spelled out (not a loop) so compilers fuse it into one load on
+  // little-endian hosts.
+  auto load_le = [](const std::uint8_t* p) {
+    return std::uint64_t{p[0]} | std::uint64_t{p[1]} << 8 |
+           std::uint64_t{p[2]} << 16 | std::uint64_t{p[3]} << 24 |
+           std::uint64_t{p[4]} << 32 | std::uint64_t{p[5]} << 40 |
+           std::uint64_t{p[6]} << 48 | std::uint64_t{p[7]} << 56;
+  };
+  std::uint64_t lane[4] = {kOffset, kOffset + 1, kOffset + 2, kOffset + 3};
+  const std::size_t words_end = len - len % 32;
+  for (std::size_t at = 0; at < words_end; at += 32) {
+    for (int k = 0; k < 4; ++k) {
+      lane[k] = (lane[k] ^ load_le(data + at + 8 * k)) * kPrime;
+    }
+  }
+  std::uint64_t h = kOffset;
+  for (const std::uint64_t l : lane) h = (h ^ l) * kPrime;
+  for (std::size_t i = words_end; i < len; ++i) h = (h ^ data[i]) * kPrime;
+  return h;
 }
 
 }  // namespace dp

@@ -77,15 +77,6 @@ class Future {
     state_->wait();
   }
 
-  /// Non-blocking completion poll: true iff get()/wait() would not block.
-  /// The out-of-core prefetcher uses this to distinguish a prefetch HIT
-  /// (block already decoded when the pass asks for it) from an IO stall.
-  bool ready() const {
-    if (state_ == nullptr) return false;
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    return state_->ready;
-  }
-
   T get() {
     require_valid();
     state_->wait();

@@ -25,6 +25,7 @@
 #include "stream/edge_stream.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/hash.hpp"
 
 namespace dp::core {
 namespace {
@@ -325,15 +326,6 @@ RoundCheckpoint sample_checkpoint() {
   return ck;
 }
 
-std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 TEST(Checkpoint, SerializeDeserializeRoundTrip) {
   const RoundCheckpoint ck = sample_checkpoint();
   const std::vector<std::uint8_t> bytes = ck.serialize();
@@ -374,13 +366,15 @@ TEST(Checkpoint, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(back.substrate_meter.counters(), ck.substrate_meter.counters());
 }
 
-TEST(Checkpoint, WireFormatIsV5) {
-  // The FNV-1a-64 of sample_checkpoint() as the field-by-field v5 writer
-  // serialized it: a changed layout or counter order fails here.
+TEST(Checkpoint, WireFormatIsV6) {
+  // The checksum64 of sample_checkpoint() as serialized: a changed layout,
+  // counter order or payload checksum fails here. The v6 bytes are the v5
+  // bytes with the version patched and the payload checksum recomputed by
+  // checksum64.
   const std::vector<std::uint8_t> bytes = sample_checkpoint().serialize();
-  EXPECT_EQ(RoundCheckpoint::kVersion, 5u);
+  EXPECT_EQ(RoundCheckpoint::kVersion, 6u);
   EXPECT_EQ(bytes.size(), 836u);
-  EXPECT_EQ(fnv1a(bytes), 0x54c19f49e88f80ffULL);
+  EXPECT_EQ(checksum64(bytes.data(), bytes.size()), 0xdb33499d9c10b52bULL);
 }
 
 TEST(Checkpoint, RejectsMeterRunningAbovePeak) {
@@ -440,9 +434,8 @@ TEST(Checkpoint, RejectsAnOddSetCountBeyondThePayload) {
           static_cast<std::uint8_t>(count >> (8 * i));
     }
     // Re-seal: the checksum covers the payload that follows the header.
-    const std::vector<std::uint8_t> payload(patched.begin() + 24,
-                                            patched.end());
-    const std::uint64_t sum = fnv1a(payload);
+    const std::uint64_t sum =
+        checksum64(patched.data() + 24, patched.size() - 24);
     for (int i = 0; i < 8; ++i) {
       patched[16 + static_cast<std::size_t>(i)] =
           static_cast<std::uint8_t>(sum >> (8 * i));
@@ -471,14 +464,16 @@ TEST(Checkpoint, SerializeReservesExactly) {
 
 TEST(Checkpoint, EveryFlippedByteIsRejected) {
   const std::vector<std::uint8_t> bytes = sample_checkpoint().serialize();
-  // Flip one bit of every byte (header AND payload): deserialize must
+  // Flip each bit of every byte (header AND payload): deserialize must
   // reject each corrupted buffer with CheckpointCorrupt — never crash,
   // never return a half-restored checkpoint.
   for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
-    std::vector<std::uint8_t> corrupt = bytes;
-    corrupt[pos] ^= 0x40;
-    EXPECT_THROW(RoundCheckpoint::deserialize(corrupt), CheckpointCorrupt)
-        << "byte " << pos;
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<std::uint8_t> corrupt = bytes;
+      corrupt[pos] ^= static_cast<std::uint8_t>(1u << bit);
+      EXPECT_THROW(RoundCheckpoint::deserialize(corrupt), CheckpointCorrupt)
+          << "byte " << pos << " bit " << bit;
+    }
   }
   // Truncations at a sample of lengths are rejected too.
   for (std::size_t len : {std::size_t{0}, std::size_t{3}, std::size_t{23},

@@ -13,6 +13,7 @@
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/accounting.hpp"
@@ -93,6 +94,29 @@ TEST(Rng, ForkIndependentStreams) {
 TEST(EdgeKey, Symmetric) {
   EXPECT_EQ(edge_key(3, 7), edge_key(7, 3));
   EXPECT_NE(edge_key(3, 7), edge_key(3, 8));
+}
+
+TEST(Checksum64, GoldenValuesPinByteOrderAndLaneLayout) {
+  // Both wire formats (DPEF edge files, round checkpoints) are sealed with
+  // checksum64, so a host or compiler that computes it differently must
+  // fail here, not at its first file. The lengths cover the empty input,
+  // a tail-only input, one short of and exactly one word, one short of,
+  // exactly and one past a 32-byte stride, and two multi-stride lengths
+  // (16,384 is a default DPEF block's record bytes).
+  const std::pair<std::size_t, std::uint64_t> golden[] = {
+      {0, 0x0c08816e3151c1c5ULL},     {1, 0xc435b63dcdec46d8ULL},
+      {7, 0x76b2deedfb545749ULL},     {8, 0x0648a56210514255ULL},
+      {31, 0xe068248eac66b4a1ULL},    {32, 0x39e2646f3b8c0061ULL},
+      {33, 0xe7b135022ee4ede4ULL},    {1024, 0xeb726e9f6d04bf45ULL},
+      {16384, 0xc5e805f4c40185c5ULL},
+  };
+  std::vector<std::uint8_t> pattern(16384);
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<std::uint8_t>(i * 167 + 13);
+  }
+  for (const auto& [len, want] : golden) {
+    EXPECT_EQ(checksum64(pattern.data(), len), want) << "length " << len;
+  }
 }
 
 TEST(ResourceMeter, CountsAndPeak) {
@@ -301,11 +325,11 @@ TEST(Clock, FakeClockIsScripted) {
   clock.set_us(10);
   EXPECT_EQ(clock.now_us(), 10u);
 
-  // sleep advances scripted time and logs the total, without blocking.
+  // sleep advances scripted time without blocking.
   clock.sleep_us(500);
   EXPECT_EQ(clock.now_us(), 510u);
   clock.sleep_us(250);
-  EXPECT_EQ(clock.total_slept_us(), 750u);
+  EXPECT_EQ(clock.now_us(), 760u);
 
   // Auto-advance: every query ticks time forward deterministically.
   clock.set_us(0);
