@@ -24,8 +24,8 @@
 # and bench_outofcore --quick (which gates the file-backed solve bitwise
 # identical to in-memory under a resident-edge budget smaller than the
 # file plus MapReduce round compression executing fewer simulator rounds,
-# and refreshes BENCH_outofcore.json with the bytes-per-edge, prefetch
-# hit-rate / stall-share and simulator-round-ratio columns).
+# and refreshes BENCH_outofcore.json with the bytes-per-edge and
+# simulator-round-ratio columns).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -51,9 +51,9 @@ struct RoundCheckpoint {
   // v5: the meter block lost its sketch-word counter (slot 4) with the
   // AGM sketch mirror that was its only writer; every later counter moves
   // up a slot.
-  // v6: the payload checksum is checksum64 (four word-wise FNV-style
-  // lanes) in place of byte-wise FNV-1a; layout, fields and sizes are
-  // those of v5.
+  // v6: the payload checksum is checksum64 (four word-wise lanes of
+  // xxHash64's round) in place of byte-wise FNV-1a; layout, fields and
+  // sizes are those of v5.
   static constexpr std::uint32_t kVersion = 6;
 
   // -- Identity: the solve configuration this checkpoint belongs to. --

@@ -9,8 +9,10 @@
 // mmap or buffered pread — one block at a time: the thread that runs the
 // pass reads, verifies and decodes each block into one block buffer and
 // hands it to the pass, so a round-iteration pass never holds m edges in
-// the access layer. For a cold sequential scan of the mapping, the
-// kernel's readahead does the prefetching.
+// the access layer. Only page-cached files have been measured: no
+// workload reads a file that is not in the page cache. A cold file would
+// fault each block on the pass thread, and the draw's shuffled re-walk
+// visits blocks in an order the kernel's readahead does not follow.
 //
 // Wire format v2 (all integers little-endian):
 //   header (40 bytes):

@@ -35,20 +35,24 @@ constexpr std::uint64_t edge_key(std::uint32_t i, std::uint32_t j) noexcept {
 }
 
 /// Word-wise 64-bit checksum of `len` bytes, for corruption detection (not
-/// for adversaries). Four independent FNV-style lanes, lane i seeded with
-/// the FNV-1a offset basis + i, take the 8-byte words of each 32-byte
-/// stride in turn, h = (h ^ w) * P; every word is loaded as little-endian,
-/// so the value does not depend on the host's byte order. The lanes are
-/// folded in lane order by the same step, and the last len % 32 bytes go
-/// through byte-wise FNV-1a. Every step is a bijection in its state and in
-/// its input word (P is odd), so any change confined to one word or one
-/// tail byte changes the result. The independent lanes keep four
-/// multiplies in flight, one per 8 bytes, where byte-wise FNV-1a chains
-/// one multiply per byte.
+/// for adversaries). Four independent lanes take the 8-byte words of each
+/// 32-byte stride in turn through xxHash64's round,
+/// h = rotl(h + w * P2, 31) * P1; every word is loaded as little-endian,
+/// so the value does not depend on the host's byte order. A state seeded
+/// with `len` takes the lanes in lane order by the same round, then the
+/// words after the last full stride, then the last len % 8 bytes as one
+/// zero-padded word. (The round is xxHash64's; the fold and the tail are
+/// not, so this is not XXH64.) The round is a bijection in its state and
+/// in its word (P1 and P2 are odd), so any change confined to one word
+/// changes the result. The rotation carries a change in a word's high bits
+/// down to where the next multiply spreads it upward again. A multiply
+/// alone carries a change upward only: under h = (h ^ w) * P, flipping
+/// bit 63 of any two words (two record weights' sign bits, say) leaves the
+/// sum unchanged. The independent lanes keep four rounds in flight.
 inline std::uint64_t checksum64(const std::uint8_t* data,
                                 std::size_t len) noexcept {
-  constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
-  constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ULL;
+  constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4fULL;
   // Spelled out (not a loop) so compilers fuse it into one load on
   // little-endian hosts.
   auto load_le = [](const std::uint8_t* p) {
@@ -57,16 +61,28 @@ inline std::uint64_t checksum64(const std::uint8_t* data,
            std::uint64_t{p[4]} << 32 | std::uint64_t{p[5]} << 40 |
            std::uint64_t{p[6]} << 48 | std::uint64_t{p[7]} << 56;
   };
-  std::uint64_t lane[4] = {kOffset, kOffset + 1, kOffset + 2, kOffset + 3};
-  const std::size_t words_end = len - len % 32;
-  for (std::size_t at = 0; at < words_end; at += 32) {
+  auto round = [](std::uint64_t h, std::uint64_t w) {
+    h += w * kP2;
+    return ((h << 31) | (h >> 33)) * kP1;
+  };
+  std::uint64_t lane[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+  const std::size_t strides_end = len - len % 32;
+  for (std::size_t at = 0; at < strides_end; at += 32) {
     for (int k = 0; k < 4; ++k) {
-      lane[k] = (lane[k] ^ load_le(data + at + 8 * k)) * kPrime;
+      lane[k] = round(lane[k], load_le(data + at + 8 * k));
     }
   }
-  std::uint64_t h = kOffset;
-  for (const std::uint64_t l : lane) h = (h ^ l) * kPrime;
-  for (std::size_t i = words_end; i < len; ++i) h = (h ^ data[i]) * kPrime;
+  std::uint64_t h = len;
+  for (const std::uint64_t l : lane) h = round(h, l);
+  std::size_t at = strides_end;
+  for (; at + 8 <= len; at += 8) h = round(h, load_le(data + at));
+  if (at < len) {
+    std::uint64_t w = 0;
+    for (std::size_t i = at; i < len; ++i) {
+      w |= std::uint64_t{data[i]} << (8 * (i - at));
+    }
+    h = round(h, w);
+  }
   return h;
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -374,7 +375,7 @@ TEST(Checkpoint, WireFormatIsV6) {
   const std::vector<std::uint8_t> bytes = sample_checkpoint().serialize();
   EXPECT_EQ(RoundCheckpoint::kVersion, 6u);
   EXPECT_EQ(bytes.size(), 836u);
-  EXPECT_EQ(checksum64(bytes.data(), bytes.size()), 0xdb33499d9c10b52bULL);
+  EXPECT_EQ(checksum64(bytes.data(), bytes.size()), 0xff8ce7500a5b9466ULL);
 }
 
 TEST(Checkpoint, RejectsMeterRunningAbovePeak) {
@@ -482,6 +483,40 @@ TEST(Checkpoint, EveryFlippedByteIsRejected) {
                                      bytes.begin() + static_cast<long>(len));
     EXPECT_THROW(RoundCheckpoint::deserialize(prefix), CheckpointCorrupt)
         << "length " << len;
+  }
+}
+
+TEST(Checkpoint, TwoFlippedSignBitsAreRejected) {
+  // Damage to two words at once must not cancel in the checksum. A
+  // multiply-only lane carries a change upward only, so flipping bit 63 of
+  // any two words (eps's and p's sign bits, say) would pass it and resume
+  // with eps = -0.2 and p = -2.0.
+  const RoundCheckpoint ck = sample_checkpoint();
+  const std::vector<std::uint8_t> bytes = ck.serialize();
+  // Header 24 bytes; the payload starts with solver_seed, eps, p.
+  auto u64_at = [&bytes](std::size_t pos) {
+    std::uint64_t x = 0;
+    for (int i = 0; i < 8; ++i) {
+      x |= static_cast<std::uint64_t>(bytes[pos + static_cast<std::size_t>(i)])
+           << (8 * i);
+    }
+    return x;
+  };
+  ASSERT_EQ(u64_at(24 + 8), std::bit_cast<std::uint64_t>(ck.eps));
+  ASSERT_EQ(u64_at(24 + 16), std::bit_cast<std::uint64_t>(ck.p));
+  std::vector<std::uint8_t> corrupt = bytes;
+  corrupt[24 + 15] ^= 0x80;
+  corrupt[24 + 23] ^= 0x80;
+  EXPECT_THROW(RoundCheckpoint::deserialize(corrupt), CheckpointCorrupt);
+  // The same for the top bit of every pair of 8-byte payload words.
+  for (std::size_t a = 24 + 7; a < bytes.size(); a += 8) {
+    for (std::size_t b = a + 8; b < bytes.size(); b += 8) {
+      corrupt = bytes;
+      corrupt[a] ^= 0x80;
+      corrupt[b] ^= 0x80;
+      EXPECT_THROW(RoundCheckpoint::deserialize(corrupt), CheckpointCorrupt)
+          << "bytes " << a << " and " << b;
+    }
   }
 }
 
