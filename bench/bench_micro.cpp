@@ -108,9 +108,10 @@ Measurement time_lagrangian(const Oracle& oracle, const Workload& w,
 /// stamped replay), 3 = the non-exp sweep body (scalar fill/divide/max
 /// loops vs the clones-dispatched fill_scaled_shift + divide_max_positive
 /// with the bit-pattern integer max reduction; bitwise-equality asserted
-/// before timing), 4 = the offline re-solve's weight order (comparator
+/// before timing), 4 = the solve's weight order (comparator
 /// std::stable_sort vs edges_by_weight_desc's radix sort; equal
-/// permutations asserted before timing).
+/// permutations asserted before timing, and so is the order filtered for a
+/// random half of the edges against that half's sort).
 void bench_kernels(bool quick) {
   bench::header("micro kernels (hot-path round 2)",
                 "isolated kernel speedups: vectorized exp batch, SIMD-ized "
@@ -402,6 +403,24 @@ void bench_kernels(bool quick) {
     if (comparator_order() != edges_by_weight_desc(g)) {
       std::fprintf(stderr,
                    "FATAL: radix weight order differs from the stable sort\n");
+      std::exit(1);
+    }
+    // An offline subgraph's order is filtered from the input's sort: for a
+    // random ascending half of the edges it must be that half's own sort.
+    Rng half_rng(4245);
+    std::vector<EdgeId> half;
+    std::vector<Edge> half_edges;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      if (half_rng.bernoulli(0.5)) {
+        half.push_back(e);
+        half_edges.push_back(g.edge(e));
+      }
+    }
+    if (subset_weight_order(edges_by_weight_desc(g), half) !=
+        edges_by_weight_desc(Graph(g.num_vertices(), std::move(half_edges)))) {
+      std::fprintf(stderr,
+                   "FATAL: a half's filtered weight order differs from its "
+                   "sort\n");
       std::exit(1);
     }
     WallTimer t_sort;

@@ -51,17 +51,22 @@ CertificateReport extract_certificate(const DualState& state,
   return report;
 }
 
-OddSetDual greedy_witness_dual(const Graph& g) {
+OddSetDual greedy_witness_dual(const Graph& g,
+                               const std::vector<EdgeId>& order) {
   OddSetDual dual;
   dual.x.assign(g.num_vertices(), 0.0);
   // Weight-sorted greedy; both endpoints of a taken edge get its weight.
-  const Matching greedy = greedy_matching(g);
+  const Matching greedy = greedy_matching_in_order(g, order);
   for (const EdgeId e : greedy.edges()) {
     const Edge& edge = g.edge(e);
     dual.x[edge.u] = edge.w;
     dual.x[edge.v] = edge.w;
   }
   return dual;
+}
+
+OddSetDual greedy_witness_dual(const Graph& g) {
+  return greedy_witness_dual(g, edges_by_weight_desc(g));
 }
 
 OddSetDual incident_witness_dual(const Graph& g) {
@@ -90,7 +95,7 @@ DualBound best_dual_bound(const DualState& state, const LevelGraph& lg,
   best.bound = std::numeric_limits<double>::infinity();
   if (report.feasible) consider(BoundSource::kMw, report.bound);
   const double tol = 1e-9 * (1.0 + lg.w_star());
-  const OddSetDual greedy = greedy_witness_dual(g);
+  const OddSetDual greedy = greedy_witness_dual(g, lg.weight_order());
   if (dual_feasible(g, greedy, tol)) {
     consider(BoundSource::kGreedyWitness, dual_objective(b, greedy));
   }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "matching/greedy.hpp"
 #include "util/simd.hpp"
 
 namespace dp::core {
@@ -378,17 +379,22 @@ void RoundPipeline::stage_merge(Future<OfflineSolution>& offline,
 OfflineSolution RoundPipeline::solve_offline(const std::vector<EdgeId>& ids,
                                             std::vector<Edge> edges) const {
   const Graph sub(substrate_->num_vertices(), std::move(edges));
+  // The subgraph's weight order, filtered from the solve's one sort: every
+  // caller's ids ascend (the union support, retained, Lemma 12's sorted
+  // support), so it is the order edges_by_weight_desc(sub) returns.
+  std::vector<EdgeId> order = subset_weight_order(lg_->weight_order(), ids);
   OfflineSolution out;
   out.bm = BMatching(lg_->graph().num_edges());
   if (unit_caps_) {
-    const Matching m = approx_weighted_matching(sub, options_.offline);
+    const Matching m =
+        approx_weighted_matching(sub, options_.offline, std::move(order));
     out.support.reserve(m.size());
     for (EdgeId local : m.edges()) {
       out.bm.set_multiplicity(ids[local], 1);
       out.support.push_back(ids[local]);
     }
   } else {
-    const BMatching bm = approx_weighted_b_matching(sub, *b_);
+    const BMatching bm = approx_weighted_b_matching(sub, *b_, order);
     for (EdgeId local = 0; local < bm.num_edges(); ++local) {
       if (bm.multiplicity(local) > 0) {
         out.bm.set_multiplicity(ids[local], bm.multiplicity(local));

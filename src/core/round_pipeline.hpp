@@ -49,8 +49,8 @@
 //
 // Determinism contract (extending the fixed-chunk contract): OfflineResolve
 // and InnerRefine share only immutable inputs (the substrate's immutable
-// stored-edge attributes, the frozen draw, the union support), every sweep
-// runs on fixed
+// stored-edge attributes, the frozen draw, the union support, the level
+// graph's weight order), every sweep runs on fixed
 // chunks with exact (min/max) reductions, and all cross-stage effects land
 // at Merge — so the pipelined round is bitwise identical to executing the
 // same stages sequentially (the 1-thread solve: no pool, so OfflineResolve
@@ -155,7 +155,10 @@ class RoundPipeline {
   /// Offline re-solve on an explicit stored subgraph: full-graph edge ids
   /// plus their attributes (parallel arrays; the attributes become the
   /// subgraph's edge list). The initial support and the per-round union
-  /// both route through here; only stored-edge data is read.
+  /// both route through here; only stored-edge data is read. The ids must
+  /// strictly ascend (std::invalid_argument otherwise): the subgraph's
+  /// weight order is filtered from the level graph's, which keeps ties in
+  /// id order only then.
   OfflineSolution solve_offline(const std::vector<EdgeId>& ids,
                                 std::vector<Edge> edges) const;
 

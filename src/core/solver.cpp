@@ -99,9 +99,11 @@ SolverResult Solver::resolve(const WarmStart& prev,
   // Any validation failure falls back to a full from-scratch solve — the
   // answer is always correct, the fallback only forfeits the saving. The
   // reason is reported so callers (and the bench) can see WHY warm work
-  // was refused.
-  const auto fallback = [&](std::string why) {
-    SolverResult r = solve_impl(nullptr);
+  // was refused. A fallback after the levels are built reuses them: they
+  // are a pure function of (g, b, eps).
+  const auto fallback = [&](std::string why,
+                            const LevelGraph* levels = nullptr) {
+    SolverResult r = solve_impl(nullptr, nullptr, nullptr, levels);
     r.resolve_fallback = std::move(why);
     return r;
   };
@@ -116,7 +118,7 @@ SolverResult Solver::resolve(const WarmStart& prev,
     return fallback("sparsifier count changed");
   }
   const LevelGraph lg(g, b_, eps);
-  if (lg.retained().empty()) return fallback("no retained edges");
+  if (lg.retained().empty()) return fallback("no retained edges", &lg);
   // The level structure is the coordinate system of the duals: wHat_k and
   // the per-edge levels are functions of W* = max weight and the level
   // count. A delta that moves either re-maps every row, so the stale
@@ -124,12 +126,12 @@ SolverResult Solver::resolve(const WarmStart& prev,
   // fallback condition (see src/core/README.md).
   if (prev.levels != lg.num_levels() ||
       bits(prev.w_star) != bits(lg.w_star())) {
-    return fallback("level structure changed (W* or level count)");
+    return fallback("level structure changed (W* or level count)", &lg);
   }
   // Shape validation, as for checkpoints: the duals drive unchecked dense
   // writes in DualState::restore.
   if (!prev.duals.fits(g.num_vertices(), lg.num_levels())) {
-    return fallback("malformed warm-start handle");
+    return fallback("malformed warm-start handle", &lg);
   }
   return solve_impl(nullptr, &prev, &delta, &lg);
 }

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "matching/greedy.hpp"
 #include "util/error.hpp"
 
 namespace dp::core {
@@ -62,6 +63,7 @@ LevelGraph::LevelGraph(const Graph& g, const Capacities& b, double eps)
       retained_.push_back(e);
     }
   }
+  weight_order_ = edges_by_weight_desc(g);
 }
 
 }  // namespace dp::core

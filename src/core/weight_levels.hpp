@@ -52,6 +52,16 @@ class LevelGraph {
   /// Ids of all retained (non-dropped) edges.
   const std::vector<EdgeId>& retained() const noexcept { return retained_; }
 
+  /// Every edge id of the graph by weight descending, ties in id order
+  /// (edges_by_weight_desc): the solve's one weight sort. The greedy
+  /// witness scans it as it is, and each offline re-solve filters its
+  /// subgraph's order from it (subset_weight_order). Built in the
+  /// constructor and never written after, so the offline job reads it
+  /// from a pool thread with no lock.
+  const std::vector<EdgeId>& weight_order() const noexcept {
+    return weight_order_;
+  }
+
   /// The scale factor W*/B: original_weight ~ scale * wHat_level.
   double scale() const noexcept { return scale_; }
 
@@ -69,6 +79,7 @@ class LevelGraph {
   std::vector<double> level_weight_prefix_;  // size num_levels_ + 1
   std::vector<std::vector<EdgeId>> by_level_;
   std::vector<EdgeId> retained_;
+  std::vector<EdgeId> weight_order_;
 };
 
 }  // namespace dp::core

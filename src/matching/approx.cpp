@@ -141,10 +141,9 @@ bool add_free_edges(MatchState& state,
 
 }  // namespace
 
-Matching local_search_matching(const Graph& g, std::size_t max_rounds,
-                               std::uint64_t seed) {
-  // One weight sort serves both the greedy start and the sweep order.
-  std::vector<EdgeId> order = edges_by_weight_desc(g);
+Matching local_search_matching(const Graph& g, std::vector<EdgeId> order,
+                               std::size_t max_rounds, std::uint64_t seed) {
+  // One weight order serves both the greedy start and the sweep order.
   MatchState state(g);
   state.init_from(greedy_matching_in_order(g, order));
   Rng rng(seed);
@@ -173,11 +172,22 @@ Matching local_search_matching(const Graph& g, std::size_t max_rounds,
   return state.to_matching();
 }
 
-Matching approx_weighted_matching(const Graph& g, const ApproxOptions& opts) {
+Matching local_search_matching(const Graph& g, std::size_t max_rounds,
+                               std::uint64_t seed) {
+  return local_search_matching(g, edges_by_weight_desc(g), max_rounds, seed);
+}
+
+Matching approx_weighted_matching(const Graph& g, const ApproxOptions& opts,
+                                  std::vector<EdgeId> order) {
   if (opts.exact_threshold > 0 && g.num_vertices() <= opts.exact_threshold) {
     return max_weight_matching(g);
   }
-  return local_search_matching(g, opts.max_rounds, opts.seed);
+  return local_search_matching(g, std::move(order), opts.max_rounds,
+                               opts.seed);
+}
+
+Matching approx_weighted_matching(const Graph& g, const ApproxOptions& opts) {
+  return approx_weighted_matching(g, opts, edges_by_weight_desc(g));
 }
 
 Matching approx_weighted_matching(const Graph& g) {
@@ -186,7 +196,12 @@ Matching approx_weighted_matching(const Graph& g) {
 
 BMatching approx_weighted_b_matching(const Graph& g, const Capacities& b,
                                      std::size_t max_rounds) {
-  const std::vector<EdgeId> order = edges_by_weight_desc(g);
+  return approx_weighted_b_matching(g, b, edges_by_weight_desc(g), max_rounds);
+}
+
+BMatching approx_weighted_b_matching(const Graph& g, const Capacities& b,
+                                     const std::vector<EdgeId>& order,
+                                     std::size_t max_rounds) {
   BMatching bm = greedy_b_matching_in_order(g, b, order);
   std::vector<std::int64_t> residual(g.num_vertices());
   for (std::size_t v = 0; v < g.num_vertices(); ++v) {

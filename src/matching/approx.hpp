@@ -17,6 +17,7 @@
 // pool worker concurrently with the inner-iteration sweeps.
 
 #include <cstdint>
+#include <vector>
 
 #include "matching/matching.hpp"
 
@@ -32,17 +33,29 @@ struct ApproxOptions {
   std::uint64_t seed = 1;
 };
 
+// Each solver comes in two forms. The order-taking form scans `order`,
+// which must be edges_by_weight_desc(g) (the exact dispatch ignores it);
+// the round pipeline passes one filtered from the input's sort
+// (subset_weight_order). The other form sorts g and calls it.
+
 /// Approximate maximum weight matching.
+Matching approx_weighted_matching(const Graph& g, const ApproxOptions& opts,
+                                  std::vector<EdgeId> order);
 Matching approx_weighted_matching(const Graph& g, const ApproxOptions& opts);
 Matching approx_weighted_matching(const Graph& g);
 
 /// Local-search-only solver (never dispatches to exact); exposed for
 /// benchmarking the components separately.
+Matching local_search_matching(const Graph& g, std::vector<EdgeId> order,
+                               std::size_t max_rounds, std::uint64_t seed);
 Matching local_search_matching(const Graph& g, std::size_t max_rounds,
                                std::uint64_t seed);
 
 /// Approximate maximum weight uncapacitated b-matching: weight-greedy with
 /// saturation followed by unit-transfer local search.
+BMatching approx_weighted_b_matching(const Graph& g, const Capacities& b,
+                                     const std::vector<EdgeId>& order,
+                                     std::size_t max_rounds = 32);
 BMatching approx_weighted_b_matching(const Graph& g, const Capacities& b,
                                      std::size_t max_rounds = 32);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <stdexcept>
 
 namespace dp {
 
@@ -63,6 +64,31 @@ std::vector<EdgeId> edges_by_weight_desc(const Graph& g) {
     }
   }
   return order;
+}
+
+std::vector<EdgeId> subset_weight_order(const std::vector<EdgeId>& order,
+                                        const std::vector<EdgeId>& ids) {
+  const std::size_t m = order.size();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (ids[i] >= m || (i > 0 && ids[i] <= ids[i - 1])) {
+      throw std::invalid_argument(
+          "subset_weight_order: ids must strictly ascend below the order's "
+          "size");
+    }
+  }
+  // m strictly ascending ids below m are 0..m-1: the subgraph is g.
+  if (ids.size() == m) return order;
+  constexpr EdgeId kAbsent = ~EdgeId{0};
+  std::vector<EdgeId> local_id(m, kAbsent);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    local_id[ids[i]] = static_cast<EdgeId>(i);
+  }
+  std::vector<EdgeId> local;
+  local.reserve(ids.size());
+  for (const EdgeId e : order) {
+    if (local_id[e] != kAbsent) local.push_back(local_id[e]);
+  }
+  return local;
 }
 
 Matching greedy_matching(const Graph& g) {

@@ -22,6 +22,18 @@ namespace dp {
 /// weights with ConfigError.
 std::vector<EdgeId> edges_by_weight_desc(const Graph& g);
 
+/// The weight order of a subgraph whose local edge i is edge ids[i] of g,
+/// filtered from g's order (`order`, edges_by_weight_desc(g)) instead of
+/// sorted again: the members of `ids` in `order`'s sequence, each renamed
+/// to its position in `ids`. Local ids then ascend with g's ids, so ties
+/// keep id order and the result is exactly edges_by_weight_desc of the
+/// subgraph. One sequential O(|order|) pass through a job-local
+/// global-to-local id map (4 bytes per edge of g). Throws
+/// std::invalid_argument unless `ids` strictly ascend and each is below
+/// order.size(): any other numbering would silently reorder ties.
+std::vector<EdgeId> subset_weight_order(const std::vector<EdgeId>& order,
+                                        const std::vector<EdgeId>& ids);
+
 /// Weight-sorted greedy matching (>= 1/2 of optimal weight):
 /// greedy_matching_in_order on edges_by_weight_desc(g).
 Matching greedy_matching(const Graph& g);

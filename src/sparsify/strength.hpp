@@ -43,7 +43,8 @@ namespace detail {
 /// so the placement index is a per-edge strength certificate. The forests
 /// are nested (connected in F_j implies connected in F_{j-1}), which makes
 /// the placement search a binary search. reset() keeps the forest arrays so
-/// a scratch-owned packer reuses its allocations across rounds.
+/// a scratch-owned packer reuses its allocations across rounds; a kept
+/// forest is re-initialised only when insert() activates it again.
 class ForestPacker {
  public:
   ForestPacker() = default;
@@ -51,7 +52,6 @@ class ForestPacker {
 
   void reset(std::size_t n) {
     n_ = n;
-    for (std::size_t f = 0; f < active_; ++f) forests_[f].reset(n);
     active_ = 0;
   }
 

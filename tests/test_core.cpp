@@ -5,13 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
+#include "core/certificate.hpp"
 #include "core/dual_state.hpp"
 #include "core/initial.hpp"
 #include "core/odd_sets.hpp"
 #include "core/oracle.hpp"
 #include "core/weight_levels.hpp"
 #include "graph/generators.hpp"
+#include "matching/greedy.hpp"
 #include "test_helpers.hpp"
 
 namespace dp::core {
@@ -55,6 +60,31 @@ TEST(WeightLevels, RejectsBadEps) {
                std::invalid_argument);
   EXPECT_THROW(LevelGraph(g, Capacities::unit(2), 1.5),
                std::invalid_argument);
+}
+
+TEST(WeightLevels, WeightOrderIsTheInputSortAndFeedsTheGreedyWitness) {
+  // Integer weights in {1..4} tie heavily; the 1e-9 edges fall below the
+  // level floor, and the order must still place them (the greedy witness
+  // covers dropped edges too).
+  std::vector<Graph> graphs;
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    Graph g = test::small_random_int_graph(20, 0.5, 4, seed + 60);
+    g.add_edge(0, 19, 1e-9);
+    g.add_edge(3, 7, 1e-9);
+    graphs.push_back(std::move(g));
+  }
+  graphs.push_back(gen::gnm(300, 4000, 64));
+  gen::weight_uniform(graphs.back(), 1.0, 16.0, 65);
+  for (std::size_t k = 0; k < graphs.size(); ++k) {
+    const Graph& g = graphs[k];
+    const LevelGraph lg(g, Capacities::unit(g.num_vertices()), 0.2);
+    EXPECT_EQ(lg.weight_order(), edges_by_weight_desc(g)) << "graph " << k;
+    const OddSetDual given = greedy_witness_dual(g, lg.weight_order());
+    const OddSetDual sorted = greedy_witness_dual(g);
+    EXPECT_EQ(given.x, sorted.x) << "graph " << k;
+    EXPECT_TRUE(given.sets.empty());
+    EXPECT_TRUE(given.z.empty());
+  }
 }
 
 TEST(DualState, CoverRowAndBlend) {

@@ -6,6 +6,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <numeric>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -81,6 +84,126 @@ TEST(Greedy, InOrderOnWeightOrderMatchesGreedy) {
     const BMatching in_order = greedy_b_matching_in_order(g, b, order);
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       EXPECT_EQ(by_weight.multiplicity(e), in_order.multiplicity(e));
+    }
+  }
+}
+
+Graph unit_weight_gnm(std::size_t n, std::size_t m, std::uint64_t seed) {
+  std::vector<Edge> edges = gen::gnm(n, m, seed).edges();
+  for (Edge& e : edges) e.w = 1.0;
+  return Graph(n, std::move(edges));
+}
+
+/// Graphs whose weight orders are decided mostly by the tie rule: unit
+/// weights, integers in {1..4}, U[1, 16] reals, and signed weights with
+/// -0.0 and +0.0 (which tie) on several ids.
+std::vector<Graph> heavy_tie_graphs() {
+  std::vector<Graph> graphs;
+  graphs.push_back(unit_weight_gnm(60, 400, 31));
+  graphs.push_back(test::small_random_int_graph(24, 0.6, 4, 32));
+  graphs.push_back(gen::gnm(200, 3000, 33));
+  gen::weight_uniform(graphs.back(), 1.0, 16.0, 34);
+  const std::vector<double> mixed = {-0.0, 2.0, 0.0, -1.5, -0.0, 2.0, 0.0,
+                                     -1.5, 3.0, -0.0, 0.0, -7.0, 2.0};
+  Graph signs(9);
+  std::size_t next = 0;
+  for (Vertex u = 0; u < 9; ++u) {
+    for (Vertex v = u + 1; v < 9; ++v) {
+      signs.add_edge(u, v, mixed[next++ % mixed.size()]);
+    }
+  }
+  graphs.push_back(std::move(signs));
+  return graphs;
+}
+
+/// Strictly ascending id subsets of [0, m): empty, each single edge at the
+/// ends and the middle, all edges, and random 10%..90% samples.
+std::vector<std::vector<EdgeId>> ascending_subsets(std::size_t m,
+                                                   std::uint64_t seed) {
+  std::vector<std::vector<EdgeId>> subsets(1);  // empty
+  for (const std::size_t e : {std::size_t{0}, m / 2, m - 1}) {
+    subsets.push_back({static_cast<EdgeId>(e)});
+  }
+  subsets.emplace_back(m);
+  std::iota(subsets.back().begin(), subsets.back().end(), EdgeId{0});
+  Rng rng(seed);
+  for (int tenths = 1; tenths <= 9; ++tenths) {
+    std::vector<EdgeId> ids;
+    for (EdgeId e = 0; e < m; ++e) {
+      if (rng.bernoulli(tenths / 10.0)) ids.push_back(e);
+    }
+    subsets.push_back(std::move(ids));
+  }
+  return subsets;
+}
+
+Graph materialize(const Graph& g, const std::vector<EdgeId>& ids) {
+  std::vector<Edge> edges;
+  for (const EdgeId e : ids) edges.push_back(g.edge(e));
+  return Graph(g.num_vertices(), std::move(edges));
+}
+
+TEST(WeightOrder, SubsetOrderIsTheSortOfTheMaterializedSubgraph) {
+  const std::vector<Graph> graphs = heavy_tie_graphs();
+  for (std::size_t k = 0; k < graphs.size(); ++k) {
+    const Graph& g = graphs[k];
+    const std::vector<EdgeId> order = edges_by_weight_desc(g);
+    for (const std::vector<EdgeId>& ids :
+         ascending_subsets(g.num_edges(), 40 + k)) {
+      EXPECT_EQ(subset_weight_order(order, ids),
+                edges_by_weight_desc(materialize(g, ids)))
+          << "graph " << k << " subset of " << ids.size();
+    }
+  }
+}
+
+TEST(WeightOrder, SubsetOrderRejectsIdsThatDoNotStrictlyAscendInRange) {
+  const Graph g = unit_weight_gnm(30, 100, 35);
+  const std::vector<EdgeId> order = edges_by_weight_desc(g);
+  const std::vector<std::vector<EdgeId>> bad = {
+      {3, 1}, {2, 2}, {0, 5, 4, 9}, {100}, {0, 99, 100}, {7, 1000000}};
+  for (const std::vector<EdgeId>& ids : bad) {
+    EXPECT_THROW(subset_weight_order(order, ids), std::invalid_argument)
+        << ids.size() << " ids ending " << ids.back();
+  }
+  EXPECT_NO_THROW(subset_weight_order(order, {0, 99}));
+}
+
+TEST(WeightOrder, OrderTakingSolversMatchTheSortingForms) {
+  const std::vector<Graph> graphs = heavy_tie_graphs();
+  for (std::size_t k = 0; k < graphs.size(); ++k) {
+    const Graph& g = graphs[k];
+    const std::vector<EdgeId> order = edges_by_weight_desc(g);
+    // A random half, as the offline re-solve sees it: the order filtered
+    // from the whole graph's sort.
+    const std::vector<EdgeId> half = ascending_subsets(g.num_edges(), 50)[9];
+    const Graph sub = materialize(g, half);
+    const std::vector<EdgeId> sub_order = subset_weight_order(order, half);
+    std::vector<std::int64_t> caps(g.num_vertices());
+    for (std::size_t v = 0; v < caps.size(); ++v) {
+      caps[v] = 1 + static_cast<std::int64_t>((v + k) % 3);
+    }
+    const Capacities b(std::move(caps));
+    ApproxOptions local;
+    local.exact_threshold = 0;
+    for (const auto& [graph, given] :
+         {std::pair<const Graph*, const std::vector<EdgeId>*>{&g, &order},
+          {&sub, &sub_order}}) {
+      for (std::uint64_t seed : {1u, 7u}) {
+        EXPECT_EQ(local_search_matching(*graph, *given, 64, seed).edges(),
+                  local_search_matching(*graph, 64, seed).edges())
+            << "graph " << k << " seed " << seed;
+      }
+      local.seed = 3;
+      EXPECT_EQ(approx_weighted_matching(*graph, local, *given).edges(),
+                approx_weighted_matching(*graph, local).edges())
+          << "graph " << k;
+      const BMatching given_bm = approx_weighted_b_matching(*graph, b, *given);
+      const BMatching sorted_bm = approx_weighted_b_matching(*graph, b);
+      for (EdgeId e = 0; e < graph->num_edges(); ++e) {
+        ASSERT_EQ(given_bm.multiplicity(e), sorted_bm.multiplicity(e))
+            << "graph " << k << " edge " << e;
+      }
     }
   }
 }

@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "access/in_memory.hpp"
@@ -18,6 +20,8 @@
 #include "core/round_pipeline.hpp"
 #include "core/solver.hpp"
 #include "graph/generators.hpp"
+#include "matching/approx.hpp"
+#include "test_helpers.hpp"
 #include "util/cancel.hpp"
 #include "util/clock.hpp"
 
@@ -251,6 +255,61 @@ TEST(RoundPipeline, SolveOfflineReportsPositiveSupportOnly) {
   pipeline.merge_offline(worse, inc);
   EXPECT_EQ(inc.value, sol.value);
   EXPECT_EQ(inc.beta, beta_before);
+}
+
+TEST(RoundPipeline, SolveOfflineMatchesTheSortingSolvers) {
+  // solve_offline filters the subgraph's weight order from the level
+  // graph's one sort. Integer weights in {1..4} tie heavily, so only the
+  // exact tie order reproduces the solvers that sort the subgraph.
+  const Graph g = test::small_random_int_graph(24, 0.7, 4, 83);
+  ApproxOptions local;
+  local.exact_threshold = 0;  // local search, never the exact blossom
+  std::vector<EdgeId> ids;
+  std::vector<Edge> edges;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    if (e % 3 != 1) {
+      ids.push_back(e);
+      edges.push_back(g.edge(e));
+    }
+  }
+  const Graph sub(g.num_vertices(), edges);
+  std::vector<std::int64_t> caps(g.num_vertices());
+  for (std::size_t v = 0; v < caps.size(); ++v) {
+    caps[v] = 1 + static_cast<std::int64_t>(v % 3);
+  }
+  for (const bool unit : {true, false}) {
+    const Capacities b = unit ? Capacities::unit(g.num_vertices())
+                              : Capacities(caps);
+    const LevelGraph lg(g, b, 0.2);
+    MicroOracle oracle(lg, b, OracleConfig{});
+    RoundPipelineOptions popt;
+    popt.eps = 0.2;
+    popt.offline = local;
+    access::InMemorySubstrate substrate;
+    substrate.bind(g, lg, oracle.worker_pool(), popt.grain);
+    const RoundPipeline pipeline(substrate, lg, b, unit, oracle, popt);
+    const OfflineSolution sol = pipeline.solve_offline(ids, edges);
+    BMatching expected(g.num_edges());
+    if (unit) {
+      const Matching m = approx_weighted_matching(sub, local);
+      for (EdgeId e : m.edges()) expected.set_multiplicity(ids[e], 1);
+    } else {
+      const BMatching bm = approx_weighted_b_matching(sub, b);
+      for (EdgeId e = 0; e < sub.num_edges(); ++e) {
+        expected.set_multiplicity(ids[e], bm.multiplicity(e));
+      }
+    }
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      ASSERT_EQ(sol.bm.multiplicity(e), expected.multiplicity(e))
+          << (unit ? "unit" : "b") << " edge " << e;
+    }
+    // Ids that do not ascend would reorder ties: a typed error, not a
+    // silently different answer.
+    std::vector<EdgeId> swapped = ids;
+    std::swap(swapped[0], swapped[1]);
+    EXPECT_THROW(pipeline.solve_offline(swapped, edges),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -104,6 +104,26 @@ TEST(Strength, RegionPackingMatchesGlobalPlacement) {
   EXPECT_GT(per_component.size(), 1u);
 }
 
+TEST(Strength, ReusedPackerMatchesAFreshOneAcrossSizes) {
+  // reset() keeps the forests it had; insert() re-initialises each one as
+  // it activates it. One packer reused across vertex counts 50, 20 and 80
+  // must place every edge where a fresh packer does: the 20-vertex graph
+  // reactivates forests sized for 50, and the 80-vertex one forests sized
+  // for 20 or 50.
+  detail::ForestPacker reused;
+  const std::size_t sizes[][2] = {{50, 600}, {20, 150}, {80, 1500}};
+  for (const auto& [n, m] : sizes) {
+    const Graph g = gen::gnm(n, m, 300 + n);
+    reused.reset(n);
+    detail::ForestPacker fresh(n);
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const Edge& edge = g.edge(e);
+      ASSERT_EQ(reused.insert(edge.u, edge.v), fresh.insert(edge.u, edge.v))
+          << "n " << n << " edge " << e;
+    }
+  }
+}
+
 TEST(Strength, IntoIsBitwiseThreadCountInvariant) {
   // The gate for the region-split parallel path: subsample depths and the
   // resulting strengths must be bitwise identical for any thread count,
