@@ -65,10 +65,6 @@ OddSetDual greedy_witness_dual(const Graph& g,
   return dual;
 }
 
-OddSetDual greedy_witness_dual(const Graph& g) {
-  return greedy_witness_dual(g, edges_by_weight_desc(g));
-}
-
 OddSetDual incident_witness_dual(const Graph& g) {
   OddSetDual dual;
   dual.x.assign(g.num_vertices(), 0.0);

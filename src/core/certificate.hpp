@@ -38,10 +38,9 @@ CertificateReport extract_certificate(const DualState& state,
 ///   edge: any skipped edge had an endpoint matched at no smaller weight,
 ///   so every edge is covered; objective = 2 * greedy weight. `order` must
 ///   be edges_by_weight_desc(g); best_dual_bound passes the level graph's
-///   weight_order(), and the one-argument form sorts g.
+///   weight_order().
 OddSetDual greedy_witness_dual(const Graph& g,
                                const std::vector<EdgeId>& order);
-OddSetDual greedy_witness_dual(const Graph& g);
 
 /// * incident_witness_dual — x_v = (max incident weight)/2: every edge
 ///   (i,j) satisfies x_i + x_j >= (w_ij + w_ij)/2 = w_ij.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "matching/blossom_weighted.hpp"
 #include "matching/greedy.hpp"
 #include "util/simd.hpp"
 
@@ -379,22 +380,28 @@ void RoundPipeline::stage_merge(Future<OfflineSolution>& offline,
 OfflineSolution RoundPipeline::solve_offline(const std::vector<EdgeId>& ids,
                                             std::vector<Edge> edges) const {
   const Graph sub(substrate_->num_vertices(), std::move(edges));
-  // The subgraph's weight order, filtered from the solve's one sort: every
-  // caller's ids ascend (the union support, retained, Lemma 12's sorted
-  // support), so it is the order edges_by_weight_desc(sub) returns.
-  std::vector<EdgeId> order = subset_weight_order(lg_->weight_order(), ids);
+  // The local search and the b-matching solver scan the subgraph's weight
+  // order, filtered from the solve's one sort: every caller's ids ascend
+  // (the union support, retained, Lemma 12's sorted support), so it is the
+  // order edges_by_weight_desc(sub) returns. The exact blossom reads none.
+  const ApproxOptions& opts = options_.offline;
   OfflineSolution out;
   out.bm = BMatching(lg_->graph().num_edges());
   if (unit_caps_) {
     const Matching m =
-        approx_weighted_matching(sub, options_.offline, std::move(order));
+        approx_dispatches_exact(sub, opts)
+            ? max_weight_matching(sub)
+            : local_search_matching(
+                  sub, subset_weight_order(lg_->weight_order(), ids),
+                  opts.max_rounds, opts.seed);
     out.support.reserve(m.size());
     for (EdgeId local : m.edges()) {
       out.bm.set_multiplicity(ids[local], 1);
       out.support.push_back(ids[local]);
     }
   } else {
-    const BMatching bm = approx_weighted_b_matching(sub, *b_, order);
+    const BMatching bm = approx_weighted_b_matching(
+        sub, *b_, subset_weight_order(lg_->weight_order(), ids));
     for (EdgeId local = 0; local < bm.num_edges(); ++local) {
       if (bm.multiplicity(local) > 0) {
         out.bm.set_multiplicity(ids[local], bm.multiplicity(local));

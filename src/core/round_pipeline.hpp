@@ -156,9 +156,10 @@ class RoundPipeline {
   /// plus their attributes (parallel arrays; the attributes become the
   /// subgraph's edge list). The initial support and the per-round union
   /// both route through here; only stored-edge data is read. The ids must
-  /// strictly ascend (std::invalid_argument otherwise): the subgraph's
-  /// weight order is filtered from the level graph's, which keeps ties in
-  /// id order only then.
+  /// strictly ascend: the local search and the b-matching solver filter
+  /// the subgraph's weight order from the level graph's, which keeps ties
+  /// in id order only then, and throw std::invalid_argument otherwise (the
+  /// exact dispatch reads no order).
   OfflineSolution solve_offline(const std::vector<EdgeId>& ids,
                                 std::vector<Edge> edges) const;
 

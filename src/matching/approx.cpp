@@ -177,17 +177,13 @@ Matching local_search_matching(const Graph& g, std::size_t max_rounds,
   return local_search_matching(g, edges_by_weight_desc(g), max_rounds, seed);
 }
 
-Matching approx_weighted_matching(const Graph& g, const ApproxOptions& opts,
-                                  std::vector<EdgeId> order) {
-  if (opts.exact_threshold > 0 && g.num_vertices() <= opts.exact_threshold) {
-    return max_weight_matching(g);
-  }
-  return local_search_matching(g, std::move(order), opts.max_rounds,
-                               opts.seed);
+bool approx_dispatches_exact(const Graph& g, const ApproxOptions& opts) {
+  return opts.exact_threshold > 0 && g.num_vertices() <= opts.exact_threshold;
 }
 
 Matching approx_weighted_matching(const Graph& g, const ApproxOptions& opts) {
-  return approx_weighted_matching(g, opts, edges_by_weight_desc(g));
+  if (approx_dispatches_exact(g, opts)) return max_weight_matching(g);
+  return local_search_matching(g, opts.max_rounds, opts.seed);
 }
 
 Matching approx_weighted_matching(const Graph& g) {

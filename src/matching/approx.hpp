@@ -33,16 +33,19 @@ struct ApproxOptions {
   std::uint64_t seed = 1;
 };
 
-// Each solver comes in two forms. The order-taking form scans `order`,
-// which must be edges_by_weight_desc(g) (the exact dispatch ignores it);
-// the round pipeline passes one filtered from the input's sort
-// (subset_weight_order). The other form sorts g and calls it.
+/// Whether approx_weighted_matching(g, opts) runs the exact blossom:
+/// exact_threshold > 0 and g has at most that many vertices.
+bool approx_dispatches_exact(const Graph& g, const ApproxOptions& opts);
 
-/// Approximate maximum weight matching.
-Matching approx_weighted_matching(const Graph& g, const ApproxOptions& opts,
-                                  std::vector<EdgeId> order);
+/// Approximate maximum weight matching: the exact blossom when
+/// approx_dispatches_exact, local search otherwise (sorting g only then).
 Matching approx_weighted_matching(const Graph& g, const ApproxOptions& opts);
 Matching approx_weighted_matching(const Graph& g);
+
+// The local search and the b-matching solver each come in two forms. The
+// order-taking form scans `order`, which must be edges_by_weight_desc(g);
+// the round pipeline passes one filtered from the input's sort
+// (subset_weight_order). The other form sorts g and calls it.
 
 /// Local-search-only solver (never dispatches to exact); exposed for
 /// benchmarking the components separately.

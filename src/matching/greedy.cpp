@@ -76,8 +76,6 @@ std::vector<EdgeId> subset_weight_order(const std::vector<EdgeId>& order,
           "size");
     }
   }
-  // m strictly ascending ids below m are 0..m-1: the subgraph is g.
-  if (ids.size() == m) return order;
   constexpr EdgeId kAbsent = ~EdgeId{0};
   std::vector<EdgeId> local_id(m, kAbsent);
   for (std::size_t i = 0; i < ids.size(); ++i) {

@@ -79,11 +79,16 @@ TEST(WeightLevels, WeightOrderIsTheInputSortAndFeedsTheGreedyWitness) {
     const Graph& g = graphs[k];
     const LevelGraph lg(g, Capacities::unit(g.num_vertices()), 0.2);
     EXPECT_EQ(lg.weight_order(), edges_by_weight_desc(g)) << "graph " << k;
-    const OddSetDual given = greedy_witness_dual(g, lg.weight_order());
-    const OddSetDual sorted = greedy_witness_dual(g);
-    EXPECT_EQ(given.x, sorted.x) << "graph " << k;
-    EXPECT_TRUE(given.sets.empty());
-    EXPECT_TRUE(given.z.empty());
+    // The witness puts each greedy edge's weight on both its endpoints.
+    std::vector<double> expected(g.num_vertices(), 0.0);
+    const Matching greedy = greedy_matching(g);
+    for (const EdgeId e : greedy.edges()) {
+      expected[g.edge(e).u] = expected[g.edge(e).v] = g.edge(e).w;
+    }
+    const OddSetDual witness = greedy_witness_dual(g, lg.weight_order());
+    EXPECT_EQ(witness.x, expected) << "graph " << k;
+    EXPECT_TRUE(witness.sets.empty());
+    EXPECT_TRUE(witness.z.empty());
   }
 }
 
