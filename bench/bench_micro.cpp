@@ -24,9 +24,7 @@
 #include "core/dual_state.hpp"
 #include "core/oracle.hpp"
 #include "core/oracle_ref.hpp"
-#include "graph/flow_arena.hpp"
 #include "graph/generators.hpp"
-#include "graph/gomory_hu.hpp"
 #include "matching/greedy.hpp"
 #include "util/rng.hpp"
 #include "util/simd.hpp"
@@ -101,23 +99,22 @@ Measurement time_lagrangian(const Oracle& oracle, const Workload& w,
 
 /// Isolated hot-kernel rows (BENCH_micro_kernels.json): each row pits the
 /// baseline kernel against the optimized one in the same binary on the same
-/// buffers, so the tracked speedup is machine-relative. Kernel ids:
+/// buffers, so the tracked speedup is machine-relative. Kernel ids are
+/// fixed labels (a deleted kernel's id is not reused):
 /// 0 = exp batch (libm loop vs branch-free polynomial), 1 = one SweepKernel
 /// multiplier sweep (scalar libm body vs fill/exp_batch_poly/divide),
-/// 2 = post-contraction Gomory-Hu (full Gusfield rebuild vs incremental
-/// stamped replay), 3 = the non-exp sweep body (scalar fill/divide/max
-/// loops vs the clones-dispatched fill_scaled_shift + divide_max_positive
-/// with the bit-pattern integer max reduction; bitwise-equality asserted
-/// before timing), 4 = the solve's weight order (comparator
+/// 3 = the non-exp sweep body (scalar fill/divide/max loops vs the
+/// clones-dispatched fill_scaled_shift + divide_max_positive with the
+/// bit-pattern integer max reduction; bitwise-equality asserted before
+/// timing), 4 = the solve's weight order (comparator
 /// std::stable_sort vs edges_by_weight_desc's radix sort; equal
 /// permutations asserted before timing, and so is the order filtered for a
 /// random half of the edges against that half's sort).
 void bench_kernels(bool quick) {
   bench::header("micro kernels (hot-path round 2)",
                 "isolated kernel speedups: vectorized exp batch, SIMD-ized "
-                "multiplier sweep, incremental Gusfield after contraction, "
-                "clones-dispatched fill/divide-max sweep body, radix weight "
-                "order");
+                "multiplier sweep, clones-dispatched fill/divide-max sweep "
+                "body, radix weight order");
   bench::BenchReport report("micro_kernels",
                             {"kernel", "n", "reps", "base_per_sec",
                              "fast_per_sec", "speedup"});
@@ -213,90 +210,6 @@ void bench_kernels(bool quick) {
                 base_rate, fast_rate, fast_rate / base_rate});
   }
 
-  // ---- Kernel 2: Gomory-Hu after one separator-style contraction —
-  // full Gusfield rebuild vs the incremental stamped replay, updates/sec.
-  // Same arena state for both; the incremental side restores the
-  // pre-contraction tree/stamp each rep so every rep replays the delta. ----
-  {
-    const std::size_t n = quick ? 160 : 400;
-    const auto s = static_cast<std::uint32_t>(n - 1);
-    std::vector<ArenaEdge> edges;
-    for (std::uint32_t v = 0; v < s; ++v) {
-      edges.push_back(
-          ArenaEdge{v, s, static_cast<std::int64_t>(1 + rng.uniform(4))});
-    }
-    for (std::size_t e = 0; e < 5 * n; ++e) {
-      const auto u = static_cast<std::uint32_t>(rng.uniform(s));
-      const auto v = static_cast<std::uint32_t>(rng.uniform(s));
-      if (u == v) continue;
-      edges.push_back(ArenaEdge{std::min(u, v), std::max(u, v),
-                                static_cast<std::int64_t>(1 + rng.uniform(6))});
-    }
-    aggregate_parallel_edges(edges);
-    FlowArena net;
-    net.build(n, edges);
-    std::vector<char> alive(n, 1);
-    GomoryHuTree tree0;
-    GomoryHuStamp stamp0;
-    gomory_hu_from_arena_cached(net, &alive, tree0, stamp0);
-    // One contraction round: kill ~n/16 vertices, exact compensation (all
-    // caps land on positive s-edges, so nothing clamps).
-    GomoryHuContraction delta;
-    delta.s_node = s;
-    std::vector<char> dead(n, 0);
-    for (std::uint32_t v = 1; v < s; ++v) {
-      if (rng.uniform(16) == 0) dead[v] = 1;
-    }
-    std::vector<std::size_t> s_edge(n, 0);
-    std::vector<std::int64_t> s_cap(n, 0);
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      if (edges[e].v == s) {
-        s_edge[edges[e].u] = e;
-        s_cap[edges[e].u] = edges[e].cap;
-      }
-    }
-    for (std::size_t e = 0; e < edges.size(); ++e) {
-      if (edges[e].u == s || edges[e].v == s) continue;
-      if (dead[edges[e].u] == dead[edges[e].v]) continue;
-      const std::uint32_t keep = dead[edges[e].u] ? edges[e].v : edges[e].u;
-      s_cap[keep] += edges[e].cap;
-      net.set_edge_base_cap(s_edge[keep], s_cap[keep]);
-    }
-    for (std::uint32_t v = 0; v < s; ++v) {
-      if (!dead[v]) continue;
-      net.disable_vertex(v);
-      alive[v] = 0;
-      delta.contracted.push_back(v);
-    }
-    const std::size_t reps = quick ? 5 : 5;
-    GomoryHuTree tree;
-    gomory_hu_from_arena(net, &alive, tree);  // untimed warmup
-    WallTimer t_full;
-    for (std::size_t r = 0; r < reps; ++r) {
-      gomory_hu_from_arena(net, &alive, tree);
-      sink += static_cast<double>(tree.cut_value[1]);
-    }
-    const double full_s = t_full.seconds();
-    GomoryHuStamp stamp;
-    std::size_t flows_incremental = 0;
-    WallTimer t_incr;
-    for (std::size_t r = 0; r < reps; ++r) {
-      tree = tree0;
-      stamp = stamp0;
-      flows_incremental =
-          gomory_hu_contract_update(net, &alive, delta, tree, stamp);
-      sink += static_cast<double>(tree.cut_value[1]);
-    }
-    const double incr_s = t_incr.seconds();
-    const double base_rate = static_cast<double>(reps) / full_s;
-    const double fast_rate = static_cast<double>(reps) / incr_s;
-    std::printf("%-10s %-9zu %-6zu %16.3e %16.3e %8.2fx  (flows %zu -> %zu)\n",
-                "gusfield", n, reps, base_rate, fast_rate,
-                fast_rate / base_rate, n - 1 - delta.contracted.size(),
-                flows_incremental);
-    report.add({2.0, static_cast<double>(n), static_cast<double>(reps),
-                base_rate, fast_rate, fast_rate / base_rate});
-  }
   // ---- Kernel 3: the non-exp sweep body — fill the scaled-shifted
   // exponent, then divide by the level weight with a chunk-max reduction.
   // Baseline: the plain scalar loops with a std::max fold. Fast: the

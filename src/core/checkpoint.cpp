@@ -13,8 +13,8 @@ namespace {
 constexpr std::uint8_t kMagic[4] = {'D', 'P', 'C', 'K'};
 constexpr std::size_t kHeaderSize = 4 + 4 + 8 + 8;
 
-static_assert(ResourceMeter::kCounterCount == 22,
-              "checkpoint v6 carries 22 meter counters; a new counter "
+static_assert(ResourceMeter::kCounterCount == 18,
+              "checkpoint v7 carries 18 meter counters; a new counter "
               "changes the wire format, so bump RoundCheckpoint::kVersion");
 
 /// The payload, one field at a time in wire order. Every pass below walks

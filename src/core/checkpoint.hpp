@@ -54,7 +54,11 @@ struct RoundCheckpoint {
   // v6: the payload checksum is checksum64 (four word-wise lanes of
   // xxHash64's round) in place of byte-wise FNV-1a; layout, fields and
   // sizes are those of v5.
-  static constexpr std::uint32_t kVersion = 6;
+  // v7: the meter block lost the four Gomory-Hu reuse counters (slots 9-12:
+  // max_flows_saved, gh_full_builds, gh_incremental, gh_tree_reuses) with
+  // the tree cache and incremental replay that were their only writers;
+  // every later counter moves up four slots.
+  static constexpr std::uint32_t kVersion = 7;
 
   // -- Identity: the solve configuration this checkpoint belongs to. --
   std::uint64_t solver_seed = 0;

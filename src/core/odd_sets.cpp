@@ -110,7 +110,6 @@ std::vector<std::vector<Vertex>> OddSetSeparator::exact(
   }
 
   net_.build(na + 1, agg_);
-  gh_delta_pending_ = false;  // a fresh network owes nothing to old deltas
 
   alive_.assign(na + 1, 1);
   fresh_.assign(na, 0);
@@ -129,19 +128,7 @@ std::vector<std::vector<Vertex>> OddSetSeparator::exact(
     }
     if (!any_edge) break;
 
-    // Cached Gusfield: when the network is byte-identical to the one the
-    // previous round (or the previous find() call) built the tree from —
-    // i.e. no residual round contracted anything in between — the n-1
-    // max-flows are skipped and the previous arena tree is reused. After a
-    // residual contraction the stamped cut rows replay Gusfield
-    // incrementally instead: only the max-flows whose step the contraction
-    // invalidated are recomputed, not all n-1.
-    if (gh_delta_pending_) {
-      gomory_hu_contract_update(net_, &alive_, gh_delta_, tree_, gh_stamp_);
-      gh_delta_pending_ = false;
-    } else {
-      gomory_hu_from_arena_cached(net_, &alive_, tree_, gh_stamp_);
-    }
+    gomory_hu_from_arena(net_, &alive_, tree_);
     candidates_.clear();
     for (std::uint32_t v = 0; v < tree_.size(); ++v) {
       if (v == tree_.root || !alive_[v]) continue;
@@ -172,15 +159,8 @@ std::vector<std::vector<Vertex>> OddSetSeparator::exact(
 
     // Contract the found sets: every internal or leaving q-edge vanishes,
     // and a surviving endpoint's deficiency absorbs the lost capacity so
-    // its target ceil(q_hat * unit) is preserved. The delta recorded here
-    // drives the next round's incremental Gusfield replay; compensation is
-    // exact (cut-value preserving) unless a survivor's deficiency was
-    // negative — its s-edge then clamps at 0 and absorbs less than the
-    // lost capacity, so the stamped rows stop being min-cut certificates.
+    // its target ceil(q_hat * unit) is preserved.
     std::fill(fresh_.begin(), fresh_.end(), 0);
-    gh_delta_.contracted.clear();
-    gh_delta_.s_node = s;
-    gh_delta_.exact_compensation = true;
     for (const auto& set : found) {
       for (Vertex v : set) fresh_[local(v)] = 1;
       collected.push_back(set);
@@ -191,7 +171,6 @@ std::vector<std::vector<Vertex>> OddSetSeparator::exact(
       if (!alive_[u] || !alive_[v]) continue;  // removed in an earlier round
       if (fresh_[u] == fresh_[v]) continue;    // survives, or fully internal
       const std::uint32_t keep = fresh_[u] ? v : u;
-      if (deficiency_[keep] < 0) gh_delta_.exact_compensation = false;
       deficiency_[keep] += agg_[e].cap;
       net_.set_edge_base_cap(
           s_edge_[keep], std::max<std::int64_t>(deficiency_[keep], 0));
@@ -201,21 +180,9 @@ std::vector<std::vector<Vertex>> OddSetSeparator::exact(
       net_.disable_vertex(v);
       alive_[v] = 0;
       --alive_count;
-      gh_delta_.contracted.push_back(v);
     }
-    gh_delta_pending_ = true;
   }
   return collected;
-}
-
-ResourceMeter OddSetSeparator::stats() const {
-  ResourceMeter s;
-  s.add_max_flows(net_.flows_run());
-  s.add_max_flows_saved(gh_stamp_.flows_saved);
-  s.add_gh_full_builds(gh_stamp_.full_builds);
-  s.add_gh_incremental(gh_stamp_.incremental_updates);
-  s.add_gh_tree_reuses(gh_stamp_.tree_reuses);
-  return s;
 }
 
 void OddSetSeparator::ensure(std::size_t n) {

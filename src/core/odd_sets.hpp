@@ -14,10 +14,11 @@
 // CSR flow network (graph/flow_arena.hpp) that is constructed once and
 // reset between the Gusfield flows; the residual rounds that make the
 // collection maximal contract taken vertices in place instead of
-// rebuilding H. Above the configured size limit an exhaustive tree search
-// is replaced by a component/triangle heuristic — missing a set only slows
-// dual progress, it never breaks soundness because the MicroOracle
-// revalidates Equation (4) for every candidate.
+// rebuilding H, and each rebuilds the tree with one full Gusfield build
+// on the live vertices. Above the configured size limit an exhaustive tree
+// search is replaced by a component/triangle heuristic — missing a set
+// only slows dual progress, it never breaks soundness because the
+// MicroOracle revalidates Equation (4) for every candidate.
 
 #include <cstdint>
 #include <utility>
@@ -25,7 +26,6 @@
 
 #include "graph/gomory_hu.hpp"
 #include "graph/graph.hpp"
-#include "util/accounting.hpp"
 
 namespace dp::core {
 
@@ -59,13 +59,9 @@ class OddSetSeparator {
       const std::vector<double>& q_hat, const Capacities& b,
       const OddSetOptions& options);
 
-  /// Flow-work counters accumulated across every find() on this engine
-  /// for the exact path's Gomory-Hu / max-flow work (Lemma 25): flows
-  /// actually run (max_flows), flows skipped by the incremental per-subtree
-  /// reuse after contraction (max_flows_saved), and how each tree
-  /// (re)build ran (gh_full_builds / gh_incremental / gh_tree_reuses).
-  /// Every other counter stays 0.
-  ResourceMeter stats() const;
+  /// Max-flows run by the exact path's Gusfield builds (Lemma 25), summed
+  /// over every find() on this engine.
+  std::size_t max_flows() const noexcept { return net_.flows_run(); }
 
  private:
   void ensure(std::size_t n);
@@ -101,15 +97,6 @@ class OddSetSeparator {
   // per call without reallocation in the steady state).
   FlowArena net_;
   GomoryHuTree tree_;
-  // Tree-reuse token: a residual round (or a repeat call) whose network is
-  // unchanged since tree_ was built skips Gusfield's n-1 max-flows; after a
-  // contraction, the stamped cut rows drive the incremental replay that
-  // recomputes only the flows the contraction touched.
-  GomoryHuStamp gh_stamp_;
-  // The most recent residual contraction, consumed by the next round's
-  // gomory_hu_contract_update.
-  GomoryHuContraction gh_delta_;
-  bool gh_delta_pending_ = false;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> raw_;
   std::vector<ArenaEdge> agg_;
   std::vector<std::int64_t> incident_cap_;

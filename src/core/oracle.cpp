@@ -109,11 +109,11 @@ ThreadPool* MicroOracle::pool() const {
   return pool_.get();
 }
 
-ResourceMeter MicroOracle::separation_stats() const {
-  ResourceMeter total;
+std::size_t MicroOracle::separation_max_flows() const {
+  std::size_t total = 0;
   if (!scratch_) return total;
   for (const OddSetSeparator& sep : scratch_->separators) {
-    total.merge(sep.stats());
+    total += sep.max_flows();
   }
   return total;
 }

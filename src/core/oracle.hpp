@@ -38,7 +38,6 @@
 #include "core/odd_sets.hpp"
 #include "core/weight_levels.hpp"
 #include "graph/graph.hpp"
-#include "util/accounting.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dp::core {
@@ -231,10 +230,10 @@ class MicroOracle {
   /// sweeps so one solve runs exactly one pool.
   ThreadPool* worker_pool() const { return pool(); }
 
-  /// Aggregate Gomory-Hu / max-flow counters of the per-level separation
-  /// engines this oracle owns (monotone across invocations; summed in
-  /// fixed job-slot order, so identical for any thread count).
-  ResourceMeter separation_stats() const;
+  /// Max-flows run by the per-level separation engines this oracle owns
+  /// (monotone across invocations; the per-level work is a pure function
+  /// of the oracle inputs, so the sum is identical for any thread count).
+  std::size_t separation_max_flows() const;
 
  private:
   struct Scratch;  // reusable flat buffers; defined in oracle.cpp

@@ -344,19 +344,14 @@ void RoundPipeline::stage_inner(const SamplingRound& draws, double alpha,
     x_fresh = false;
   }
   ctx_.inner_meter.add_oracle_calls(report.oracle_calls);
-  // Per-round separation flow-work delta. The oracle's counters are
-  // monotone over its lifetime; differencing against the last-seen snapshot
-  // charges exactly this round's flows to this round's inner meter. The
+  // Per-round separation max-flows. The oracle's count is monotone over
+  // its lifetime; differencing against the last-seen count charges
+  // exactly this round's flows to this round's inner meter. The
   // separation work is a pure function of the oracle inputs, so the delta
-  // is identical for any thread count or substrate. Separator meters never
-  // touch the stored/resident gauges, so merge()'s peak rule is a no-op.
-  const ResourceMeter sep = oracle_->separation_stats();
-  ResourceMeter::Counters delta{};
-  for (std::size_t c = 0; c < ResourceMeter::kCounterCount; ++c) {
-    delta[c] = sep.counters()[c] - sep_seen_.counters()[c];
-  }
-  ctx_.inner_meter.merge(ResourceMeter(delta));
-  sep_seen_ = sep;
+  // is identical for any thread count or substrate.
+  const std::size_t flows = oracle_->separation_max_flows();
+  ctx_.inner_meter.add_max_flows(flows - max_flows_seen_);
+  max_flows_seen_ = flows;
 }
 
 void RoundPipeline::stage_merge(Future<OfflineSolution>& offline,

@@ -280,9 +280,9 @@ class RoundPipeline {
   RoundPipelineOptions options_;
   CounterRng sample_rng_;
   double staged_min_ratio_ = 0.0;  // open_round's exact min (= lambda)
-  // Last-seen oracle separation counters; stage_inner differences against
-  // this snapshot to charge each round's max-flow work to its own meter.
-  ResourceMeter sep_seen_;
+  // Last-seen oracle separation max-flows; stage_inner differences against
+  // it to charge each round's max-flow work to its own meter.
+  std::size_t max_flows_seen_ = 0;
   RoundContext ctx_;
   DualState point_;  // step_size's oracle point, as a state
 };

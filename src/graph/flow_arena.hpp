@@ -37,22 +37,13 @@ class FlowArena {
   /// Build the CSR from undirected edges: each edge becomes two arcs with
   /// capacity `cap` (one per direction), each serving as the other's
   /// residual. Self-loops are skipped. Reuses buffers across builds.
-  /// A build with the same (n, edges) as the previous one, with no base
-  /// mutation in between, is a detected no-op: the arena keeps its state
-  /// and version(), so a cached Gomory-Hu tree stays reusable.
   void build(std::size_t n, const std::vector<ArenaEdge>& edges);
 
   std::size_t num_vertices() const noexcept { return n_; }
   std::size_t num_edges() const noexcept { return m_; }
 
-  /// Monotone stamp of the base network: bumped by every build that
-  /// changes content and by set_edge_base_cap / disable_vertex. Two equal
-  /// version() reads bracket a window in which every max_flow answer (and
-  /// any tree built from them) stays valid.
-  std::uint64_t version() const noexcept { return version_; }
-
-  /// Number of max_flow invocations ever run (test/bench observability for
-  /// the Gomory-Hu reuse path).
+  /// Number of max_flow invocations ever run (the max_flows counter of
+  /// odd-set separation).
   std::size_t flows_run() const noexcept { return flows_run_; }
 
   /// Replace the rest-state capacity of BOTH directions of edge i (index
@@ -96,12 +87,7 @@ class FlowArena {
   std::vector<std::uint32_t> iter_;
   std::vector<std::uint32_t> queue_;
   std::vector<std::uint32_t> dirty_;  // arcs touched by the last flow
-  // Base-network change tracking (no-op build detection + tree reuse).
-  std::uint64_t version_ = 0;
-  std::uint64_t built_version_ = 0;        // version_ at the last build
   std::size_t flows_run_ = 0;
-  std::size_t built_n_ = 0;                // build inputs of the last build
-  std::vector<ArenaEdge> built_edges_;
 };
 
 }  // namespace dp

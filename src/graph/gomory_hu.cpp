@@ -72,38 +72,12 @@ std::vector<std::uint32_t> GomoryHuTree::cut_side(std::uint32_t v) const {
   return side;
 }
 
-namespace {
-
-inline bool row_bit(const std::uint64_t* row, std::uint32_t v) noexcept {
-  return (row[v >> 6] >> (v & 63u)) & 1u;
-}
-
-void record_row(std::uint64_t* row, std::size_t words,
-                const std::vector<char>& side, std::size_t n) {
-  std::fill(row, row + words, 0);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (side[v]) row[v >> 6] |= std::uint64_t{1} << (v & 63u);
-  }
-}
-
-/// Gusfield's loop on the arena. When `record` is non-null, every step's
-/// cut side is packed into the stamp's bit rows so a later contraction can
-/// replay the build incrementally.
-void gusfield_build(FlowArena& net, const std::vector<char>* alive,
-                    GomoryHuTree& tree, GomoryHuStamp* record) {
+void gomory_hu_from_arena(FlowArena& net, const std::vector<char>* alive,
+                          GomoryHuTree& tree) {
   const std::size_t n = net.num_vertices();
   tree.cut_value.assign(n, 0);
   tree.parent.resize(n);
   tree.root = 0;
-  std::uint64_t* rows = nullptr;
-  std::size_t words = 0;
-  if (record != nullptr) {
-    words = (n + 63) / 64;
-    record->row_words = words;
-    record->rows.assign(n * words, 0);
-    record->has_row.assign(n, 0);
-    rows = record->rows.data();
-  }
   auto is_alive = [alive](std::uint32_t v) {
     return alive == nullptr || (*alive)[v] != 0;
   };
@@ -126,10 +100,6 @@ void gusfield_build(FlowArena& net, const std::vector<char>* alive,
     const std::uint32_t p = tree.parent[i];
     tree.cut_value[i] = net.max_flow(i, p);
     net.min_cut_side(i, side);
-    if (record != nullptr) {
-      record_row(rows + i * words, words, side, n);
-      record->has_row[i] = 1;
-    }
     for (std::uint32_t j = i + 1; j < n; ++j) {
       if (tree.parent[j] == p && side[j] && is_alive(j)) tree.parent[j] = i;
     }
@@ -137,126 +107,11 @@ void gusfield_build(FlowArena& net, const std::vector<char>* alive,
   tree.finalize();
 }
 
-void restamp(FlowArena& net, const std::vector<char>* alive,
-             GomoryHuStamp& stamp) {
-  stamp.net_version = net.version();
-  if (alive != nullptr) {
-    stamp.alive = *alive;
-  } else {
-    stamp.alive.clear();
-  }
-  stamp.valid = true;
-}
-
-}  // namespace
-
-void gomory_hu_from_arena(FlowArena& net, const std::vector<char>* alive,
-                          GomoryHuTree& tree) {
-  gusfield_build(net, alive, tree, nullptr);
-}
-
 GomoryHuTree gomory_hu_from_arena(FlowArena& net,
                                   const std::vector<char>* alive) {
   GomoryHuTree tree;
   gomory_hu_from_arena(net, alive, tree);
   return tree;
-}
-
-bool gomory_hu_from_arena_cached(FlowArena& net,
-                                 const std::vector<char>* alive,
-                                 GomoryHuTree& tree, GomoryHuStamp& stamp) {
-  const bool alive_matches =
-      alive == nullptr ? stamp.alive.empty() : stamp.alive == *alive;
-  if (stamp.valid && stamp.net_version == net.version() && alive_matches &&
-      tree.size() == net.num_vertices()) {
-    ++stamp.tree_reuses;
-    return false;  // tree already describes this exact network
-  }
-  gusfield_build(net, alive, tree, &stamp);
-  ++stamp.full_builds;
-  restamp(net, alive, stamp);
-  return true;
-}
-
-std::size_t gomory_hu_contract_update(FlowArena& net,
-                                      const std::vector<char>* alive,
-                                      const GomoryHuContraction& delta,
-                                      GomoryHuTree& tree,
-                                      GomoryHuStamp& stamp) {
-  const std::size_t n = net.num_vertices();
-  const auto full = [&]() {
-    const std::size_t before = net.flows_run();
-    gusfield_build(net, alive, tree, &stamp);
-    ++stamp.full_builds;
-    restamp(net, alive, stamp);
-    return net.flows_run() - before;
-  };
-  if (!stamp.valid || !delta.exact_compensation || tree.size() != n ||
-      stamp.has_row.size() != n) {
-    return full();
-  }
-  const auto is_alive = [alive](std::uint32_t v) {
-    return alive == nullptr || (*alive)[v] != 0;
-  };
-  std::uint32_t root = 0;
-  while (root < n && !is_alive(root)) ++root;
-  if (root >= n || root != tree.root) {
-    // Nothing left, or the stamped root was contracted away: every
-    // memoized step is keyed to the old root's parent chain.
-    return full();
-  }
-
-  // Memoized Gusfield replay. The stamped parents/values are the previous
-  // build's step outcomes: parent[i] is fixed once step i runs, so the old
-  // final parents ARE the old per-step parents. A step is reused — no
-  // max-flow — when its certificate holds: same step parent as before, and
-  // every newly-dead vertex on the stamped row's special-node side (the
-  // exact-compensation lemma then keeps the row a minimum cut of the
-  // contracted network, with the same value). Rows are read and rewritten
-  // strictly per step i, so the stamp mutates in place.
-  std::vector<std::uint32_t> old_parent(tree.parent);
-  std::vector<std::int64_t> old_value(tree.cut_value);
-  const std::size_t words = stamp.row_words;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    tree.parent[v] = is_alive(v) ? root : v;
-  }
-  tree.cut_value.assign(n, 0);
-  std::size_t flows = 0;
-  std::vector<char> side;
-  for (std::uint32_t i = root + 1; i < n; ++i) {
-    if (!is_alive(i)) continue;
-    const std::uint32_t p = tree.parent[i];
-    std::uint64_t* row = stamp.rows.data() + i * words;
-    bool reuse = stamp.has_row[i] != 0 && old_parent[i] == p;
-    if (reuse) {
-      const bool s_side = row_bit(row, delta.s_node);
-      for (const std::uint32_t d : delta.contracted) {
-        if (row_bit(row, d) != s_side) {
-          reuse = false;
-          break;
-        }
-      }
-    }
-    if (reuse) {
-      tree.cut_value[i] = old_value[i];
-      ++stamp.flows_saved;
-    } else {
-      tree.cut_value[i] = net.max_flow(i, p);
-      net.min_cut_side(i, side);
-      record_row(row, words, side, n);
-      stamp.has_row[i] = 1;
-      ++flows;
-    }
-    for (std::uint32_t j = i + 1; j < n; ++j) {
-      if (tree.parent[j] == p && is_alive(j) && row_bit(row, j)) {
-        tree.parent[j] = i;
-      }
-    }
-  }
-  tree.finalize();
-  ++stamp.incremental_updates;
-  restamp(net, alive, stamp);
-  return flows;
 }
 
 GomoryHuTree gomory_hu(std::size_t n, const std::vector<Edge>& edges,

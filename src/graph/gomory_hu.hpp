@@ -64,9 +64,9 @@ GomoryHuTree gomory_hu(std::size_t n,
 /// `alive` is non-null only vertices with alive[v] != 0 participate — the
 /// root is the first alive vertex and every excluded vertex becomes a
 /// self-rooted singleton with cut 0. This is the residual-round entry
-/// point for odd-set separation: disable vertices in the arena, adjust
-/// base capacities, and rebuild the tree without reconstructing the
-/// network.
+/// point for odd-set separation: each round disables the vertices it
+/// contracted, adjusts base capacities, and runs one full Gusfield build
+/// on the live vertices without reconstructing the network.
 GomoryHuTree gomory_hu_from_arena(FlowArena& net,
                                   const std::vector<char>* alive = nullptr);
 
@@ -74,69 +74,5 @@ GomoryHuTree gomory_hu_from_arena(FlowArena& net,
 /// reused across residual rounds.
 void gomory_hu_from_arena(FlowArena& net, const std::vector<char>* alive,
                           GomoryHuTree& tree);
-
-/// Reuse token for gomory_hu_from_arena_cached / gomory_hu_contract_update:
-/// remembers the arena version() and alive mask the cached tree was built
-/// from, plus the per-step cut rows that extend whole-network reuse to
-/// per-subtree validity after a contraction.
-struct GomoryHuStamp {
-  std::uint64_t net_version = 0;
-  std::vector<char> alive;
-  bool valid = false;
-  /// Bit v of row i is 1 when v fell on i's side of the minimum
-  /// (i, parent[i]) cut Gusfield used at step i. Rows are what the
-  /// incremental replay certifies and reuses; row i is only meaningful
-  /// where has_row[i] != 0.
-  std::size_t row_words = 0;
-  std::vector<std::uint64_t> rows;  // n * row_words
-  std::vector<char> has_row;
-  /// Monotone observability counters (surfaced through ResourceMeter):
-  /// max-flows skipped by certified reuse, and how each (re)build ran.
-  std::uint64_t flows_saved = 0;
-  std::uint64_t full_builds = 0;
-  std::uint64_t incremental_updates = 0;
-  std::uint64_t tree_reuses = 0;
-};
-
-/// One contraction event between two Gusfield builds on the same arena:
-/// the vertices newly disabled since the stamped tree was built, the
-/// special (deficiency) node, and whether every capacity lost to the
-/// contraction was compensated exactly onto the survivors' s-edges (no
-/// clamping at zero). Exact compensation is what makes the cached cut rows
-/// replayable: any cut with the dead set on the special node's side keeps
-/// its value, so a stamped row whose dead bits agree with its s bit is
-/// still a minimum cut of the contracted network.
-struct GomoryHuContraction {
-  std::vector<std::uint32_t> contracted;
-  std::uint32_t s_node = 0;
-  bool exact_compensation = true;
-};
-
-/// Gusfield with tree reuse: when `net.version()` and the alive mask are
-/// unchanged since `stamp` was last written, `tree` is already the
-/// Gomory-Hu tree of this network — skip the n-1 max-flows entirely. This
-/// is the odd-set separation fast path (Lemma 25): a residual round that
-/// contracted no vertex, re-queried with the same network, reuses the
-/// previous arena tree. Returns true when Gusfield actually ran.
-bool gomory_hu_from_arena_cached(FlowArena& net,
-                                 const std::vector<char>* alive,
-                                 GomoryHuTree& tree, GomoryHuStamp& stamp);
-
-/// Incremental Gusfield after a contraction (the Lemma 25 residual-round
-/// hot path): `tree`/`stamp` describe the arena BEFORE `delta`'s vertices
-/// were disabled; the arena has already been mutated. Replays Gusfield
-/// step by step, reusing a stamped row — skipping its max-flow — whenever
-/// its certificate holds (same step parent, and every newly-dead vertex on
-/// the same side as the special node), and recomputing only the steps the
-/// contraction actually touched. Falls back to a full rebuild when the
-/// stamp is unusable (invalid, clamped compensation, root contracted
-/// away). Leaves `tree` the Gomory-Hu tree of the CURRENT network — all
-/// pairwise min-cut values match a from-scratch Gusfield build — and the
-/// stamp re-validated for it. Returns the number of max-flows run.
-std::size_t gomory_hu_contract_update(FlowArena& net,
-                                      const std::vector<char>* alive,
-                                      const GomoryHuContraction& delta,
-                                      GomoryHuTree& tree,
-                                      GomoryHuStamp& stamp);
 
 }  // namespace dp

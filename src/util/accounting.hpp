@@ -37,20 +37,18 @@ class ResourceMeter {
  public:
   enum Counter : std::size_t {
     kRounds, kPasses, kStoredEdges, kPeakEdges, kMessages,
-    kInnerIterations, kOracleCalls, kFaults, kMaxFlows, kMaxFlowsSaved,
-    kGhFullBuilds, kGhIncremental, kGhTreeReuses, kSavedRounds, kSavedPasses,
-    kRepairedRows, kIoBytes, kIoStalls, kPrefetchHits, kShuffleBytes,
-    kResidentEdges, kPeakResidentEdges,
+    kInnerIterations, kOracleCalls, kFaults, kMaxFlows, kSavedRounds,
+    kSavedPasses, kRepairedRows, kIoBytes, kIoStalls, kPrefetchHits,
+    kShuffleBytes, kResidentEdges, kPeakResidentEdges,
     kCounterCount  // not a counter: the number of counters
   };
   /// Each counter's getter name, in enum order (summary() prints these).
   static constexpr const char* kCounterNames[] = {
       "rounds", "passes", "stored_edges", "peak_edges", "messages",
       "inner_iterations", "oracle_calls", "faults", "max_flows",
-      "max_flows_saved", "gh_full_builds", "gh_incremental",
-      "gh_tree_reuses", "saved_rounds", "saved_passes", "repaired_rows",
-      "io_bytes", "io_stalls", "prefetch_hits", "shuffle_bytes",
-      "resident_edges", "peak_resident_edges"};
+      "saved_rounds", "saved_passes", "repaired_rows", "io_bytes",
+      "io_stalls", "prefetch_hits", "shuffle_bytes", "resident_edges",
+      "peak_resident_edges"};
   static_assert(std::size(kCounterNames) == kCounterCount,
                 "one name per counter");
 
@@ -93,19 +91,9 @@ class ResourceMeter {
   /// messages — so faults() is the denominator of per-fault recovery cost.
   void add_faults(std::size_t k = 1) noexcept { c_[kFaults] += k; }
 
-  /// Max-flow computations run by odd-set separation (Gusfield, Lemma 25),
-  /// and flows skipped by the incremental per-subtree Gomory-Hu reuse
-  /// after contraction — the hot-path saving made observable.
+  /// Max-flow computations run by odd-set separation: one full Gusfield
+  /// build (live vertices - 1 flows) per residual round (Lemma 25).
   void add_max_flows(std::size_t k) noexcept { c_[kMaxFlows] += k; }
-  void add_max_flows_saved(std::size_t k) noexcept {
-    c_[kMaxFlowsSaved] += k;
-  }
-
-  /// Gomory-Hu tree (re)build outcomes: full Gusfield rebuilds,
-  /// incremental post-contraction updates, whole-tree cache hits.
-  void add_gh_full_builds(std::size_t k) noexcept { c_[kGhFullBuilds] += k; }
-  void add_gh_incremental(std::size_t k) noexcept { c_[kGhIncremental] += k; }
-  void add_gh_tree_reuses(std::size_t k) noexcept { c_[kGhTreeReuses] += k; }
 
   /// Dynamic re-solve accounting: MW rounds and substrate passes the
   /// warm-started path did NOT pay relative to the previous solve's cost,
@@ -119,9 +107,8 @@ class ResourceMeter {
   /// from the edge file, and blocks the pass had to WAIT for (stalls).
   /// Passes decode every block on their own thread, so io_stalls counts
   /// every decoded block. Nothing charges prefetch_hits since the edge
-  /// file lost its prefetching IO thread; its slot stays, so the counter
-  /// order (and the checkpoint meter block) is unchanged and
-  /// prefetch_hits() reads 0.
+  /// file lost its prefetching IO thread; perfbench still reads it, so its
+  /// slot stays and prefetch_hits() reads 0.
   void add_io_bytes(std::size_t k) noexcept { c_[kIoBytes] += k; }
   void add_io_stalls(std::size_t k = 1) noexcept { c_[kIoStalls] += k; }
 
@@ -153,10 +140,6 @@ class ResourceMeter {
   std::size_t oracle_calls() const noexcept { return c_[kOracleCalls]; }
   std::size_t faults() const noexcept { return c_[kFaults]; }
   std::size_t max_flows() const noexcept { return c_[kMaxFlows]; }
-  std::size_t max_flows_saved() const noexcept { return c_[kMaxFlowsSaved]; }
-  std::size_t gh_full_builds() const noexcept { return c_[kGhFullBuilds]; }
-  std::size_t gh_incremental() const noexcept { return c_[kGhIncremental]; }
-  std::size_t gh_tree_reuses() const noexcept { return c_[kGhTreeReuses]; }
   std::size_t saved_rounds() const noexcept { return c_[kSavedRounds]; }
   std::size_t saved_passes() const noexcept { return c_[kSavedPasses]; }
   std::size_t repaired_rows() const noexcept { return c_[kRepairedRows]; }

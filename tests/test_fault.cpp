@@ -315,7 +315,7 @@ RoundCheckpoint sample_checkpoint() {
                        OddSetVar{0, {1, 3, 5}, 0.0625}};
   ck.history = {RoundStats{1, 0.5, 0.7, 11.0, 40, 8},
                 RoundStats{2, 0.6, 0.75, 12.5, 44, 9}};
-  // Both meters hold 22 distinct counter values that exercise every byte
+  // Both meters hold 18 distinct counter values that exercise every byte
   // lane, with running <= peak on both gauges.
   for (std::uint64_t which = 0; which < 2; ++which) {
     ResourceMeter::Counters values{};
@@ -367,15 +367,15 @@ TEST(Checkpoint, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(back.substrate_meter.counters(), ck.substrate_meter.counters());
 }
 
-TEST(Checkpoint, WireFormatIsV6) {
+TEST(Checkpoint, WireFormatIsV7) {
   // The checksum64 of sample_checkpoint() as serialized: a changed layout,
-  // counter order or payload checksum fails here. The v6 bytes are the v5
-  // bytes with the version patched and the payload checksum recomputed by
-  // checksum64.
+  // counter order or payload checksum fails here. The expected bytes were
+  // checked against an independent encoder of the layout documented in
+  // core/checkpoint.hpp.
   const std::vector<std::uint8_t> bytes = sample_checkpoint().serialize();
-  EXPECT_EQ(RoundCheckpoint::kVersion, 6u);
-  EXPECT_EQ(bytes.size(), 836u);
-  EXPECT_EQ(checksum64(bytes.data(), bytes.size()), 0xff8ce7500a5b9466ULL);
+  EXPECT_EQ(RoundCheckpoint::kVersion, 7u);
+  EXPECT_EQ(bytes.size(), 772u);
+  EXPECT_EQ(checksum64(bytes.data(), bytes.size()), 0x78de62831a14b395ULL);
 }
 
 TEST(Checkpoint, RejectsMeterRunningAbovePeak) {

@@ -60,8 +60,8 @@ void expect_bitwise_equal(const SolverResult& a, const SolverResult& b,
         << label;
   }
   // Every meter counter: the per-stage thread-local meters must aggregate
-  // to the same totals whatever the thread count — separation flow work
-  // (the same flows run, the same flows saved) included.
+  // to the same totals whatever the thread count — separation's max-flows
+  // included.
   EXPECT_EQ(a.meter.summary(), b.meter.summary()) << label;
   for (EdgeId e = 0; e < a.b_matching.num_edges(); ++e) {
     ASSERT_EQ(a.b_matching.multiplicity(e), b.b_matching.multiplicity(e))

@@ -1,22 +1,29 @@
 // Tests for the substrate-agnostic access layer (src/access): the full
 // solver must produce a bitwise-identical SolverResult (value, lambda,
 // beta, certified ratio, history, stored counts) across the in-memory,
-// semi-streaming and MapReduce substrates and across 1/2/8 threads, while
-// each substrate's ResourceMeter proves its model is respected — streaming
-// makes exactly one pass per round iteration with o(m) stored state
-// between passes, and MapReduce runs exactly one simulator round per
-// sampling round under the reducer memory cap.
+// semi-streaming and MapReduce substrates and across 1/2/8 threads (and,
+// on an instance that runs odd-set separation, across a kill and resume),
+// while each substrate's ResourceMeter proves its model is respected —
+// streaming makes exactly one pass per round iteration with o(m) stored
+// state between passes, and MapReduce runs exactly one simulator round
+// per sampling round under the reducer memory cap.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "access/in_memory.hpp"
 #include "access/mapreduce.hpp"
 #include "access/streaming.hpp"
+#include "core/checkpoint.hpp"
 #include "core/solver.hpp"
 #include "graph/generators.hpp"
+#include "stream/edge_file.hpp"
 
 namespace dp::core {
 namespace {
@@ -117,6 +124,95 @@ TEST(Substrate, SolverBitwiseIdenticalForBMatching) {
     const SolverResult run = solve_b_matching(g, b, opt);
     expect_same_result(ref, run, sub->name());
   }
+}
+
+/// 167 disjoint unit triangles at eps 0.1: the solve certifies through odd
+/// sets, so exact separation (Gusfield on the Lemma 24 graph, residual
+/// contraction rounds) runs inside the bitwise contract. Round 2 runs most
+/// of its max-flows, so a kill after round 1 resumes into separation.
+TEST(Substrate, OddSetSolveBitwiseIdenticalAcrossSubstratesThreadsAndResume) {
+  Graph g = gen::triangle_rich(167, 0, 11);
+  gen::weight_unit(g);
+  const auto options = [](std::size_t threads) {
+    SolverOptions opt;
+    opt.eps = 0.1;
+    opt.seed = 1;
+    opt.offline.exact_threshold = 0;
+    opt.oracle.threads = threads;
+    return opt;
+  };
+  const SolverResult ref = solve_matching(g, options(1));
+  ASSERT_GT(ref.meter.max_flows(), 0u);
+  ASSERT_GT(ref.outer_rounds, 1u);  // the kill point must be interior
+  ASSERT_NE(ref.warm, nullptr);
+  ASSERT_FALSE(ref.warm->duals.odd_sets.empty());
+
+  // Beyond expect_same_result: the separation work and the odd-set duals.
+  const auto expect_same_odd_set_solve = [&ref](const SolverResult& run,
+                                                const std::string& label) {
+    expect_same_result(ref, run, label.c_str());
+    EXPECT_EQ(run.meter.max_flows(), ref.meter.max_flows()) << label;
+    EXPECT_EQ(run.bound_source, ref.bound_source) << label;
+    EXPECT_EQ(run.mw_bound, ref.mw_bound) << label;
+    ASSERT_NE(run.warm, nullptr) << label;
+    EXPECT_EQ(run.warm->duals.scale, ref.warm->duals.scale) << label;
+    EXPECT_EQ(run.warm->duals.xik, ref.warm->duals.xik) << label;
+    EXPECT_EQ(run.warm->duals.xi, ref.warm->duals.xi) << label;
+    const auto& sets = ref.warm->duals.odd_sets;
+    ASSERT_EQ(run.warm->duals.odd_sets.size(), sets.size()) << label;
+    for (std::size_t s = 0; s < sets.size(); ++s) {
+      EXPECT_EQ(run.warm->duals.odd_sets[s].level, sets[s].level) << label;
+      EXPECT_EQ(run.warm->duals.odd_sets[s].members, sets[s].members)
+          << label;
+      EXPECT_EQ(run.warm->duals.odd_sets[s].value, sets[s].value) << label;
+    }
+  };
+
+  const std::string path =
+      ::testing::TempDir() + "odd_set_triangles.dpef";
+  stream::write_edge_file(path, g, /*block_edges=*/128);
+  for (const std::size_t threads : {1, 4}) {
+    access::InMemorySubstrate in_memory;
+    access::StreamingSubstrate streaming;
+    access::StreamingSubstrate file_backed;
+    file_backed.attach_source(
+        stream::EdgeSource(std::make_shared<stream::EdgeFileStream>(path)));
+    access::MapReduceSubstrate::Config compressed_config;
+    compressed_config.round_compression = 3;
+    access::MapReduceSubstrate compressed(compressed_config);
+    const std::pair<access::Substrate*, const char*> substrates[] = {
+        {&in_memory, "in-memory"},
+        {&streaming, "streaming"},
+        {&file_backed, "streaming DPEF file"},
+        {&compressed, "mapreduce compression=3"}};
+    for (const auto& [sub, name] : substrates) {
+      SolverOptions opt = options(threads);
+      opt.substrate = sub;
+      expect_same_odd_set_solve(
+          solve_matching(g, opt),
+          std::string(name) + " threads=" + std::to_string(threads));
+    }
+  }
+  std::remove(path.c_str());
+
+  // Stop after round 1 through the wire format, then resume.
+  SolverOptions kill_opt = options(1);
+  std::vector<std::uint8_t> blob;
+  kill_opt.on_checkpoint = [&blob](const RoundCheckpoint& ck) {
+    if (ck.next_round == 1) {
+      blob = ck.serialize();
+      return false;
+    }
+    return true;
+  };
+  const SolverResult killed = solve_matching(g, kill_opt);
+  EXPECT_EQ(killed.status, SolverStatus::kInterrupted);
+  ASSERT_FALSE(blob.empty());
+  const RoundCheckpoint ck = RoundCheckpoint::deserialize(blob);
+  EXPECT_LT(ck.solve_meter.max_flows(), ref.meter.max_flows());
+  const SolverResult resumed = Solver(g, options(1)).solve(ck);
+  EXPECT_EQ(resumed.status, SolverStatus::kComplete);
+  expect_same_odd_set_solve(resumed, "resumed after round 1");
 }
 
 /// Dense instance where the deferred probabilities genuinely thin the
