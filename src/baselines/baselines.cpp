@@ -15,8 +15,6 @@ namespace dp::baselines {
 
 namespace {
 
-constexpr EdgeId kNoEdge = ~EdgeId{0};
-
 /// Maximal matching on a set of candidate edge ids via iterative uniform
 /// sampling with budget edges per round (Lattanzi filtering). `mate` is
 /// shared state so classes can respect earlier (heavier) matches.

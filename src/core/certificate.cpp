@@ -11,11 +11,10 @@ namespace dp::core {
 
 CertificateReport extract_certificate(const DualState& state,
                                       const LevelGraph& lg,
-                                      const Capacities& b) {
+                                      const Capacities& b, double lambda) {
   CertificateReport report;
   const Graph& g = lg.graph();
   const double eps = lg.eps();
-  const double lambda = state.lambda(lg);
   report.lambda = lambda;
   if (lambda <= 1e-12) return report;  // no usable certificate yet
 
@@ -76,10 +75,10 @@ OddSetDual incident_witness_dual(const Graph& g) {
 }
 
 DualBound best_dual_bound(const DualState& state, const LevelGraph& lg,
-                          const Capacities& b) {
+                          const Capacities& b, double lambda) {
   const Graph& g = lg.graph();
   DualBound best;
-  const CertificateReport report = extract_certificate(state, lg, b);
+  const CertificateReport report = extract_certificate(state, lg, b, lambda);
   if (report.feasible) best.mw_bound = report.bound;
   // Candidates in BoundSource order; strict < keeps the earlier on a tie.
   const auto consider = [&best](BoundSource source, double bound) {

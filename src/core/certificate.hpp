@@ -26,10 +26,12 @@ struct CertificateReport {
 /// Extract and verify an explicit certificate from a dual state. The bound
 /// includes the dropped-edge slack (edges below the eps W*/B level floor
 /// can contribute at most eps W*/2 in total, added to the objective) and
-/// the (1+eps) discretization factor.
+/// the (1+eps) discretization factor. `lambda` must be the state's
+/// covering ratio, state.lambda(lg): the solve already holds it from its
+/// last sweep, so the certificate does not sweep the edges again.
 CertificateReport extract_certificate(const DualState& state,
                                       const LevelGraph& lg,
-                                      const Capacities& b);
+                                      const Capacities& b, double lambda);
 
 /// Cheap always-feasible dual witnesses, used to floor the certificate
 /// while the multiplicative-weights dual is still converging:
@@ -64,8 +66,8 @@ struct DualBound {
 
 /// Best (smallest) verified dual bound among the state certificate, the
 /// witnesses and the trivial bound; on a tie the earlier one in
-/// BoundSource order wins.
+/// BoundSource order wins. `lambda` as for extract_certificate.
 DualBound best_dual_bound(const DualState& state, const LevelGraph& lg,
-                          const Capacities& b);
+                          const Capacities& b, double lambda);
 
 }  // namespace dp::core

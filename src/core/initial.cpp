@@ -30,8 +30,11 @@ InitialSolution build_initial(const LevelGraph& lg, const Capacities& b,
       residual[k][v] = b[static_cast<Vertex>(v)];
     }
   }
+  // The retained edges grouped by level, ids ascending within a level.
   std::vector<std::vector<EdgeId>> remaining(L);
-  for (int k = 0; k < L; ++k) remaining[k] = lg.edges_at_level(k);
+  for (const EdgeId e : lg.retained()) remaining[lg.level(e)].push_back(e);
+  std::vector<char> occupied(L);
+  for (int k = 0; k < L; ++k) occupied[k] = !remaining[k].empty();
 
   const std::size_t max_rounds =
       static_cast<std::size_t>(10.0 * std::max(p, 1.0)) + 20;
@@ -116,7 +119,7 @@ InitialSolution build_initial(const LevelGraph& lg, const Capacities& b,
   // sparse point is built with O(1) appends.
   for (std::size_t v = 0; v < n; ++v) {
     for (int k = 0; k < levels; ++k) {
-      if (lg.edges_at_level(k).empty()) continue;
+      if (!occupied[k]) continue;
       if (residual[k][v] == 0) {
         const double value = r * lg.level_weight(k);
         out.x0.xik.append(static_cast<std::uint64_t>(v) * levels + k, value);

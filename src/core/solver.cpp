@@ -8,11 +8,12 @@
 
 #include "access/in_memory.hpp"
 #include "core/certificate.hpp"
-#include "dynamic/delta.hpp"
 #include "core/checkpoint.hpp"
 #include "core/initial.hpp"
 #include "core/round_pipeline.hpp"
 #include "core/sampling.hpp"
+#include "dynamic/delta.hpp"
+#include "matching/greedy.hpp"
 #include "sparsify/deferred.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -117,7 +118,20 @@ SolverResult Solver::resolve(const WarmStart& prev,
   if (prev.sparsifiers != sparsifier_count(options_, g.num_vertices(), p)) {
     return fallback("sparsifier count changed");
   }
-  const LevelGraph lg(g, b_, eps);
+  // One pass over the graph and the net delta finds the inserted edges
+  // (the repair's rows) and renames the pre-delta ids, so the level graph
+  // takes the previous weight order with the delta merged in instead of
+  // sorting every edge. The merge checks its result, so a handle or delta
+  // that does not fit this graph costs the sort, never a wrong order.
+  const dyn::DeltaIds ids = dyn::delta_ids(g, dyn::normalize(delta));
+  std::optional<std::vector<EdgeId>> order;
+  if (prev.weight_order != nullptr) {
+    order = merge_weight_order(g, *prev.weight_order, ids.renamed,
+                               ids.inserted);
+  }
+  const LevelGraph lg = order.has_value()
+                            ? LevelGraph(g, b_, eps, std::move(*order))
+                            : LevelGraph(g, b_, eps);
   if (lg.retained().empty()) return fallback("no retained edges", &lg);
   // The level structure is the coordinate system of the duals: wHat_k and
   // the per-edge levels are functions of W* = max weight and the level
@@ -133,12 +147,12 @@ SolverResult Solver::resolve(const WarmStart& prev,
   if (!prev.duals.fits(g.num_vertices(), lg.num_levels())) {
     return fallback("malformed warm-start handle", &lg);
   }
-  return solve_impl(nullptr, &prev, &delta, &lg);
+  return solve_impl(nullptr, &prev, &ids.inserted, &lg);
 }
 
 SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
                                 const WarmStart* warm,
-                                const dyn::EdgeDelta* delta,
+                                const std::vector<EdgeId>* inserted,
                                 const LevelGraph* levels) {
   const Graph& g = *g_;
   SolverResult result;
@@ -244,35 +258,20 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
     // lambda_prev >= 1 - 3 eps, the repaired iterate re-certifies at the
     // round loop's FIRST opening sweep — zero MW rounds, one pass. ----
     state.restore(warm->duals);
-    // Locate the inserted edges in the post-delta graph with one scan of
-    // the edge list (the inserts are sorted by edge key), with no
-    // adjacency build. Rows are raised insert by insert, ids ascending
-    // within one (the order Graph::neighbors lists them in): the raise
-    // order fixes the repaired values and the warm handle's activation
-    // order.
-    const std::vector<dyn::EdgeInsert> inserts =
-        dyn::normalize(*delta).inserts;
-    std::vector<std::pair<std::size_t, EdgeId>> located;
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      const std::uint64_t key = dyn::edge_key(g.edge(e).u, g.edge(e).v);
-      const auto it = std::lower_bound(
-          inserts.begin(), inserts.end(), key,
-          [](const dyn::EdgeInsert& ins, std::uint64_t k) {
-            return dyn::edge_key(ins.u, ins.v) < k;
-          });
-      if (it != inserts.end() && dyn::edge_key(it->u, it->v) == key) {
-        located.emplace_back(static_cast<std::size_t>(it - inserts.begin()),
-                             e);
-      }
-    }
-    std::sort(located.begin(), located.end());
+    // resolve() located the inserted edges in its pass over the graph and
+    // the delta, with no adjacency build. Rows are raised insert by insert
+    // (key order), ids ascending within one (the order Graph::neighbors
+    // lists them in), each with its canonical (min, max) endpoints: the
+    // raise order fixes the repaired values and the warm handle's
+    // activation order.
     std::size_t repaired = 0;
-    for (const auto& [i, e] : located) {
+    for (const EdgeId e : *inserted) {
       // Edges the discretization dropped (level < 0) have no covering row.
       const int k = lg.level(e);
       if (k < 0) continue;
-      if (state.raise_cover(inserts[i].u, inserts[i].v, k,
-                            lg.level_weight(k))) {
+      const Edge& edge = g.edge(e);
+      if (state.raise_cover(std::min(edge.u, edge.v), std::max(edge.u, edge.v),
+                            k, lg.level_weight(k))) {
         ++repaired;
       }
     }
@@ -531,7 +530,7 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
   // Best verified bound among the multiplicative-weights certificate and
   // the cheap witness duals (the latter floor the guarantee while the dual
   // is still converging).
-  const DualBound bound = best_dual_bound(state, lg, b_);
+  const DualBound bound = best_dual_bound(state, lg, b_, result.lambda);
   result.dual_bound = std::max(bound.bound, result.value);
   result.bound_source = bound.source;
   result.mw_bound = bound.mw_bound;
@@ -574,6 +573,7 @@ SolverResult Solver::solve_impl(const RoundCheckpoint* resume,
     handle->graph_generation = options_.graph_generation;
     handle->duals = state.snapshot();
     handle->lambda = result.lambda;
+    handle->weight_order = lg.shared_weight_order();
     // Saved-work baseline: a chained resolve should keep measuring against
     // the cost of a FULL solve, not against the previous (already cheap)
     // warm hop — so a warm result carries the baseline forward.

@@ -165,10 +165,12 @@ struct RoundStats {
 /// "learned duals" seed for Solver::resolve after an edge delta — the
 /// duals transfer because unchanged covering rows keep their values
 /// bitwise when the level structure (W*, L) is preserved; deletes only
-/// remove rows; and inserted rows are repaired locally. It deliberately
-/// carries NO primal support: edge ids change across canonical
-/// re-materializations, so the incumbent is re-anchored by an offline
-/// solve on the post-delta graph instead.
+/// remove rows; and inserted rows are repaired locally. It also carries
+/// the solved graph's weight order, which resolve merges the delta into
+/// instead of sorting every edge again. It deliberately carries NO primal
+/// support: edge ids change across canonical re-materializations, so the
+/// incumbent is re-anchored by an offline solve on the post-delta graph
+/// instead.
 struct WarmStart {
   // -- Identity (validated by resolve; mismatch falls back to scratch). --
   std::uint64_t solver_seed = 0;
@@ -182,6 +184,11 @@ struct WarmStart {
   // -- The dual iterate (DualState::restore's input). --
   DualSnapshot duals;
   double lambda = 0;  // certificate level the iterate reached
+  // -- edges_by_weight_desc of the solved graph: the solve's
+  // LevelGraph::weight_order(), shared, not copied (4 bytes per edge).
+  // resolve merges the delta into it; null, or an order that fails
+  // merge_weight_order's check, makes resolve sort instead. --
+  std::shared_ptr<const std::vector<EdgeId>> weight_order;
   // -- Cost of the solve that produced it (saved-work baselines). --
   std::size_t outer_rounds = 0;
   std::size_t passes = 0;
@@ -249,8 +256,12 @@ class Solver {
   /// Incremental re-solve after edge churn. The solver's graph must be the
   /// POST-delta graph; `prev` is the warm handle of a solve on the
   /// pre-delta graph and `delta` the net effective churn between the two
-  /// (DynamicGraph::delta_since). Seeds the dual state from `prev` via
-  /// DualState::restore, runs the deterministic feasibility-repair pass
+  /// (DynamicGraph::delta_since). One pass over the graph and the delta
+  /// (dyn::delta_ids) finds the inserted edges and, on a key-sorted graph,
+  /// renames the pre-delta ids, so the weight order is merged from
+  /// `prev`'s (merge_weight_order) rather than sorted; an order that fails
+  /// the merge's check is sorted instead. Seeds the dual state from `prev`
+  /// via DualState::restore, runs the deterministic feasibility-repair pass
   /// (raise only the covering rows of inserted edges), re-anchors the
   /// incumbent with one canonical offline solve, then iterates MW rounds
   /// with the existing round pipeline until the exact-lambda certificate
@@ -265,10 +276,12 @@ class Solver {
 
  private:
   /// `levels`, when given, is this solve's level graph, already built
-  /// (resolve() validates the warm handle against it).
+  /// (resolve() validates the warm handle against it). A warm solve takes
+  /// `inserted`, the post-delta ids of the inserted edges in the order
+  /// their rows are repaired (dyn::DeltaIds::inserted).
   SolverResult solve_impl(const RoundCheckpoint* resume,
                           const WarmStart* warm = nullptr,
-                          const dyn::EdgeDelta* delta = nullptr,
+                          const std::vector<EdgeId>* inserted = nullptr,
                           const LevelGraph* levels = nullptr);
 
   const Graph* g_;

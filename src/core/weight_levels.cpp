@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "matching/greedy.hpp"
 #include "util/error.hpp"
@@ -11,7 +12,14 @@
 namespace dp::core {
 
 LevelGraph::LevelGraph(const Graph& g, const Capacities& b, double eps)
-    : g_(&g), eps_(eps) {
+    : LevelGraph(g, b, eps, edges_by_weight_desc(g)) {}
+
+LevelGraph::LevelGraph(const Graph& g, const Capacities& b, double eps,
+                       std::vector<EdgeId> order)
+    : g_(&g),
+      eps_(eps),
+      weight_order_(
+          std::make_shared<const std::vector<EdgeId>>(std::move(order))) {
   if (eps <= 0 || eps >= 1) {
     throw std::invalid_argument("LevelGraph: eps must be in (0, 1)");
   }
@@ -56,14 +64,9 @@ LevelGraph::LevelGraph(const Graph& g, const Capacities& b, double eps)
   for (int k = 0; k < num_levels_; ++k) {
     level_weight_prefix_[k + 1] = level_weight_prefix_[k] + level_weight_[k];
   }
-  by_level_.assign(num_levels_, {});
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (level_[e] >= 0) {
-      by_level_[level_[e]].push_back(e);
-      retained_.push_back(e);
-    }
+    if (level_[e] >= 0) retained_.push_back(e);
   }
-  weight_order_ = edges_by_weight_desc(g);
 }
 
 }  // namespace dp::core

@@ -6,7 +6,13 @@
 // wHat_k = (1+eps)^k. Edges below W*/B are dropped — their total weight is
 // below W* and cannot affect a (1-eps) approximation. The algorithm then
 // works entirely on the normalized weights wHat_k; L = O(eps^-1 log B).
+//
+// A LevelGraph also holds the input's weight order. A cold solve sorts
+// for it; Solver::resolve hands in the order it merged from the previous
+// solve's and checked (merge_weight_order), and shares it with the warm
+// handle it emits.
 
+#include <memory>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -17,6 +23,12 @@ class LevelGraph {
  public:
   /// Discretize g's weights. B is taken from the capacities.
   LevelGraph(const Graph& g, const Capacities& b, double eps);
+
+  /// The same, with g's weight order given instead of sorted: `order`
+  /// must be edges_by_weight_desc(g), as merge_weight_order checks its
+  /// result to be.
+  LevelGraph(const Graph& g, const Capacities& b, double eps,
+             std::vector<EdgeId> order);
 
   const Graph& graph() const noexcept { return *g_; }
   double eps() const noexcept { return eps_; }
@@ -44,21 +56,21 @@ class LevelGraph {
     return level_[e] < 0 ? 0.0 : level_weight_[level_[e]];
   }
 
-  /// Edge ids at level k.
-  const std::vector<EdgeId>& edges_at_level(int k) const noexcept {
-    return by_level_[k];
-  }
-
-  /// Ids of all retained (non-dropped) edges.
+  /// Ids of all retained (non-dropped) edges, ascending.
   const std::vector<EdgeId>& retained() const noexcept { return retained_; }
 
   /// Every edge id of the graph by weight descending, ties in id order
-  /// (edges_by_weight_desc): the solve's one weight sort. The greedy
-  /// witness scans it as it is, and each offline re-solve filters its
-  /// subgraph's order from it (subset_weight_order). Built in the
-  /// constructor and never written after, so the offline job reads it
-  /// from a pool thread with no lock.
+  /// (edges_by_weight_desc): sorted once per cold solve, merged from the
+  /// previous order on a warm resolve. The greedy witness scans it as it
+  /// is, and each offline re-solve filters its subgraph's order from it
+  /// (subset_weight_order). Set in the constructor and immutable after, so
+  /// the offline job reads it from a pool thread with no lock, and the
+  /// solve's warm handle shares it (shared_weight_order) without a copy.
   const std::vector<EdgeId>& weight_order() const noexcept {
+    return *weight_order_;
+  }
+  const std::shared_ptr<const std::vector<EdgeId>>& shared_weight_order()
+      const noexcept {
     return weight_order_;
   }
 
@@ -77,9 +89,8 @@ class LevelGraph {
   std::vector<int> level_;
   std::vector<double> level_weight_;
   std::vector<double> level_weight_prefix_;  // size num_levels_ + 1
-  std::vector<std::vector<EdgeId>> by_level_;
   std::vector<EdgeId> retained_;
-  std::vector<EdgeId> weight_order_;
+  std::shared_ptr<const std::vector<EdgeId>> weight_order_;
 };
 
 }  // namespace dp::core

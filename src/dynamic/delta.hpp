@@ -64,4 +64,20 @@ struct NormalizedDelta {
 
 NormalizedDelta normalize(const EdgeDelta& delta);
 
+/// Where a normalized net delta's edges sit in the post-delta graph, read
+/// off in one pass over both (Solver::resolve).
+struct DeltaIds {
+  /// Post-delta ids of the inserted edges, ordered by insert key and by id
+  /// within one key: the order the feasibility repair raises rows in.
+  std::vector<EdgeId> inserted;
+  /// Pre-delta id -> post-delta id, kNoEdge for a removed or reweighted
+  /// edge, with the pre-delta edges numbered in key order, as
+  /// DynamicGraph::materialize numbers them after generation 0. Empty when
+  /// the post-delta keys do not strictly ascend (a base graph or a
+  /// caller-built one): its predecessor's numbering is then unknown.
+  std::vector<EdgeId> renamed;
+};
+
+DeltaIds delta_ids(const Graph& post, const NormalizedDelta& delta);
+
 }  // namespace dp::dyn

@@ -19,6 +19,10 @@ namespace dp {
 using Vertex = std::uint32_t;
 using EdgeId = std::uint32_t;
 
+/// An edge id that names no edge: the mark of an edge one graph has and
+/// another lacks in an id map between them.
+inline constexpr EdgeId kNoEdge = ~EdgeId{0};
+
 /// Undirected weighted edge. Invariant maintained by Graph: u != v.
 /// Parallel edges are allowed at the container level (some substrates
 /// aggregate them); generators emit simple graphs.

@@ -10,8 +10,6 @@ namespace dp {
 
 namespace {
 
-constexpr EdgeId kNoEdge = ~EdgeId{0};
-
 /// Mutable matching state: per-vertex matched edge id.
 struct MatchState {
   const Graph& g;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <compare>
 #include <numeric>
 #include <stdexcept>
 
@@ -76,17 +77,66 @@ std::vector<EdgeId> subset_weight_order(const std::vector<EdgeId>& order,
           "size");
     }
   }
-  constexpr EdgeId kAbsent = ~EdgeId{0};
-  std::vector<EdgeId> local_id(m, kAbsent);
+  std::vector<EdgeId> local_id(m, kNoEdge);
   for (std::size_t i = 0; i < ids.size(); ++i) {
     local_id[ids[i]] = static_cast<EdgeId>(i);
   }
   std::vector<EdgeId> local;
   local.reserve(ids.size());
   for (const EdgeId e : order) {
-    if (local_id[e] != kAbsent) local.push_back(local_id[e]);
+    if (local_id[e] != kNoEdge) local.push_back(local_id[e]);
   }
   return local;
+}
+
+std::optional<std::vector<EdgeId>> merge_weight_order(
+    const Graph& g, const std::vector<EdgeId>& prev_order,
+    const std::vector<EdgeId>& renamed, const std::vector<EdgeId>& inserted) {
+  struct Keyed {
+    std::uint64_t key;
+    EdgeId id;
+    auto operator<=>(const Keyed&) const = default;
+  };
+  const std::size_t m = g.num_edges();
+  const auto keyed = [&g](EdgeId e) {
+    return Keyed{descending_key(g.edge(e).w), e};
+  };
+  std::vector<Keyed> sorted_inserts;
+  sorted_inserts.reserve(inserted.size());
+  for (const EdgeId e : inserted) {
+    if (e >= m) return std::nullopt;
+    sorted_inserts.push_back(keyed(e));
+  }
+  std::sort(sorted_inserts.begin(), sorted_inserts.end());
+  std::vector<EdgeId> order;
+  order.reserve(m);
+  // The check: each pair written must exceed the last. Strictly ascending
+  // pairs have distinct ids, so m of them below m are a permutation, and
+  // the one ascending in (key, id) is the sort's.
+  Keyed last{};
+  const auto put = [&order, &last](const Keyed& next) {
+    if (!order.empty() && !(last < next)) return false;
+    order.push_back(next.id);
+    last = next;
+    return true;
+  };
+  std::size_t i = 0;
+  for (const EdgeId old : prev_order) {
+    if (old >= renamed.size()) return std::nullopt;
+    const EdgeId e = renamed[old];
+    if (e == kNoEdge) continue;
+    if (e >= m) return std::nullopt;
+    const Keyed next = keyed(e);
+    for (; i < sorted_inserts.size() && sorted_inserts[i] < next; ++i) {
+      if (!put(sorted_inserts[i])) return std::nullopt;
+    }
+    if (!put(next)) return std::nullopt;
+  }
+  for (; i < sorted_inserts.size(); ++i) {
+    if (!put(sorted_inserts[i])) return std::nullopt;
+  }
+  if (order.size() != m) return std::nullopt;
+  return order;
 }
 
 Matching greedy_matching(const Graph& g) {

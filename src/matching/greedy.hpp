@@ -6,6 +6,7 @@
 // * maximal_matching: arbitrary-order maximal matching (1/2 for cardinality).
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "matching/matching.hpp"
@@ -33,6 +34,21 @@ std::vector<EdgeId> edges_by_weight_desc(const Graph& g);
 /// order.size(): any other numbering would silently reorder ties.
 std::vector<EdgeId> subset_weight_order(const std::vector<EdgeId>& order,
                                         const std::vector<EdgeId>& ids);
+
+/// edges_by_weight_desc(g) derived from an earlier version of g instead of
+/// sorted. `prev_order` is edges_by_weight_desc of the earlier graph,
+/// `renamed` maps each of its ids to g's id for the same edge (kNoEdge for
+/// an edge g lacks), and `inserted` holds g's other ids. An edge that kept
+/// its weight keeps its place relative to the others, so the survivors are
+/// read off `prev_order` in sequence and the inserts, sorted alone by
+/// (weight, id), merged in. The same pass checks what it writes: m ids,
+/// each below m, with (descending weight key, id) strictly ascending. Only
+/// the sort's permutation passes, so any input that fails (an order of
+/// another graph, a wrong renaming, a reweighted survivor) yields nullopt,
+/// never a wrong order.
+std::optional<std::vector<EdgeId>> merge_weight_order(
+    const Graph& g, const std::vector<EdgeId>& prev_order,
+    const std::vector<EdgeId>& renamed, const std::vector<EdgeId>& inserted);
 
 /// Weight-sorted greedy matching (>= 1/2 of optimal weight):
 /// greedy_matching_in_order on edges_by_weight_desc(g).

@@ -1,12 +1,25 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <cstdlib>
 #include <utility>
 
 #include "core/checkpoint.hpp"
 #include "util/error.hpp"
 
 namespace dp::serve {
+namespace {
+
+/// Makes the calling thread's first heap allocation. glibc ties a thread
+/// to a malloc arena at its first allocation, and hands it an arena whose
+/// thread has exited, if there is one, with every page that arena still
+/// holds. The pointer is volatile so the pair is not elided.
+void bind_malloc_arena() {
+  void* volatile probe = std::malloc(1);
+  std::free(probe);
+}
+
+}  // namespace
 
 const char* response_status_name(ResponseStatus status) noexcept {
   switch (status) {
@@ -145,6 +158,12 @@ ResponseTicket MatchingService::submit(Request req) {
 }
 
 void MatchingService::worker_loop(std::size_t worker) {
+  // Take an arena before waiting for work. A worker's first allocation
+  // otherwise comes with its first request, and a client thread started
+  // after the service but allocating sooner could take the arena a
+  // previous service's worker left, pages and all, while this worker grew
+  // a new one: the process footprint would depend on thread timing.
+  bind_malloc_arena();
   WorkerSlot& slot = *slots_[worker];
   for (;;) {
     Pending p;

@@ -13,7 +13,9 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "access/in_memory.hpp"
@@ -23,7 +25,9 @@
 #include "dynamic/delta.hpp"
 #include "dynamic/dynamic_graph.hpp"
 #include "graph/generators.hpp"
+#include "matching/greedy.hpp"
 #include "serve/service.hpp"
+#include "test_helpers.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -425,6 +429,116 @@ TEST(Dynamic, ResolveFallsBackOnAMalformedWarmHandle) {
     EXPECT_FALSE(r.warm_resolve) << label;
     EXPECT_GT(r.value, 0.0) << label;
   }
+}
+
+/// Everything a resolve computes, the warm handle (duals and weight order)
+/// included, equal bitwise.
+void expect_same_resolve(const core::SolverResult& a,
+                         const core::SolverResult& b,
+                         const std::string& label) {
+  EXPECT_EQ(a.warm_resolve, b.warm_resolve) << label;
+  EXPECT_EQ(a.resolve_fallback, b.resolve_fallback) << label;
+  EXPECT_EQ(a.value, b.value) << label;
+  EXPECT_EQ(a.dual_bound, b.dual_bound) << label;
+  EXPECT_EQ(a.certified_ratio, b.certified_ratio) << label;
+  EXPECT_EQ(a.lambda, b.lambda) << label;
+  EXPECT_EQ(a.outer_rounds, b.outer_rounds) << label;
+  EXPECT_EQ(a.meter.summary(), b.meter.summary()) << label;
+  EXPECT_EQ(a.matching.edges(), b.matching.edges()) << label;
+  ASSERT_NE(a.warm, nullptr) << label;
+  ASSERT_NE(b.warm, nullptr) << label;
+  EXPECT_EQ(a.warm->duals.xik, b.warm->duals.xik) << label;
+  EXPECT_EQ(a.warm->duals.xi, b.warm->duals.xi) << label;
+  EXPECT_EQ(a.warm->duals.odd_sets.size(), b.warm->duals.odd_sets.size())
+      << label;
+  EXPECT_EQ(*a.warm->weight_order, *b.warm->weight_order) << label;
+}
+
+TEST(Dynamic, ResolveSortsWhenTheMergedOrderFailsItsCheck) {
+  // A key-sorted base, so the good handle's order merges from generation
+  // 0 on; two hops, so one delta can skip the first.
+  DynamicGraph dg(test::key_sorted(resolve_graph()));
+  const core::SolverResult cold =
+      core::solve_matching(*dg.materialize(), resolve_options());
+  ASSERT_NE(cold.warm, nullptr);
+  ASSERT_NE(cold.warm->weight_order, nullptr);
+  dg.apply(churn_batch(*dg.materialize(), 5150, 9));
+  dg.apply(churn_batch(*dg.materialize(), 5151, 9));
+  const auto post = dg.materialize();
+  const EdgeDelta delta = dg.delta_since(0);
+
+  // What resolve merges, nullopt where it sorts.
+  const auto merged = [](const Graph& g, const core::WarmStart& w,
+                         const EdgeDelta& d) {
+    const dyn::DeltaIds ids = dyn::delta_ids(g, dyn::normalize(d));
+    return merge_weight_order(g, *w.weight_order, ids.renamed, ids.inserted);
+  };
+  // Each resolve must equal the one that sorts from the start.
+  const auto check = [&dg](const Graph& g, const core::WarmStart& w,
+                           const EdgeDelta& d, const std::string& label) {
+    core::SolverOptions ropt = resolve_options();
+    ropt.graph_generation = dg.generation();
+    core::WarmStart sorting = w;
+    sorting.weight_order = nullptr;
+    const core::SolverResult r = core::Solver(g, ropt).resolve(w, d);
+    expect_same_resolve(r, core::Solver(g, ropt).resolve(sorting, d), label);
+    EXPECT_EQ(*r.warm->weight_order, edges_by_weight_desc(g)) << label;
+  };
+  ASSERT_EQ(merged(*post, *cold.warm, delta), edges_by_weight_desc(*post));
+  check(*post, *cold.warm, delta, "good handle");
+
+  // Handle orders that fail the merge's check.
+  const std::vector<EdgeId>& good = *cold.warm->weight_order;
+  const std::size_t m = good.size();
+  std::vector<std::pair<std::string, std::vector<EdgeId>>> bad_orders(
+      4, {"", good});
+  bad_orders[0].first = "too short";
+  bad_orders[0].second.pop_back();
+  bad_orders[1].first = "an id >= m";
+  bad_orders[1].second[3] = static_cast<EdgeId>(m + 5);
+  bad_orders[2].first = "a repeated id";
+  bad_orders[2].second[1] = good[0];
+  bad_orders[3].first = "two ids of unequal weight swapped";
+  const Graph pre = test::key_sorted(resolve_graph());
+  std::size_t lighter = 1;
+  while (pre.edge(good[lighter]).w == pre.edge(good[0]).w) ++lighter;
+  std::swap(bad_orders[3].second[0], bad_orders[3].second[lighter]);
+  for (const auto& [label, order] : bad_orders) {
+    core::WarmStart w = *cold.warm;
+    w.weight_order = std::make_shared<const std::vector<EdgeId>>(order);
+    EXPECT_EQ(merged(*post, w, delta), std::nullopt) << label;
+    check(*post, w, delta, label);
+  }
+
+  // A delta that does not match the handle: the second hop alone.
+  const EdgeDelta second_hop = dg.delta_since(1);
+  EXPECT_EQ(merged(*post, *cold.warm, second_hop), std::nullopt);
+  check(*post, *cold.warm, second_hop, "mismatched delta");
+
+  // A caller-built graph outside key order: no renaming, so no merge.
+  std::vector<Edge> shuffled_edges = post->edges();
+  Rng rng(5152);
+  rng.shuffle(shuffled_edges);
+  const Graph shuffled(post->num_vertices(), std::move(shuffled_edges));
+  const dyn::NormalizedDelta net = dyn::normalize(delta);
+  EXPECT_EQ(dyn::delta_ids(shuffled, net).inserted,
+            test::inserted_ids(shuffled, net));
+  EXPECT_EQ(merged(shuffled, *cold.warm, delta), std::nullopt);
+  check(shuffled, *cold.warm, delta, "caller-built graph");
+
+  // A generation-0 base outside key order: its ids are not the key order
+  // the renaming assumes.
+  DynamicGraph unsorted(resolve_graph());
+  const core::SolverResult unsorted_cold =
+      core::solve_matching(*unsorted.materialize(), resolve_options());
+  ASSERT_NE(unsorted_cold.warm, nullptr);
+  unsorted.apply(churn_batch(*unsorted.materialize(), 5150, 9));
+  unsorted.apply(churn_batch(*unsorted.materialize(), 5151, 9));
+  EXPECT_EQ(merged(*unsorted.materialize(), *unsorted_cold.warm,
+                   unsorted.delta_since(0)),
+            std::nullopt);
+  check(*unsorted.materialize(), *unsorted_cold.warm,
+        unsorted.delta_since(0), "unsorted generation-0 base");
 }
 
 TEST(Dynamic, ResolveRejectsNonFiniteWeightTyped) {

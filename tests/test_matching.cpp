@@ -4,13 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "dynamic/delta.hpp"
+#include "dynamic/dynamic_graph.hpp"
 #include "graph/generators.hpp"
 #include "matching/approx.hpp"
 #include "matching/blossom_unweighted.hpp"
@@ -198,6 +205,113 @@ TEST(WeightOrder, OrderTakingSolversMatchTheSortingForms) {
         ASSERT_EQ(given_bm.multiplicity(e), sorted_bm.multiplicity(e))
             << "graph " << k << " edge " << e;
       }
+    }
+  }
+}
+
+/// A weight from `palette`, or U[1, 16] when it is empty.
+double palette_weight(const std::vector<double>& palette, Rng& rng) {
+  return palette.empty() ? rng.uniform_real(1.0, 16.0)
+                         : palette[rng.uniform(palette.size())];
+}
+
+/// One hop of churn with weights from `palette` (U[1, 16] when empty):
+/// k removes, k inserts of random pairs (a live pair is reweighted) and k
+/// same-key reweights (remove and re-insert in one batch).
+dyn::EdgeDelta palette_churn(const Graph& live,
+                             const std::vector<double>& palette,
+                             std::size_t k, Rng& rng) {
+  const auto live_edge = [&live, &rng] {
+    return live.edge(static_cast<EdgeId>(rng.uniform(live.num_edges())));
+  };
+  dyn::EdgeDelta d;
+  for (std::size_t i = 0; i < k; ++i) {
+    const Edge removed = live_edge();
+    d.removes.push_back({removed.u, removed.v});
+    const Edge reweighted = live_edge();
+    d.removes.push_back({reweighted.u, reweighted.v});
+    d.inserts.push_back(
+        {reweighted.v, reweighted.u, palette_weight(palette, rng)});
+    d.inserts.push_back(
+        {static_cast<Vertex>(rng.uniform(live.num_vertices())),
+         static_cast<Vertex>(rng.uniform(live.num_vertices())),
+         palette_weight(palette, rng)});
+  }
+  return d;
+}
+
+TEST(WeightOrder, MergedOrderIsTheSortOfThePostDeltaGraph) {
+  // Unit weights, {1..4}, U[1, 16] reals, and signed weights where -0.0
+  // and +0.0 tie (a reweight between them moves no edge by weight).
+  const std::vector<std::vector<double>> palettes = {
+      {1.0}, {1.0, 2.0, 3.0, 4.0}, {}, {-0.0, 0.0, 2.0, -1.5, 0.0, 2.0}};
+  for (std::size_t p = 0; p < palettes.size(); ++p) {
+    Rng rng(60 + p);
+    std::vector<Edge> edges = gen::gnm(40, 150, 61 + p).edges();
+    for (Edge& e : edges) e.w = palette_weight(palettes[p], rng);
+    // Key-sorted, as DynamicGraph numbers every later generation, so the
+    // generation 0 -> 1 hop merges too.
+    dyn::DynamicGraph dg(test::key_sorted(Graph(40, std::move(edges))));
+    std::vector<EdgeId> order = edges_by_weight_desc(*dg.materialize());
+    // Hop 0 leaves generation 0; hop 4 leaves one edge, hop 5 grows the
+    // graph back and hop 7 replaces every edge by a new pair.
+    for (int hop = 0; hop < 10; ++hop) {
+      const std::shared_ptr<const Graph> pre = dg.materialize();
+      const std::uint64_t generation = dg.generation();
+      dyn::EdgeDelta delta;
+      if (hop == 4) {  // leaves one edge
+        for (EdgeId e = 1; e < pre->num_edges(); ++e) {
+          delta.removes.push_back({pre->edge(e).u, pre->edge(e).v});
+        }
+      } else if (hop == 7) {  // replaces every edge by a new pair
+        for (const Edge& e : pre->edges()) delta.removes.push_back({e.u, e.v});
+        for (const dyn::EdgeInsert& e :
+             palette_churn(*pre, palettes[p], 60, rng).inserts) {
+          const bool live = std::any_of(
+              pre->edges().begin(), pre->edges().end(), [&e](const Edge& x) {
+                return dyn::edge_key(x.u, x.v) == dyn::edge_key(e.u, e.v);
+              });
+          if (!live) delta.inserts.push_back(e);
+        }
+      } else {
+        delta = palette_churn(*pre, palettes[p], hop == 5 ? 40 : 1 + hop % 4,
+                              rng);
+      }
+      dg.apply(delta);
+      const std::shared_ptr<const Graph> post = dg.materialize();
+      const dyn::NormalizedDelta net =
+          dyn::normalize(dg.delta_since(generation));
+      const dyn::DeltaIds ids = dyn::delta_ids(*post, net);
+      const std::string label =
+          "palette " + std::to_string(p) + " hop " + std::to_string(hop);
+      ASSERT_EQ(ids.inserted, test::inserted_ids(*post, net)) << label;
+      // The renaming pairs each surviving edge with itself, weight bits
+      // included.
+      ASSERT_EQ(ids.renamed.size(), pre->num_edges()) << label;
+      if (hop == 4) {
+        ASSERT_EQ(post->num_edges(), 1u) << label;
+      }
+      if (hop == 7) {
+        ASSERT_EQ(std::count(ids.renamed.begin(), ids.renamed.end(), kNoEdge),
+                  static_cast<std::ptrdiff_t>(pre->num_edges()))
+            << label;
+      }
+      for (EdgeId old = 0; old < pre->num_edges(); ++old) {
+        const EdgeId e = ids.renamed[old];
+        if (e == kNoEdge) continue;
+        ASSERT_LT(e, post->num_edges()) << label;
+        const Edge& a = pre->edge(old);
+        const Edge& b = post->edge(e);
+        ASSERT_EQ(dyn::edge_key(a.u, a.v), dyn::edge_key(b.u, b.v)) << label;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a.w),
+                  std::bit_cast<std::uint64_t>(b.w))
+            << label;
+      }
+      const std::optional<std::vector<EdgeId>> merged =
+          merge_weight_order(*post, order, ids.renamed, ids.inserted);
+      ASSERT_TRUE(merged.has_value()) << label;
+      ASSERT_EQ(*merged, edges_by_weight_desc(*post)) << label;
+      order = *merged;
     }
   }
 }
